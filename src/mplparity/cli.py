@@ -556,7 +556,9 @@ def _sample_annulus(d: int, rng: random.Random, lo: float, hi: float) -> tuple[c
         if domain_check(entries, "consecutive", "nonneg", margin=_RAY_MARGIN):
             continue
         return entries
-    raise RuntimeError(f"argument sampler did not converge for depth {d}")
+    raise CliError(f"region annulus:{lo:g}:{hi:g} cannot be sampled at depth {d}: no draw "
+                   f"kept every consecutive product more than {_RAY_MARGIN:g} from the "
+                   f"nonnegative real axis")
 
 
 def _roots_pool(ns: tuple[int, ...]) -> list[complex]:

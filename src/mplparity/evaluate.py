@@ -14,7 +14,9 @@ Two independent routes produce values:
           panel_safety times the distance to the nearest singularity.  The
           panels abutting t = 0 and t = 1 use expansions with log terms so
           that integrable endpoint singularities (forms at 0 and at 1) are
-          exact rather than approached geometrically.
+          exact rather than approached geometrically.  Log integration in
+          the final panel applies a table of u^m log^q u coefficients that
+          is built once per (order, number of forms at 1) and cached.
 
 Route agreement on the overlap region is one of the standing invariants; the
 dispatcher picks series strictly inside the polydisk and panels otherwise, and
@@ -116,12 +118,34 @@ def _seg_dist(s: complex) -> float:
 
 
 @lru_cache(maxsize=None)
-def _log_int_coeffs(mdiv: int, p: int) -> tuple[float, ...]:
-    # int u^{m-1} log^p u du = sum_q K[q] u^m log^q u  (mdiv = m >= 1)
-    return tuple(
-        ((-1) ** (p - q)) * (math.factorial(p) / math.factorial(q)) / mdiv ** (p - q + 1)
-        for q in range(p + 1)
-    )
+def _ramps(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exponent and divisor ramps of one panel order: 0..M, 1..M, 0..M-1 (float)."""
+    ramps = (np.arange(order + 1), np.arange(1, order + 1), np.arange(order, dtype=float))
+    for r in ramps:
+        r.setflags(write=False)
+    return ramps
+
+
+@lru_cache(maxsize=None)
+def _log_int_table(order: int, P: int) -> np.ndarray:
+    """K[p, m - 1, q] in int u^{m-1} log^p u du = sum_q K[p, m - 1, q] u^m log^q u,
+    for m = 1..order and q <= p <= P; entries with q > p are zero and never read."""
+    K = np.zeros((P + 1, order, P + 1))
+    for p in range(P + 1):
+        for m in range(1, order + 1):
+            for q in range(p + 1):
+                K[p, m - 1, q] = (((-1) ** (p - q)) * (math.factorial(p) / math.factorial(q))
+                                  / m ** (p - q + 1))
+    K.setflags(write=False)
+    return K
+
+
+def _log_integrate(dst, src, K):
+    """dst[m, q] += sum_p src[m, p] K[p, m, q].  The sum runs in ascending p, the
+    order of the term-by-term loop kept in the tests, so results are bit-identical
+    to it; one einsum or matmul would be free to reorder it."""
+    for p in range(K.shape[0]):
+        dst[:, : p + 1] += src[:, p : p + 1] * K[p, :, : p + 1]
 
 
 def _interior_panel(F, t0, h, forms, order, safety):
@@ -131,11 +155,13 @@ def _interior_panel(F, t0, h, forms, order, safety):
     exponent shift, which requires the previous level to vanish there.
     """
     M = order
+    powers, divisors, geo_powers = _ramps(M)
+    kernels: dict[complex, np.ndarray] = {}   # (1/w)(-1/w)^n per distinct w
     prev = np.zeros(M + 1, complex)
     prev[0] = 1.0
     newF = np.empty_like(F)
     newF[0] = 1.0
-    spow = float(h) ** np.arange(M + 1)
+    spow = float(h) ** powers
     est = 0.0
     for j in range(1, len(F)):
         w = t0 - forms[j - 1]
@@ -144,11 +170,13 @@ def _interior_panel(F, t0, h, forms, order, safety):
             scale = max(1.0, float(np.abs(prev).max()))
             if abs(prev[0]) > 1e-12 * scale:
                 raise ArithmeticError("nonvanishing integrand at singular panel center")
-            cur[1:] = prev[1:] / np.arange(1, M + 1)
+            cur[1:] = prev[1:] / divisors
         else:
-            geo = (1.0 / w) * (-1.0 / w) ** np.arange(M, dtype=float)
+            geo = kernels.get(w)
+            if geo is None:
+                geo = kernels[w] = (1.0 / w) * (-1.0 / w) ** geo_powers
             conv = np.convolve(prev[:M], geo)[:M]
-            cur[1:] = conv / np.arange(1, M + 1)
+            cur[1:] = conv / divisors
         cur[0] = F[j]
         newF[j] = cur @ spow
         tail = max(abs(cur[M]) * spow[M], abs(cur[M - 1]) * spow[M - 1])
@@ -169,9 +197,11 @@ def _final_panel(F, t, forms, order, safety):
     uj = 1.0 - t
     L = math.log(uj)
     P = sum(1 for s in forms if s == 1)
+    K = _log_int_table(M, P)
+    powers = _ramps(M)[0]
     prev = np.zeros((M + 1, P + 1), complex)
     prev[0, 0] = 1.0
-    upow = uj ** np.arange(M + 1)
+    upow = uj ** powers
     lpow = np.array([L ** p for p in range(P + 1)])
     est = 0.0
     for j in range(1, len(F)):
@@ -181,25 +211,13 @@ def _final_panel(F, t, forms, order, safety):
             # integrand prev[m, p] u^{m-1} log^p u
             for p in range(P):
                 cur[0, p + 1] += prev[0, p] / (p + 1)
-            for m in range(1, M + 1):
-                for p in range(P + 1):
-                    c = prev[m, p]
-                    if c == 0:
-                        continue
-                    for q, K in enumerate(_log_int_coeffs(m, p)):
-                        cur[m, q] += c * K
+            _log_integrate(cur[1:], prev[1:], K)
         else:
-            kern = -(1.0 / beta) * (1.0 / beta) ** np.arange(M + 1)
+            kern = -(1.0 / beta) * (1.0 / beta) ** powers
             prod = np.empty_like(prev)
             for p in range(P + 1):
                 prod[:, p] = np.convolve(prev[:, p], kern)[: M + 1]
-            for m in range(M):
-                for p in range(P + 1):
-                    c = prod[m, p]
-                    if c == 0:
-                        continue
-                    for q, K in enumerate(_log_int_coeffs(m + 1, p)):
-                        cur[m + 1, q] += c * K
+            _log_integrate(cur[1:], prod[:M], K)
         partial = complex((cur @ lpow) @ upow)
         cur[0, 0] = F[j] - partial
         tail = max(np.abs(cur[M]).max() * upow[M], np.abs(cur[M - 1]).max() * upow[M - 1])

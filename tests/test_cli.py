@@ -220,6 +220,17 @@ def test_sweep_fail_exit(tmp_path, capsys):
     assert json.loads(out.read_text())["summary"]["n_fail"] > 0
 
 
+def test_sweep_unsamplable_annulus(capsys):
+    # every point of this annulus lies within the sampler's margin of the
+    # nonnegative real axis, so no argument can be drawn
+    code, out, err = run_cli(
+        ["sweep", "--theorem", "main", "--region", "annulus:0.01:0.02",
+         "--depth-max", "1", "--weight-max", "2", "--points", "1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "annulus:0.01:0.02" in err and "depth 1" in err
+
+
 # --- config files -------------------------------------------------------------------
 
 

@@ -4,11 +4,14 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 
 from mplparity.numcore import DEFAULT_CONFIG, DomainError, EvalConfig, log_minus, zeta
 from mplparity.words import ArgSymbol, ArgVector, EMPTY_WORD, Index, ONE_SYMBOL, Word, X, y_letter
 from mplparity.evaluate import (
+    _final_panel,
+    _interior_panel,
     compositions_of,
     enum_compositions,
     enum_contractions,
@@ -177,6 +180,139 @@ def test_panels_est_error_honest():
         res = li_panels(K(parts), V(args))
         ref = li_panels(K(parts), V(args), tighter)
         assert abs(res.value - ref.value) <= max(res.est_error, 1e-14), (parts, args)
+
+
+# Loop versions of the panel kernels, kept as the reference for the vectorized
+# ones: same float operations in the same order, so results must be equal.
+
+
+def _ref_log_int_coeffs(mdiv, p):
+    return tuple(
+        ((-1) ** (p - q)) * (math.factorial(p) / math.factorial(q)) / mdiv ** (p - q + 1)
+        for q in range(p + 1)
+    )
+
+
+def _ref_interior_panel(F, t0, h, forms, order, safety):
+    M = order
+    prev = np.zeros(M + 1, complex)
+    prev[0] = 1.0
+    newF = np.empty_like(F)
+    newF[0] = 1.0
+    spow = float(h) ** np.arange(M + 1)
+    est = 0.0
+    for j in range(1, len(F)):
+        w = t0 - forms[j - 1]
+        cur = np.zeros(M + 1, complex)
+        if w == 0:
+            scale = max(1.0, float(np.abs(prev).max()))
+            if abs(prev[0]) > 1e-12 * scale:
+                raise ArithmeticError("nonvanishing integrand at singular panel center")
+            cur[1:] = prev[1:] / np.arange(1, M + 1)
+        else:
+            geo = (1.0 / w) * (-1.0 / w) ** np.arange(M, dtype=float)
+            conv = np.convolve(prev[:M], geo)[:M]
+            cur[1:] = conv / np.arange(1, M + 1)
+        cur[0] = F[j]
+        newF[j] = cur @ spow
+        tail = max(abs(cur[M]) * spow[M], abs(cur[M - 1]) * spow[M - 1])
+        est += tail * safety / (1.0 - safety)
+        prev = cur
+    return newF, est
+
+
+def _ref_final_panel(F, t, forms, order, safety):
+    M = order
+    uj = 1.0 - t
+    L = math.log(uj)
+    P = sum(1 for s in forms if s == 1)
+    prev = np.zeros((M + 1, P + 1), complex)
+    prev[0, 0] = 1.0
+    upow = uj ** np.arange(M + 1)
+    lpow = np.array([L ** p for p in range(P + 1)])
+    est = 0.0
+    for j in range(1, len(F)):
+        beta = 1.0 - forms[j - 1]
+        cur = np.zeros_like(prev)
+        if beta == 0:
+            for p in range(P):
+                cur[0, p + 1] += prev[0, p] / (p + 1)
+            for m in range(1, M + 1):
+                for p in range(P + 1):
+                    c = prev[m, p]
+                    if c == 0:
+                        continue
+                    for q, K in enumerate(_ref_log_int_coeffs(m, p)):
+                        cur[m, q] += c * K
+        else:
+            kern = -(1.0 / beta) * (1.0 / beta) ** np.arange(M + 1)
+            prod = np.empty_like(prev)
+            for p in range(P + 1):
+                prod[:, p] = np.convolve(prev[:, p], kern)[: M + 1]
+            for m in range(M):
+                for p in range(P + 1):
+                    c = prod[m, p]
+                    if c == 0:
+                        continue
+                    for q, K in enumerate(_ref_log_int_coeffs(m + 1, p)):
+                        cur[m + 1, q] += c * K
+        partial = complex((cur @ lpow) @ upow)
+        cur[0, 0] = F[j] - partial
+        tail = max(np.abs(cur[M]).max() * upow[M], np.abs(cur[M - 1]).max() * upow[M - 1])
+        est += tail * max(1.0, abs(L)) ** P * safety / (1.0 - safety)
+        prev = cur
+    resid = sum(abs(prev[0, p]) * abs(L) ** p for p in range(1, P + 1))
+    return complex(prev[0, 0]), est + resid
+
+
+def _kernel_forms(rng, n_ones, n_zeros, n_other):
+    """Shuffled forms with the given counts at 1 and at 0; the others lie off [0, 1]."""
+    forms = [1 + 0j] * n_ones + [0j] * n_zeros
+    for _ in range(n_other):
+        forms.append(cmath.rect(rng.uniform(0.3, 3.0), rng.uniform(0.3, 2 * math.pi - 0.3)))
+    rng.shuffle(forms)
+    return forms
+
+
+def _kernel_F(rng, n):
+    return np.array([1.0] + [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(n)])
+
+
+@pytest.mark.parametrize("order", [8, 48])
+def test_final_panel_matches_loop_reference(order):
+    rng = random.Random(f"final-panel-{order}")
+    for P in (0, 1, 2, 3):
+        for _ in range(4):
+            forms = _kernel_forms(rng, P, rng.randint(0, 2), rng.randint(1, 3))
+            F = _kernel_F(rng, len(forms))
+            t = rng.uniform(0.3, 0.95)
+            got = _final_panel(F, t, forms, order, 0.5)
+            want = _ref_final_panel(F, t, forms, order, 0.5)
+            assert got[0] == want[0] and got[1] == want[1], (P, forms, t)
+
+
+@pytest.mark.parametrize("order", [8, 48])
+def test_interior_panel_matches_loop_reference(order):
+    rng = random.Random(f"interior-panel-{order}")
+    for _ in range(8):
+        forms = _kernel_forms(rng, rng.randint(0, 2), rng.randint(0, 3), rng.randint(1, 3))
+        F = _kernel_F(rng, len(forms))
+        t0 = rng.uniform(0.05, 0.6)
+        h = rng.uniform(0.02, 0.3)
+        got_F, got_est = _interior_panel(F, t0, h, forms, order, 0.5)
+        want_F, want_est = _ref_interior_panel(F, t0, h, forms, order, 0.5)
+        assert np.array_equal(got_F, want_F) and got_est == want_est, (forms, t0, h)
+    # the t0 = 0 panel: F vanishes above level 0 and forms at 0 integrate by
+    # exponent shift (the first form is never at 0)
+    for _ in range(4):
+        first = cmath.rect(rng.uniform(0.3, 3.0), rng.uniform(0.3, 2 * math.pi - 0.3))
+        forms = [first] + _kernel_forms(rng, rng.randint(0, 1), rng.randint(1, 3), 1)
+        F = np.zeros(len(forms) + 1, complex)
+        F[0] = 1.0
+        h = 0.5 * min(abs(s) for s in forms if s != 0)
+        got_F, got_est = _interior_panel(F, 0.0, h, forms, order, 0.5)
+        want_F, want_est = _ref_interior_panel(F, 0.0, h, forms, order, 0.5)
+        assert np.array_equal(got_F, want_F) and got_est == want_est, forms
 
 
 def test_dispatch_routes():
