@@ -1,6 +1,14 @@
 """Multiple polylogarithm evaluation and numerical verification of the
 depth-parity identities relating values at z and 1/z."""
-from .numcore import DEFAULT_CONFIG, DomainError, EvalConfig, bernoulli_factor, log_minus, zeta
+from .numcore import (
+    DEFAULT_CONFIG,
+    DomainError,
+    EvalConfig,
+    EvaluationError,
+    bernoulli_factor,
+    log_minus,
+    zeta,
+)
 from .words import ArgVector, Index, LinComb, Word, shuffle, stuffle
 from .evaluate import (
     EvalResult,
@@ -25,7 +33,7 @@ from .selftest import InvariantResult, run_selftest
 
 __all__ = [
     "ArgVector", "DEFAULT_CONFIG", "Decomposition", "DomainError", "EvalConfig",
-    "EvalResult", "Index", "InvariantResult", "LinComb", "ParityReport", "TPoly",
+    "EvalResult", "EvaluationError", "Index", "InvariantResult", "LinComb", "ParityReport", "TPoly",
     "Word", "bernoulli_factor", "check_derivative", "decompose_shuffle",
     "decompose_stuffle", "li", "li_panels", "li_series", "li_shift",
     "li_shift_blocks", "li_star", "li_word", "limit_probe", "log_minus",

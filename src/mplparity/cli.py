@@ -29,7 +29,7 @@ import random
 import sys
 from dataclasses import dataclass, replace
 
-from .numcore import DEFAULT_CONFIG, DomainError, EvalConfig, domain_check, zeta
+from .numcore import DEFAULT_CONFIG, DomainError, EvalConfig, EvaluationError, domain_check, zeta
 from .words import ArgVector, Index
 from .evaluate import li
 from .regularize import reg_value
@@ -278,7 +278,7 @@ def parse_cli(argv=None) -> RunConfig:
 
 
 def _mk_cfg(rc: RunConfig, branch: int) -> EvalConfig:
-    kw = {"branch_at_one": branch, "rng_seed": rc.seed}
+    kw = {"branch_at_one": branch}
     if rc.series_truncation is not None:
         kw["series_truncation"] = rc.series_truncation
     if rc.panel_order is not None:
@@ -755,7 +755,7 @@ def main(argv=None) -> int:
     try:
         rc = parse_cli(argv)
         return _DISPATCH[rc.command](rc)
-    except CliError as e:
+    except (CliError, EvaluationError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

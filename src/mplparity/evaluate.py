@@ -22,6 +22,16 @@ Route agreement on the overlap region is one of the standing invariants; the
 dispatcher picks series strictly inside the polydisk and panels otherwise, and
 every result reports which route produced it together with an error estimate
 that is meant to be trusted (over-, never under-stated).
+
+Value caches key on what the computation reads, never on provenance or on
+branch_at_one.  A value at (k, z) reads k.parts, z.entries, z.tails and the
+numeric knobs series_truncation, target_tol, panel_order and panel_safety, so
+those (plus the route or regularization mode) are its key; a word value reads
+the forms of its integral and the same knobs.  Both branches of a regularized
+check and every ArgVector that carries the same numbers share one computed
+value.  The tails are part of the key because equal entries do not imply equal
+tail products: a contraction multiplies its base entries in slot order, which
+can differ in the last bit from multiplying the fused entries.
 """
 from __future__ import annotations
 
@@ -32,7 +42,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .numcore import DEFAULT_CONFIG, DomainError, EvalConfig
+from .numcore import DEFAULT_CONFIG, DomainError, EvalConfig, EvaluationError, clear_caches, memo
 from .words import ONE_SYMBOL, ArgVector, Index, LinComb, Word, index_of_word
 
 SERIES_RADIUS = 0.95
@@ -82,7 +92,7 @@ def li_series(k: Index, z: ArgVector, cfg: EvalConfig = DEFAULT_CONFIG) -> EvalR
     entries = z.entries
     if any(e == 0 for e in entries):
         return EvalResult(0j, 0.0, "series")
-    g = [z.prod(i, d) for i in range(1, d + 1)]
+    g = z.tails
     r = max(abs(gi) for gi in g)
     if r > SERIES_RADIUS:
         raise DomainError(f"tail product of modulus {r:.4f} outside series radius")
@@ -151,8 +161,9 @@ def _log_integrate(dst, src, K):
 def _interior_panel(F, t0, h, forms, order, safety):
     """Advance all partial integrals from t0 to t0 + h by plain Taylor series.
 
-    A form exactly at the center (only t0 = 0 in practice) is integrated by
-    exponent shift, which requires the previous level to vanish there.
+    A form exactly at the center is integrated by exponent shift, which
+    requires the previous level to vanish there.  That center can only be
+    t0 = 0, the first panel, since iterated_integral rejects forms on (0, 1).
     """
     M = order
     powers, divisors, geo_powers = _ramps(M)
@@ -169,7 +180,7 @@ def _interior_panel(F, t0, h, forms, order, safety):
         if w == 0:
             scale = max(1.0, float(np.abs(prev).max()))
             if abs(prev[0]) > 1e-12 * scale:
-                raise ArithmeticError("nonvanishing integrand at singular panel center")
+                raise EvaluationError("nonvanishing integrand at singular panel center", 0, forms)
             cur[1:] = prev[1:] / divisors
         else:
             geo = kernels.get(w)
@@ -269,7 +280,7 @@ def iterated_integral(forms, cfg: EvalConfig = DEFAULT_CONFIG):
         steps.append(h)
         t += h
         if len(steps) > MAX_PANELS:
-            raise RuntimeError("panel budget exhausted")
+            raise EvaluationError("panel budget exhausted", len(steps), a)
     value, e = _final_panel(F, t, a, order, safety)
     est += e
     centers.append(1.0)
@@ -277,10 +288,10 @@ def iterated_integral(forms, cfg: EvalConfig = DEFAULT_CONFIG):
     return value, est * 4.0, PanelPlan(tuple(centers), tuple(steps), order)
 
 
-def _check_tail_domain(k: Index, z: ArgVector) -> list[complex]:
+def _check_tail_domain(k: Index, z: ArgVector) -> tuple[complex, ...]:
     """Panel-route legality: no tail product in (1, inf), no (k_d, z_d) = (1, 1)."""
     d = k.depth
-    g = [z.prod(i, d) for i in range(1, d + 1)]
+    g = z.tails
     for gi in g:
         if gi.imag == 0 and gi.real > 1:
             raise DomainError(f"tail product {gi} lies in (1, inf)")
@@ -311,8 +322,37 @@ def li_panels(k: Index, z: ArgVector, cfg: EvalConfig = DEFAULT_CONFIG) -> EvalR
 # --- dispatch and caching ---------------------------------------------------
 
 
-@lru_cache(maxsize=400_000)
-def _li_cached(k: Index, z: ArgVector, cfg: EvalConfig, route: str) -> EvalResult:
+class CacheKey:
+    """Key of a value cache.  It hashes and compares by `numbers`, the values the
+    cached computation reads; `args`, the objects it computes from, take no part."""
+
+    __slots__ = ("numbers", "args")
+
+    def __init__(self, numbers: tuple, *args) -> None:
+        self.numbers = numbers
+        self.args = args
+
+    def __hash__(self) -> int:
+        return hash(self.numbers)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, CacheKey) and self.numbers == other.numbers
+
+
+def _knobs(cfg: EvalConfig) -> tuple:
+    """The EvalConfig fields evaluation reads."""
+    return (cfg.series_truncation, cfg.target_tol, cfg.panel_order, cfg.panel_safety)
+
+
+def value_key(k: Index, z: ArgVector, cfg: EvalConfig, tag: str) -> CacheKey:
+    """Key of the value at (k, z) by route or regularization mode `tag`; its
+    args are (k, z, cfg, tag)."""
+    return CacheKey((tag, k.parts, z.entries, z.tails) + _knobs(cfg), k, z, cfg, tag)
+
+
+@memo(maxsize=400_000)
+def _li_cached(key: CacheKey) -> EvalResult:
+    k, z, cfg, route = key.args
     if route == "series":
         return li_series(k, z, cfg)
     if route == "panels":
@@ -322,7 +362,7 @@ def _li_cached(k: Index, z: ArgVector, cfg: EvalConfig, route: str) -> EvalResul
     d = k.depth
     if d == 0:
         return EvalResult(1 + 0j, 0.0, "series")
-    r = max(abs(z.prod(i, d)) for i in range(1, d + 1))
+    r = max(abs(g) for g in z.tails)
     if r <= SERIES_RADIUS:
         return li_series(k, z, cfg)
     return li_panels(k, z, cfg)
@@ -332,19 +372,19 @@ def li(k: Index, z: ArgVector, cfg: EvalConfig = DEFAULT_CONFIG, route: str = "a
     """Value of the multiple polylogarithm; route is 'auto', 'series' or 'panels'."""
     if route not in ("auto", "series", "panels"):
         raise ValueError(f"unknown route {route!r}")
-    return _li_cached(k, z, cfg, route)
-
-
-def clear_caches() -> None:
-    _li_cached.cache_clear()
-    _li_word_cached.cache_clear()
+    return _li_cached(value_key(k, z, cfg, route))
 
 
 # --- word-level evaluation --------------------------------------------------
 
 
-@lru_cache(maxsize=400_000)
-def _li_word_cached(w: Word, cfg: EvalConfig) -> complex:
+@memo(maxsize=400_000)
+def _li_word_cached(key: CacheKey) -> complex:
+    forms, cfg = key.args
+    return iterated_integral(forms, cfg)[0]
+
+
+def _word_value(w: Word, cfg: EvalConfig) -> complex:
     if not w.letters:
         return 1 + 0j
     if not w.in_h0:
@@ -360,18 +400,18 @@ def _li_word_cached(w: Word, cfg: EvalConfig) -> complex:
             forms.append(1 / l.arg.value)
         else:
             forms.append(0j)
-    val, _err, _plan = iterated_integral(forms, cfg)
+    forms = tuple(forms)
     sign = -1.0 if w.depth % 2 else 1.0
-    return sign * val
+    return sign * _li_word_cached(CacheKey((forms,) + _knobs(cfg), forms, cfg))
 
 
 def li_word(w: Word | LinComb, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
     """Evaluate a convergent word (or rational combination) by its integral."""
     if isinstance(w, Word):
-        return _li_word_cached(w, cfg)
+        return _word_value(w, cfg)
     acc = 0j
     for word, c in w.items():
-        acc += float(c) * _li_word_cached(word, cfg)
+        acc += float(c) * _word_value(word, cfg)
     return acc
 
 

@@ -36,7 +36,6 @@ class EvalConfig:
     panel_order: int = 48          # Taylor/log-series order per panel
     panel_safety: float = 0.35     # panel step = safety * distance to nearest singularity
     branch_at_one: int = +1        # sign of i*pi used for log(-z) at exactly z == 1
-    rng_seed: int = 0              # seed for samplers built on top of this config
 
     def __post_init__(self) -> None:
         if self.series_truncation < 8:
@@ -56,6 +55,43 @@ DEFAULT_CONFIG = EvalConfig()
 
 class DomainError(ValueError):
     """Argument tuple outside the region an operation is defined on."""
+
+
+class EvaluationError(ArithmeticError):
+    """A legal input the panel route could not integrate.  The witness is the
+    number of panels marched and the forms of the integral."""
+
+    def __init__(self, reason: str, panels: int, forms) -> None:
+        self.panels = panels
+        self.forms = tuple(complex(a) for a in forms)
+        super().__init__(reason, panels, self.forms)   # args rebuild it when unpickled
+
+    def __str__(self) -> str:
+        reason, panels, forms = self.args
+        return f"{reason} after {panels} panels; forms {list(forms)}"
+
+
+# --- value memos ------------------------------------------------------------
+
+_MEMOS: list = []
+
+
+def memo(maxsize: int):
+    """lru_cache for a memo of computed values; clear_caches() empties every one.
+
+    Constant tables (zeta, Bernoulli numbers, panel ramps) are plain lru_caches:
+    they hold no values derived from a caller's input."""
+    def wrap(fn):
+        cached = lru_cache(maxsize=maxsize)(fn)
+        _MEMOS.append(cached)
+        return cached
+    return wrap
+
+
+def clear_caches() -> None:
+    """Empty every value memo of the package."""
+    for cached in _MEMOS:
+        cached.cache_clear()
 
 
 def principal_log(z: complex) -> complex:

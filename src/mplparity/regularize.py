@@ -19,10 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
-from .evaluate import li, li_word, li_word_series_encoding
-from .numcore import DEFAULT_CONFIG, DomainError, EvalConfig, zeta
+from .evaluate import CacheKey, li, li_word, li_word_series_encoding, value_key
+from .numcore import DEFAULT_CONFIG, DomainError, EvalConfig, memo, zeta
 from .words import (
     EMPTY_WORD,
     ArgVector,
@@ -120,7 +119,7 @@ def decompose_shuffle(w: Word) -> Decomposition:
     return Decomposition("shuffle", tuple(parts))
 
 
-@lru_cache(maxsize=100_000)
+@memo(maxsize=100_000)
 def _decompose_stuffle_word(w: Word) -> tuple[tuple[int, LinComb], ...]:
     h = w.trailing_ones()
     if h == 0:
@@ -214,10 +213,8 @@ def rho_inv(p: TPoly, zeta_fn=None) -> TPoly:
 # --- regularized polynomials and values -------------------------------------
 
 
-def _check_reg_domain(k: Index, z: ArgVector) -> None:
-    d = k.depth
-    for i in range(1, d + 1):
-        g = z.prod(i, d)
+def _check_reg_domain(z: ArgVector) -> None:
+    for g in z.tails:
         if g.imag == 0 and g.real > 1:
             raise DomainError(f"tail product {g} lies in (1, inf)")
 
@@ -236,7 +233,7 @@ def trailing_one_pairs(k: Index, z: ArgVector) -> int:
 def shuffle_poly(k: Index, z: ArgVector, cfg: EvalConfig = DEFAULT_CONFIG) -> TPoly:
     """Shuffle-regularized polynomial: decompose the integral encoding and
     evaluate the convergent parts as iterated integrals."""
-    _check_reg_domain(k, z)
+    _check_reg_domain(z)
     w = integral_word(word_from_index(k, z))
     dec = decompose_shuffle(w)
     return TPoly(tuple(li_word(part, cfg) for part in dec.parts))
@@ -245,7 +242,7 @@ def shuffle_poly(k: Index, z: ArgVector, cfg: EvalConfig = DEFAULT_CONFIG) -> TP
 def stuffle_poly_direct(k: Index, z: ArgVector, cfg: EvalConfig = DEFAULT_CONFIG) -> TPoly:
     """Stuffle-regularized polynomial via the direct series-side decomposition;
     kept as the independent cross-check of the rho route."""
-    _check_reg_domain(k, z)
+    _check_reg_domain(z)
     w = word_from_index(k, z)
     dec = decompose_stuffle(w)
     coeffs = []
@@ -273,8 +270,9 @@ def reg_poly(k: Index, z: ArgVector, mode: str, cfg: EvalConfig = DEFAULT_CONFIG
     raise ValueError(f"unknown mode {mode!r}")
 
 
-@lru_cache(maxsize=200_000)
-def _reg_value_cached(k: Index, z: ArgVector, mode: str, cfg: EvalConfig) -> complex:
+@memo(maxsize=200_000)
+def _reg_value_cached(key: CacheKey) -> complex:
+    k, z, cfg, mode = key.args
     if k.depth != z.depth:
         raise ValueError("index and argument depth differ")
     if k.depth == 0:
@@ -289,4 +287,4 @@ def reg_value(k: Index, z: ArgVector, mode: str, cfg: EvalConfig = DEFAULT_CONFI
     otherwise the constant term of the regularized polynomial."""
     if mode not in ("stuffle", "shuffle"):
         raise ValueError(f"unknown mode {mode!r}")
-    return _reg_value_cached(k, z, mode, cfg)
+    return _reg_value_cached(value_key(k, z, cfg, mode))

@@ -17,8 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cached_property, reduce
 from typing import Iterable, Iterator, Mapping
+
+from .numcore import memo
 
 
 def _canonical_complex(v) -> complex:
@@ -277,9 +279,20 @@ class ArgVector:
     def depth(self) -> int:
         return len(self.symbols)
 
-    @property
+    @cached_property
     def entries(self) -> tuple[complex, ...]:
         return tuple(s.value for s in self.symbols)
+
+    @cached_property
+    def tails(self) -> tuple[complex, ...]:
+        """Tail products (z_1...z_d, z_2...z_d, ..., z_d); entry i - 1 equals
+        prod(i, d) bit for bit, since a symbol's value depends only on its slots."""
+        out = []
+        suffix = ONE_SYMBOL
+        for sym in reversed(self.symbols):
+            suffix = sym * suffix
+            out.append(suffix.value)
+        return tuple(reversed(out))
 
     def cut(self, i: int, j: int) -> "ArgVector":
         if i > j:
@@ -374,7 +387,7 @@ def _split_head_block(w: Word) -> tuple[ArgSymbol, int, Word]:
     return sym, n, Word(w.letters[i:])
 
 
-@lru_cache(maxsize=200_000)
+@memo(maxsize=200_000)
 def _stuffle_words(u: Word, v: Word) -> LinComb:
     if not u.letters:
         return LinComb.of(v)
@@ -398,7 +411,7 @@ def _stuffle_words(u: Word, v: Word) -> LinComb:
     return LinComb(acc)
 
 
-@lru_cache(maxsize=200_000)
+@memo(maxsize=200_000)
 def _shuffle_words(u: Word, v: Word) -> LinComb:
     if not u.letters:
         return LinComb.of(v)

@@ -105,6 +105,16 @@ def test_eval_domain_error(capsys):
     assert payload["error"]["violations"] == [[1, 2, [1.5, 0.0]]]
 
 
+def test_eval_panel_budget_exhausted(capsys):
+    # a step of 0.001 times the distance to a form just off the path near
+    # t = 1 needs more panels than the route allows
+    code, out, err = run_cli(["eval", "k=2", "z=0.99+0.01j", "--panel-safety", "0.001"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "panel budget exhausted after 4001 panels" in err
+    assert "forms [(1.0099979596000817-0.010201999591920018j), 0j]" in err
+
+
 # --- check ------------------------------------------------------------------------
 
 
@@ -218,6 +228,19 @@ def test_sweep_fail_exit(tmp_path, capsys):
          "--points", "2", "--tol", "1e-30", "--out", str(out)], capsys)
     assert code == 1
     assert json.loads(out.read_text())["summary"]["n_fail"] > 0
+
+
+def test_sweep_records_evaluation_error_per_point(capsys):
+    payload = run_json(["sweep", "--theorem", "reg", "--region", "roots:2", "--depth-max", "1",
+                        "--weight-max", "2", "--branch", "1", "--panel-safety", "0.001"],
+                       capsys, expect=1)
+    status = {(tuple(r["k"]), r["z"][0][0]): r["status"] for r in payload["records"]}
+    assert status == {((1,), 1.0): "pass", ((1,), -1.0): "pass",
+                      ((2,), 1.0): "error", ((2,), -1.0): "error"}
+    assert payload["summary"]["n_error"] == 2
+    for rec in payload["records"]:
+        if rec["status"] == "error":
+            assert rec["message"].startswith("EvaluationError: panel budget exhausted after 4001 panels")
 
 
 def test_sweep_unsamplable_annulus(capsys):

@@ -3,15 +3,18 @@
 import cmath
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from mplparity import evaluate, regularize, words
 from mplparity.numcore import DEFAULT_CONFIG, DomainError, EvalConfig, log_minus, zeta
 from mplparity.words import ArgSymbol, ArgVector, EMPTY_WORD, Index, ONE_SYMBOL, Word, X, y_letter
 from mplparity.evaluate import (
     _final_panel,
     _interior_panel,
+    clear_caches,
     compositions_of,
     enum_compositions,
     enum_contractions,
@@ -26,6 +29,8 @@ from mplparity.evaluate import (
     li_word,
     li_word_series_encoding,
 )
+from mplparity.parity import reg_sides
+from mplparity.selftest import run_selftest
 from mplparity.words import word_from_index
 from oracles import brute_li, closed_li1, mp_polylog, quad_iint_depth2
 
@@ -483,3 +488,96 @@ def test_stuffle_homomorphism_numeric():
                + li(K((1, 1)), V((b, a))).value
                + li(K((2,)), V((a * b,))).value)
         assert lhs == pytest.approx(rhs, abs=1e-12)
+
+
+# --- value caches ---------------------------------------------------------------
+#
+# The caches key on the numbers a value is computed from (index, entries, tail
+# products, numeric knobs), never on ArgVector provenance or on branch_at_one.
+
+WITNESS = (-1.3 + 0.7j, 0.9 - 1.1j, -0.6 - 1.7j)
+REG_POINT = (K((1, 2, 1)), (1j, -1, 1))   # trailing (1, 1): goes through reg_poly
+
+
+def _misses():
+    return evaluate._li_cached.cache_info().misses, regularize._reg_value_cached.cache_info().misses
+
+
+def test_reg_second_branch_adds_no_misses():
+    k, args = REG_POINT
+    clear_caches()
+    reg_sides(k, V(args), "stuffle", replace(DEFAULT_CONFIG, branch_at_one=1))
+    after_first = _misses()
+    assert all(after_first)
+    rep = reg_sides(k, V(args), "stuffle", replace(DEFAULT_CONFIG, branch_at_one=-1))
+    assert _misses() == after_first
+    assert rep.branch == -1 and rep.residual < 1e-7
+
+
+def test_branch_minus_values_match_a_fresh_computation():
+    k, args = REG_POINT
+    clear_caches()
+    reg_sides(k, V(args), "stuffle", replace(DEFAULT_CONFIG, branch_at_one=1))
+    cached = reg_sides(k, V(args), "stuffle", replace(DEFAULT_CONFIG, branch_at_one=-1))
+    clear_caches()
+    fresh = reg_sides(k, V(args), "stuffle", replace(DEFAULT_CONFIG, branch_at_one=-1))
+    assert repr((cached.lhs, cached.rhs, cached.residual)) == \
+        repr((fresh.lhs, fresh.rhs, fresh.residual))
+
+
+def test_cut_and_fresh_vector_share_one_entry():
+    z = V(WITNESS)
+    cut, fresh = z.cut(2, 3), V(z.entries[1:])
+    assert cut != fresh   # different provenance, same numbers
+    clear_caches()
+    a = li(K((2, 1)), cut)
+    b = li(K((2, 1)), fresh)
+    info = evaluate._li_cached.cache_info()
+    assert (info.currsize, info.hits) == (1, 1)
+    assert b is a
+
+
+def test_contraction_with_different_tails_gets_its_own_entry():
+    k3 = K((1, 1, 1))
+    kc, zc = enum_contractions(k3, V(WITNESS))[2]   # places 2 and 3 merged
+    fresh = V(zc.entries)
+    assert kc == K((1, 2)) and zc.entries == fresh.entries
+    assert zc.tails[0] == 3.742 - 0.5559999999999998j
+    assert fresh.tails[0] == 3.7420000000000004 - 0.556j
+    clear_caches()
+    values = [li(kc, zc), li(kc, fresh)]
+    assert evaluate._li_cached.cache_info().currsize == 2
+    for z, res in zip((zc, fresh), values):
+        assert res.method == "panels"
+        assert res == li_panels(kc, z)
+
+
+def test_panel_orders_never_share_an_entry():
+    z = V((-1.5, 2j))
+    clear_caches()
+    results = {}
+    for order in (48, 8, 48, 8):
+        cfg = replace(DEFAULT_CONFIG, panel_order=order)
+        results.setdefault(order, li(K((2, 1)), z, cfg))
+        assert results[order] == li_panels(K((2, 1)), z, cfg)
+    info = evaluate._li_cached.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (2, 2, 2)
+    assert results[8] != results[48]
+
+
+def test_tails_equal_prod():
+    z = V(WITNESS)
+    contractions = [zc for _, zc in enum_contractions(K((1, 1, 1)), z)]
+    for v in (z, z.cut(2, 3), z.reversed(), V((1, -1j, 1)), *contractions):
+        assert v.tails == tuple(v.prod(i, v.depth) for i in range(1, v.depth + 1))
+
+
+def test_clear_caches_empties_every_value_memo():
+    memos = (evaluate._li_cached, evaluate._li_word_cached, regularize._reg_value_cached,
+             regularize._decompose_stuffle_word, words._stuffle_words, words._shuffle_words)
+    k, args = REG_POINT
+    reg_sides(k, V(args), "stuffle")
+    run_selftest(only=("rho",), seed=0)
+    assert all(m.cache_info().currsize > 0 for m in memos)
+    clear_caches()
+    assert [m.cache_info().currsize for m in memos] == [0] * len(memos)

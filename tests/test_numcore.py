@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from mplparity.numcore import (
     DEFAULT_CONFIG,
     DomainError,
     EvalConfig,
+    EvaluationError,
     bernoulli_factor,
     bernoulli_number,
     bernoulli_poly,
@@ -148,3 +150,11 @@ def test_domain_check_margin():
 def test_domain_check_bad_family():
     with pytest.raises(ValueError):
         domain_check((1j,), "diagonal", "nonneg")
+
+
+def test_evaluation_error_witness_survives_pickling():
+    err = EvaluationError("panel budget exhausted", 4001, [1.01 - 0.01j, 0j])
+    back = pickle.loads(pickle.dumps(err))
+    assert (back.panels, back.forms) == (4001, (1.01 - 0.01j, 0j))
+    assert str(back) == str(err) == "panel budget exhausted after 4001 panels; forms [(1.01-0.01j), 0j]"
+    assert isinstance(back, ArithmeticError)
