@@ -27,7 +27,7 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .numcore import DEFAULT_CONFIG, DomainError, EvalConfig, EvaluationError, domain_check, zeta
 from .words import ArgVector, Index
@@ -151,27 +151,7 @@ def parse_index_spec(v) -> tuple[int, ...]:
     return parts
 
 
-_DEFAULTS = {
-    "theorem": "main",
-    "mode": None,
-    "branch": None,
-    "index": None,
-    "args": None,
-    "region": None,
-    "depth_max": 2,
-    "weight_max": 4,
-    "points": 20,
-    "seed": 0,
-    "tol": None,
-    "out": None,
-    "format": "json",
-    "workers": 1,
-    "only": (),
-    "corrupt_zeta": False,
-    "series_truncation": None,
-    "panel_order": None,
-    "panel_safety": None,
-}
+_DEFAULTS = {f.name: f.default for f in fields(RunConfig) if f.name != "command"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -267,10 +247,9 @@ def parse_cli(argv=None) -> RunConfig:
         only = (only,)
     merged["only"] = tuple(itertools.chain.from_iterable(
         t.split(",") for t in only))
-    if merged["workers"] < 1:
-        raise CliError("--workers must be >= 1")
-    if merged["points"] < 1:
-        raise CliError("--points must be >= 1")
+    for key in ("workers", "points", "depth_max", "weight_max"):
+        if type(merged[key]) is not int or merged[key] < 1:
+            raise CliError(f"--{key.replace('_', '-')} must be an integer >= 1")
     return RunConfig(command=command, **merged)
 
 

@@ -29,6 +29,7 @@ from .words import (
     LinComb,
     Word,
     Y_ONE,
+    _add_into,
     integral_word,
     product_power,
     shuffle,
@@ -79,13 +80,13 @@ class Decomposition:
     def re_expand(self) -> LinComb:
         """Reassemble the original word; exact, used as a round-trip check."""
         op = stuffle if self.mode == "stuffle" else shuffle
-        acc = LinComb.zero()
+        acc: dict[Word, int | Fraction] = {}
         for i, part in enumerate(self.parts):
             if not part:
                 continue
             pw = product_power(Y_ONE_WORD, i, op)
-            acc = acc + op(part, pw)
-        return acc
+            _add_into(acc, op(part, pw).terms.items())
+        return LinComb(acc)
 
 
 Y_ONE_WORD = Word((Y_ONE,))
@@ -129,16 +130,15 @@ def _decompose_stuffle_word(w: Word) -> tuple[tuple[int, LinComb], ...]:
     # sv contains w itself with multiplicity h; everything else has a shorter
     # trailing run, so recursion proceeds on (length, trailing count)
     e_terms = dict(sv.terms)
-    got = e_terms.pop(w, Fraction(0))
+    got = e_terms.pop(w, 0)
     if got != h:
         raise AssertionError(f"trailing-run multiplicity {got} != {h} for {w!r}")
-    acc: dict[int, LinComb] = {}
+    acc: dict[int, dict[Word, Fraction]] = {}
 
     def add(i: int, combo: LinComb, scale: Fraction) -> None:
         if not combo:
             return
-        cur = acc.get(i, LinComb.zero())
-        acc[i] = cur + scale * combo
+        _add_into(acc.setdefault(i, {}), combo.terms.items(), scale)
 
     inv_h = Fraction(1, h)
     for i, part in _decompose_stuffle_word(v):
@@ -146,7 +146,7 @@ def _decompose_stuffle_word(w: Word) -> tuple[tuple[int, LinComb], ...]:
     for word, c in e_terms.items():
         for i, part in _decompose_stuffle_word(word):
             add(i, part, -inv_h * c)
-    return tuple(sorted(acc.items()))
+    return tuple((i, LinComb(acc[i])) for i in sorted(acc))
 
 
 def decompose_stuffle(w: Word) -> Decomposition:

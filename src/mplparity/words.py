@@ -11,7 +11,18 @@ are multiplied, so equal multisets always carry bit-identical values.  The
 empty multiset is the literal argument 1 (the letter created by
 regularization), and base entries exactly equal to 1 canonicalize to it.
 
-Coefficients are exact rationals throughout; nothing in this module rounds.
+Symbols, letters and words compute their hash once, at construction, and
+return it from ``__hash__``; equality is still by value, so a symbol over a
+base tuple equal to another one compares and hashes alike.  Pickling rebuilds
+them from their fields, so the stored hash is recomputed in the receiving
+process (the hash of None, inside the x letter, is not stable across
+processes).
+
+Coefficients are exact rationals throughout, stored as ``int`` where they are
+integers (stuffle and shuffle multiplicities) and as ``Fraction`` otherwise;
+nothing in this module rounds.  Every linear combination is accumulated into
+one dict by ``_add_into``; zero terms are dropped once, when the ``LinComb`` is
+built.
 """
 from __future__ import annotations
 
@@ -31,13 +42,14 @@ def _canonical_complex(v) -> complex:
     return complex(re, im)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ArgSymbol:
     """Multiset of base-slot indices; () is the literal argument 1."""
 
     base: tuple[complex, ...]
     slots: tuple[int, ...]
     value: complex = field(init=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if tuple(sorted(self.slots)) != self.slots:
@@ -46,6 +58,13 @@ class ArgSymbol:
         for i in self.slots:
             v *= self.base[i]
         object.__setattr__(self, "value", _canonical_complex(v))
+        object.__setattr__(self, "_hash", hash((self.base, self.slots)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return ArgSymbol, (self.base, self.slots)
 
     @property
     def is_literal_one(self) -> bool:
@@ -70,11 +89,21 @@ class ArgSymbol:
 ONE_SYMBOL = ArgSymbol((), ())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Letter:
     """A word letter: arg is None for x, an ArgSymbol for y_c."""
 
     arg: ArgSymbol | None = None
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.arg,)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return Letter, (self.arg,)
 
     @property
     def is_y(self) -> bool:
@@ -96,9 +125,19 @@ def y_letter(sym: ArgSymbol) -> Letter:
     return Letter(sym)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Word:
     letters: tuple[Letter, ...] = ()
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.letters,)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return Word, (self.letters,)
 
     @property
     def weight(self) -> int:
@@ -149,23 +188,39 @@ class Word:
 EMPTY_WORD = Word()
 
 
+def _exact(c) -> int | Fraction:
+    return c if type(c) is int or type(c) is Fraction else Fraction(c)
+
+
+def _add_into(acc: dict, terms: Iterable[tuple[Word, int | Fraction]], scale=1) -> None:
+    """acc += scale * terms, in place; terms that sum to zero stay until the
+    dict is turned into a LinComb."""
+    get = acc.get
+    if scale == 1:
+        for w, c in terms:
+            acc[w] = get(w, 0) + c
+    else:
+        for w, c in terms:
+            acc[w] = get(w, 0) + scale * c
+
+
 class LinComb:
     """Finite rational linear combination of words; zero terms are dropped."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Word, Fraction] | None = None):
-        clean: dict[Word, Fraction] = {}
+    def __init__(self, terms: Mapping[Word, int | Fraction] | None = None):
+        clean: dict[Word, int | Fraction] = {}
         if terms:
             for w, c in terms.items():
-                c = Fraction(c)
+                c = _exact(c)
                 if c:
                     clean[w] = c
         self.terms = clean
 
     @classmethod
     def of(cls, w: Word, c: Fraction | int = 1) -> "LinComb":
-        return cls({w: Fraction(c)})
+        return cls({w: c})
 
     @classmethod
     def zero(cls) -> "LinComb":
@@ -182,32 +237,31 @@ class LinComb:
 
     def __add__(self, other: "LinComb") -> "LinComb":
         out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, Fraction(0)) + c
+        _add_into(out, other.terms.items())
         return LinComb(out)
 
     def __sub__(self, other: "LinComb") -> "LinComb":
         out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, Fraction(0)) - c
+        _add_into(out, other.terms.items(), -1)
         return LinComb(out)
 
     def __rmul__(self, c) -> "LinComb":
-        c = Fraction(c)
+        c = _exact(c)
         return LinComb({w: c * v for w, v in self.terms.items()})
 
     def __neg__(self) -> "LinComb":
         return LinComb({w: -v for w, v in self.terms.items()})
 
-    def items(self) -> Iterator[tuple[Word, Fraction]]:
+    def items(self) -> Iterator[tuple[Word, int | Fraction]]:
         return iter(sorted(self.terms.items(), key=lambda t: t[0].sort_key()))
 
     def map_bilinear(self, other: "LinComb", word_op) -> "LinComb":
-        out = LinComb.zero()
+        acc: dict[Word, int | Fraction] = {}
+        vs = list(other.items())
         for u, cu in self.items():
-            for v, cv in other.items():
-                out = out + (cu * cv) * word_op(u, v)
-        return out
+            for v, cv in vs:
+                _add_into(acc, word_op(u, v).terms.items(), cu * cv)
+        return LinComb(acc)
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -397,17 +451,14 @@ def _stuffle_words(u: Word, v: Word) -> LinComb:
         raise ValueError("stuffle needs words without leading x")
     s1, n1, w1 = _split_head_block(u)
     s2, n2, w2 = _split_head_block(v)
-    head1 = Word((y_letter(s1),) + (X,) * n1)
-    head2 = Word((y_letter(s2),) + (X,) * n2)
-    merged = s1 * s2
-    headm = Word((y_letter(merged),) + (X,) * (n1 + n2 + 1))
-    acc: dict[Word, Fraction] = {}
+    head1 = u.letters[: n1 + 1]
+    head2 = v.letters[: n2 + 1]
+    headm = (y_letter(s1 * s2),) + (X,) * (n1 + n2 + 1)
+    acc: dict[Word, int] = {}
     for head, tail in ((head1, _stuffle_words(w1, v)),
                        (head2, _stuffle_words(u, w2)),
                        (headm, _stuffle_words(w1, w2))):
-        for w, c in tail.terms.items():
-            key = head * w
-            acc[key] = acc.get(key, Fraction(0)) + c
+        _add_into(acc, ((Word(head + w.letters), c) for w, c in tail.terms.items()))
     return LinComb(acc)
 
 
@@ -419,11 +470,9 @@ def _shuffle_words(u: Word, v: Word) -> LinComb:
         return LinComb.of(u)
     a, urest = u.letters[0], Word(u.letters[1:])
     b, vrest = v.letters[0], Word(v.letters[1:])
-    acc: dict[Word, Fraction] = {}
+    acc: dict[Word, int] = {}
     for head, tail in ((a, _shuffle_words(urest, v)), (b, _shuffle_words(u, vrest))):
-        for w, c in tail.terms.items():
-            key = Word((head,) + w.letters)
-            acc[key] = acc.get(key, Fraction(0)) + c
+        _add_into(acc, ((Word((head,) + w.letters), c) for w, c in tail.terms.items()))
     return LinComb(acc)
 
 

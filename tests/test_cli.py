@@ -254,6 +254,29 @@ def test_sweep_unsamplable_annulus(capsys):
     assert "annulus:0.01:0.02" in err and "depth 1" in err
 
 
+@pytest.mark.parametrize("flag,key", [("--depth-max", "depth_max"),
+                                      ("--weight-max", "weight_max")])
+def test_sweep_rejects_empty_index_range(flag, key, tmp_path, capsys):
+    # a bound below 1 leaves no index to check; a sweep over nothing must not pass
+    code, out, err = run_cli(["sweep", "--theorem", "hirose", flag, "0"], capsys)
+    assert code == 2 and out == ""
+    assert f"{flag} must be an integer >= 1" in err
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"theorem": "hirose", key: 0}))
+    code, out, err = run_cli(["sweep", "--config", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert f"{flag} must be an integer >= 1" in err
+
+
+@pytest.mark.parametrize("key", ["workers", "points", "depth_max", "weight_max"])
+def test_config_count_must_be_an_integer(key, tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"theorem": "hirose", key: "3"}))
+    code, out, err = run_cli(["sweep", "--config", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert f"--{key.replace('_', '-')} must be an integer >= 1" in err
+
+
 # --- config files -------------------------------------------------------------------
 
 

@@ -1,11 +1,24 @@
 """Word algebra: symbols, words, the two products, and their exact laws."""
 
+import copy
+import functools
+import os
+import pickle
+import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mplparity
+from mplparity import regularize, words
+from mplparity.regularize import Decomposition, Y_ONE_WORD, decompose_shuffle, decompose_stuffle
+from mplparity.selftest import _trailing_word, run_selftest
 from mplparity.words import (
+    _split_head_block,
     ArgSymbol,
     ArgVector,
     EMPTY_WORD,
@@ -337,3 +350,296 @@ def test_shuffle_associative(triple):
 def test_shuffle_unit(single):
     (u,) = single
     assert shuffle(EMPTY_WORD, u) == LinComb.of(u)
+
+
+# --- reference products --------------------------------------------------------
+# The products as written before coefficients were accumulated into one dict:
+# map_bilinear rebuilt the whole combination per term, and the word products
+# summed Fraction coefficients.  The current code must agree with them exactly,
+# including the order items() and repr report terms in.
+
+
+def _ref_map_bilinear(a: LinComb, b: LinComb, word_op) -> LinComb:
+    out = LinComb.zero()
+    for u, cu in a.items():
+        for v, cv in b.items():
+            out = out + (cu * cv) * word_op(u, v)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _ref_stuffle_words(u: Word, v: Word) -> LinComb:
+    if not u.letters:
+        return LinComb({v: Fraction(1)})
+    if not v.letters:
+        return LinComb({u: Fraction(1)})
+    s1, n1, w1 = _split_head_block(u)
+    s2, n2, w2 = _split_head_block(v)
+    head1 = Word((y_letter(s1),) + (X,) * n1)
+    head2 = Word((y_letter(s2),) + (X,) * n2)
+    headm = Word((y_letter(s1 * s2),) + (X,) * (n1 + n2 + 1))
+    acc = {}
+    for head, tail in ((head1, _ref_stuffle_words(w1, v)),
+                       (head2, _ref_stuffle_words(u, w2)),
+                       (headm, _ref_stuffle_words(w1, w2))):
+        for w, c in tail.terms.items():
+            key = head * w
+            acc[key] = acc.get(key, Fraction(0)) + c
+    return LinComb(acc)
+
+
+@functools.lru_cache(maxsize=None)
+def _ref_shuffle_words(u: Word, v: Word) -> LinComb:
+    if not u.letters:
+        return LinComb({v: Fraction(1)})
+    if not v.letters:
+        return LinComb({u: Fraction(1)})
+    a, urest = u.letters[0], Word(u.letters[1:])
+    b, vrest = v.letters[0], Word(v.letters[1:])
+    acc = {}
+    for head, tail in ((a, _ref_shuffle_words(urest, v)), (b, _ref_shuffle_words(u, vrest))):
+        for w, c in tail.terms.items():
+            key = Word((head,) + w.letters)
+            acc[key] = acc.get(key, Fraction(0)) + c
+    return LinComb(acc)
+
+
+def _as_lincomb(x) -> LinComb:
+    return x if isinstance(x, LinComb) else LinComb({x: Fraction(1)})
+
+
+def _ref_stuffle(u, v) -> LinComb:
+    return _ref_map_bilinear(_as_lincomb(u), _as_lincomb(v), _ref_stuffle_words)
+
+
+def _ref_shuffle(u, v) -> LinComb:
+    return _ref_map_bilinear(_as_lincomb(u), _as_lincomb(v), _ref_shuffle_words)
+
+
+def _ref_decompose_stuffle_word(w: Word):
+    h = w.trailing_ones()
+    if h == 0:
+        return ((0, LinComb.of(w)),)
+    v = Word(w.letters[:-1])
+    e_terms = dict(_ref_stuffle(v, Y_ONE_WORD).terms)
+    assert e_terms.pop(w, Fraction(0)) == h
+    acc = {}
+
+    def add(i, combo, scale):
+        if not combo:
+            return
+        cur = acc.get(i, LinComb.zero())
+        acc[i] = cur + scale * combo
+
+    inv_h = Fraction(1, h)
+    for i, part in _ref_decompose_stuffle_word(v):
+        add(i + 1, part, inv_h)
+    for word, c in e_terms.items():
+        for i, part in _ref_decompose_stuffle_word(word):
+            add(i, part, -inv_h * c)
+    return tuple(sorted(acc.items()))
+
+
+def _ref_stuffle_parts(w: Word) -> tuple[LinComb, ...]:
+    pairs = _ref_decompose_stuffle_word(w)
+    parts = [LinComb.zero() for _ in range(max(i for i, _ in pairs) + 1)]
+    for i, part in pairs:
+        parts[i] = part
+    return tuple(parts)
+
+
+def _ref_re_expand(dec: Decomposition) -> LinComb:
+    op = _ref_stuffle if dec.mode == "stuffle" else _ref_shuffle
+    acc = LinComb.zero()
+    for i, part in enumerate(dec.parts):
+        if not part:
+            continue
+        acc = acc + op(part, product_power(Y_ONE_WORD, i, op))
+    return acc
+
+
+def _assert_same(got: LinComb, want: LinComb) -> None:
+    assert got == want
+    assert repr(got) == repr(want)
+    assert list(got.items()) == list(want.items())
+    assert all(type(c) in (int, Fraction) for c in got.terms.values())
+
+
+def _seeded_words(seed: int, count: int, index_form: bool) -> list[Word]:
+    """The empty word plus count seeded words over one base: single and merged
+    symbols, literal-one letters inside the word and trailing y_1 runs; plain
+    words (index_form False) may also start with x."""
+    rng = random.Random(seed)
+    base = tuple(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(3))
+    syms = [ArgSymbol(base, (i,)) for i in range(3)] + [ArgSymbol(base, (0, 2)), ONE_SYMBOL]
+    out = [EMPTY_WORD]
+    for _ in range(count):
+        letters = [] if index_form or rng.random() < 0.5 else [X]
+        for _ in range(rng.randint(1, 2)):
+            letters.append(y_letter(rng.choice(syms)))
+            letters.extend([X] * rng.randint(0, 1))
+        letters.extend([Y_ONE] * rng.randint(0, 2))
+        out.append(Word(tuple(letters)))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_stuffle_matches_reference(seed):
+    pool = _seeded_words(seed, 5, index_form=True)
+    assert any(w.trailing_ones() for w in pool)
+    for u in pool:
+        for v in pool:
+            got = stuffle(u, v)
+            _assert_same(got, _ref_stuffle(u, v))
+            assert all(type(c) is int for c in got.terms.values())
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_shuffle_matches_reference(seed):
+    pool = _seeded_words(seed, 5, index_form=False)
+    for u in pool:
+        for v in pool:
+            got = shuffle(u, v)
+            _assert_same(got, _ref_shuffle(u, v))
+            assert all(type(c) is int for c in got.terms.values())
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_map_bilinear_matches_reference_on_combinations(seed):
+    _, u, v, w, t = _seeded_words(seed, 4, index_form=True)
+    a = LinComb({u: Fraction(-1, 2), v: 3, w: Fraction(2, 3)})
+    b = LinComb({t: 1, v: Fraction(-5, 7)})
+    plus, minus = LinComb.of(u) + LinComb.of(v), LinComb.of(u) - LinComb.of(v)
+    for op, ref in ((stuffle, _ref_stuffle), (shuffle, _ref_shuffle)):
+        _assert_same(op(a, b), ref(a, b))
+        # (u + v)(u - v): the cross terms cancel to zero mid-accumulation
+        _assert_same(op(plus, minus), ref(plus, minus))
+
+
+def test_decompositions_match_reference(monkeypatch):
+    rng = random.Random("decompose")
+    pool = [_trailing_word(rng) for _ in range(12)]
+    pool += [w for w in _seeded_words(7, 6, index_form=True) if w.letters]
+    assert max(w.trailing_ones() for w in pool) == 2
+    got_shuffle = [decompose_shuffle(w) for w in pool]
+    for w, dec in zip(pool, got_shuffle):
+        st_dec = decompose_stuffle(w)
+        want = _ref_stuffle_parts(w)
+        assert len(st_dec.parts) == len(want)
+        for got_part, want_part in zip(st_dec.parts, want):
+            _assert_same(got_part, want_part)
+        for d in (st_dec, dec):
+            _assert_same(d.re_expand(), _ref_re_expand(d))
+            assert d.re_expand() == LinComb.of(w)
+    monkeypatch.setattr(regularize, "shuffle", _ref_shuffle)
+    for w, dec in zip(pool, got_shuffle):
+        want = decompose_shuffle(w).parts
+        assert len(dec.parts) == len(want)
+        for got_part, want_part in zip(dec.parts, want):
+            _assert_same(got_part, want_part)
+
+
+# --- hashes, pickling, coefficient types --------------------------------------------
+
+
+def test_hash_and_equality_by_value_across_equal_bases():
+    base1 = (0.5 + 0.25j, -2 + 0j, 3j)
+    base2 = tuple(list(base1))
+    assert base1 == base2 and base1 is not base2
+    a, b = ArgSymbol(base1, (0, 2)), ArgSymbol(base2, (0, 2))
+    assert a == b and hash(a) == hash(b)
+    la, lb = y_letter(a), y_letter(b)
+    assert la == lb and hash(la) == hash(lb)
+    wa, wb = Word((la, X, Y_ONE)), Word((lb, X, Y_ONE))
+    assert wa == wb and hash(wa) == hash(wb)
+    assert {wa: 1}[wb] == 1
+
+
+@pytest.mark.parametrize("roundtrip", [lambda o: pickle.loads(pickle.dumps(o)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_pickle_and_deepcopy_keep_equality_and_hash(roundtrip):
+    z = ArgVector.of((0.5 + 0j, -2 + 0j, 1 + 0j))
+    w = integral_word(word_from_index(Index((2, 1, 2)), z))
+    combo = stuffle(w, y_one_power(1)) + LinComb.of(w, Fraction(-1, 3))
+    for obj in (w, w.letters[0].arg, w.letters[1], combo):
+        back = roundtrip(obj)
+        assert back == obj and hash(back) == hash(obj)
+    assert roundtrip(combo).terms == combo.terms
+
+
+_PICKLE_IN_CHILD = """
+import pickle, sys
+from fractions import Fraction
+from mplparity.words import ArgVector, Index, LinComb, word_from_index
+w = word_from_index(Index((3, 1)), ArgVector.of((0.5, -2)))
+sys.stdout.write(pickle.dumps((w, LinComb({w: Fraction(1, 2)}))).hex())
+"""
+
+
+def test_unpickled_hash_is_recomputed_in_the_receiving_process():
+    # hash(None), inside the x letter, differs between processes, so a hash
+    # carried through pickle from a sweep worker would be stale
+    src = str(Path(mplparity.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _PICKLE_IN_CHILD], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    w, combo = pickle.loads(bytes.fromhex(proc.stdout))
+    here = word_from_index(Index((3, 1)), ArgVector.of((0.5, -2)))
+    assert w == here and hash(w) == hash(here)
+    assert {here: 1}[w] == 1 and combo.terms[here] == Fraction(1, 2)
+
+
+def test_lincomb_int_and_fraction_coefficients_agree():
+    w = Word((X,))
+    a, b = LinComb({w: 3}), LinComb({w: Fraction(3)})
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert type(a.terms[w]) is int and type(b.terms[w]) is Fraction
+    assert LinComb({w: 0.5}).terms[w] == Fraction(1, 2)
+    assert type(LinComb({w: True}).terms[w]) is Fraction
+
+
+# --- negative controls for the wordalg selftest group -----------------------------
+
+
+def _stuffle_words_no_second_branch(u: Word, v: Word) -> LinComb:
+    # head block of u first, or the merged head; never the head block of v
+    if not u.letters:
+        return LinComb.of(v)
+    if not v.letters:
+        return LinComb.of(u)
+    s1, n1, w1 = _split_head_block(u)
+    s2, n2, w2 = _split_head_block(v)
+    headm = Word((y_letter(s1 * s2),) + (X,) * (n1 + n2 + 1))
+    return (LinComb({Word(u.letters[: n1 + 1]) * w: c
+                     for w, c in _stuffle_words_no_second_branch(w1, v).terms.items()})
+            + LinComb({headm * w: c
+                       for w, c in _stuffle_words_no_second_branch(w1, w2).terms.items()}))
+
+
+def _shuffle_words_no_second_branch(u: Word, v: Word) -> LinComb:
+    # first letter of u first; never the first letter of v
+    if not u.letters:
+        return LinComb.of(v)
+    if not v.letters:
+        return LinComb.of(u)
+    rest = _shuffle_words_no_second_branch(Word(u.letters[1:]), v)
+    return LinComb({Word(u.letters[:1]) * w: c for w, c in rest.terms.items()})
+
+
+@pytest.mark.parametrize("attr,invariant,corrupt", [
+    ("_stuffle_words", "stuffle-laws", _stuffle_words_no_second_branch),
+    ("_shuffle_words", "shuffle-laws", _shuffle_words_no_second_branch),
+])
+def test_wordalg_selftest_witnesses_a_corrupted_product(monkeypatch, attr, invariant, corrupt):
+    """A word product that loses an interleaving branch is not commutative,
+    and the wordalg group must say so for that product alone.  A product that
+    stays commutative and associative but is wrong (stuffle without merge
+    terms) passes these laws; test_stuffle_hand_example catches that one."""
+    monkeypatch.setattr(words, attr, corrupt)
+    results = {r.name: r for r in run_selftest(only=("wordalg",))}
+    assert set(results) == {"stuffle-laws", "shuffle-laws"}
+    bad = results.pop(invariant)
+    assert not bad.passed
+    assert any(w.startswith("commutativity") for w in bad.witnesses)
+    assert all(r.passed for r in results.values())
