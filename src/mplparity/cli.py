@@ -154,6 +154,37 @@ def parse_index_spec(v) -> tuple[int, ...]:
 _DEFAULTS = {f.name: f.default for f in fields(RunConfig) if f.name != "command"}
 
 
+# The options every subcommand takes: (flags, argparse keywords).  A --config
+# value is checked against the same type and choices as its flag.
+_FLAGS = (
+    (("--theorem",), {"choices": ("main", "reg", "hirose")}),
+    (("--mode",), {"choices": ("plain", "stuffle", "shuffle")}),
+    (("--branch",), {"type": int, "choices": (1, -1),
+                     "help": "log(-1) branch sign at argument exactly 1"}),
+    (("-k", "--index"), {"dest": "index", "help": "index, e.g. 2,1"}),
+    (("-z", "--args"), {"dest": "args",
+                        "help": "arguments, e.g. -2,1.5+2j or ru:4:1,ru:4:3"}),
+    (("--region",), {"help": "sweep argument region: annulus:LO:HI | roots:N1,N2 | none"}),
+    (("--depth-max",), {"dest": "depth_max", "type": int}),
+    (("--weight-max",), {"dest": "weight_max", "type": int}),
+    (("--points",), {"type": int, "help": "samples per index (random regions only)"}),
+    (("--seed",), {"type": int}),
+    (("--tol",), {"type": float, "help": "pass/fail residual threshold"}),
+    (("--out",), {"help": "write the report here instead of stdout"}),
+    (("--format",), {"choices": ("json", "csv")}),
+    (("--workers",), {"type": int}),
+    (("--only",), {"action": "append", "help": "selftest group filter, repeatable"}),
+    (("--corrupt-zeta",), {"dest": "corrupt_zeta", "action": "store_true",
+                           "help": "negative-control hook: corrupt the constant table "
+                                   "and demand the selftest notices"}),
+    (("--series-truncation",), {"dest": "series_truncation", "type": int}),
+    (("--panel-order",), {"dest": "panel_order", "type": int}),
+    (("--panel-safety",), {"dest": "panel_safety", "type": float}),
+)
+_FLAG_OF = {kw.get("dest", flags[-1].lstrip("-")): (flags[-1], kw) for flags, kw in _FLAGS}
+_COUNTS = ("workers", "points", "depth_max", "weight_max")   # integers >= 1
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mplparity",
@@ -170,33 +201,41 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("params", nargs="*", metavar="k=..|z=..",
                        help="positional shorthand for --index / --args")
         p.add_argument("--config", help="JSON file mirroring the run configuration")
-        p.add_argument("--theorem", choices=("main", "reg", "hirose"))
-        p.add_argument("--mode", choices=("plain", "stuffle", "shuffle"))
-        p.add_argument("--branch", type=int, choices=(1, -1),
-                       help="log(-1) branch sign at argument exactly 1")
-        p.add_argument("-k", "--index", dest="index", help="index, e.g. 2,1")
-        p.add_argument("-z", "--args", dest="args",
-                       help="arguments, e.g. -2,1.5+2j or ru:4:1,ru:4:3")
-        p.add_argument("--region",
-                       help="sweep argument region: annulus:LO:HI | roots:N1,N2 | none")
-        p.add_argument("--depth-max", dest="depth_max", type=int)
-        p.add_argument("--weight-max", dest="weight_max", type=int)
-        p.add_argument("--points", type=int,
-                       help="samples per index (random regions only)")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--tol", type=float, help="pass/fail residual threshold")
-        p.add_argument("--out", help="write the report here instead of stdout")
-        p.add_argument("--format", choices=("json", "csv"))
-        p.add_argument("--workers", type=int)
-        p.add_argument("--only", action="append",
-                       help="selftest group filter, repeatable")
-        p.add_argument("--corrupt-zeta", dest="corrupt_zeta", action="store_true",
-                       help="negative-control hook: corrupt the constant table "
-                            "and demand the selftest notices")
-        p.add_argument("--series-truncation", dest="series_truncation", type=int)
-        p.add_argument("--panel-order", dest="panel_order", type=int)
-        p.add_argument("--panel-safety", dest="panel_safety", type=float)
+        for flags, kw in _FLAGS:
+            p.add_argument(*flags, **kw)
     return parser
+
+
+def _check_value(key: str, value):
+    """value of run-config key `key` checked against the type and choices of its
+    flag, whether it came from the command line or from --config; counts must
+    also be >= 1.  Returns it (an int given for a float flag as a float)."""
+    flag, kw = _FLAG_OF[key]
+    kind, action = kw.get("type"), kw.get("action")
+    if value is None and _DEFAULTS[key] is None:
+        return value
+    if kind is int:
+        ok = type(value) is int and (key not in _COUNTS or value >= 1)
+        want = "an integer >= 1" if key in _COUNTS else "an integer"
+    elif kind is float:
+        ok = type(value) in (int, float)
+        want = "a number"
+        value = float(value) if ok else value
+    elif action == "store_true":
+        ok, want = type(value) is bool, "true or false"
+    elif action == "append":
+        ok = isinstance(value, str) or (
+            isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value))
+        want = "a string or a list of strings"
+    elif key in ("index", "args"):
+        ok, want = isinstance(value, (str, list)), "a string or a list"
+    else:
+        ok, want = isinstance(value, str), "a string"
+    if not ok:
+        raise CliError(f"{flag} must be {want}, got {value!r}")
+    if "choices" in kw and value not in kw["choices"]:
+        raise CliError(f"{flag} must be one of {list(kw['choices'])}, got {value!r}")
+    return value
 
 
 def parse_cli(argv=None) -> RunConfig:
@@ -237,6 +276,7 @@ def parse_cli(argv=None) -> RunConfig:
     if pos_args is not None:
         merged["args"] = pos_args
     merged.update(ns)
+    merged = {key: _check_value(key, value) for key, value in merged.items()}
 
     if merged["index"] is not None:
         merged["index"] = parse_index_spec(merged["index"])
@@ -247,9 +287,6 @@ def parse_cli(argv=None) -> RunConfig:
         only = (only,)
     merged["only"] = tuple(itertools.chain.from_iterable(
         t.split(",") for t in only))
-    for key in ("workers", "points", "depth_max", "weight_max"):
-        if type(merged[key]) is not int or merged[key] < 1:
-            raise CliError(f"--{key.replace('_', '-')} must be an integer >= 1")
     return RunConfig(command=command, **merged)
 
 

@@ -18,6 +18,15 @@ Two independent routes produce values:
           the final panel applies a table of u^m log^q u coefficients that
           is built once per (order, number of forms at 1) and cached.
 
+          The panels depend only on the set of singularities and the two
+          panel knobs, so all words with one set are marched under one plan,
+          one level at a time: level j of a word, the partial integral of its
+          prefix forms[:j], is computed on every panel from level j - 1.  A
+          word resumes from the longest prefix already marched under its plan.
+          Each level uses the float operations of a panel-by-panel march in
+          the same order, so a value is bit for bit the same whatever was
+          marched before it.
+
 Route agreement on the overlap region is one of the standing invariants; the
 dispatcher picks series strictly inside the polydisk and panels otherwise, and
 every result reports which route produced it together with an error estimate
@@ -32,15 +41,30 @@ check and every ArgVector that carries the same numbers share one computed
 value.  The tails are part of the key because equal entries do not imply equal
 tail products: a contraction multiplies its base entries in slot order, which
 can differ in the last bit from multiplying the fused entries.
+
+Panel plans live in a memo of PLANS entries keyed on (sorted singularities,
+panel_order, panel_safety).  From its second word on, a plan retains its
+kernel tables, its step powers and the levels it marches (interior levels under
+(None, prefix); final-panel levels under (P, prefix), P the number of forms at
+1 in the word), dropping the least recently used once they exceed PLAN_BYTES.
+clear_caches() empties it with the value memos.
 """
 from __future__ import annotations
 
+import cmath
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
+from operator import add
 
 import numpy as np
+
+try:   # np.convolve(a, v) is correlate(a, v[::-1]); kernels are stored reversed
+    from numpy._core.multiarray import correlate as _correlate
+except ImportError:   # numpy < 2
+    from numpy.core.multiarray import correlate as _correlate
 
 from .numcore import DEFAULT_CONFIG, DomainError, EvalConfig, EvaluationError, clear_caches, memo
 from .words import ONE_SYMBOL, ArgVector, Index, LinComb, Word, index_of_word
@@ -48,6 +72,8 @@ from .words import ONE_SYMBOL, ArgVector, Index, LinComb, Word, index_of_word
 SERIES_RADIUS = 0.95
 PATH_CLEARANCE = 1e-9   # singularities this close to (0,1) make panels meaningless
 MAX_PANELS = 4000
+PLANS = 8               # singularity sets whose panel plans are kept
+PLAN_BYTES = 1 << 16    # arrays one plan keeps: marched levels, kernels, step powers
 
 
 @dataclass(frozen=True)
@@ -128,9 +154,11 @@ def _seg_dist(s: complex) -> float:
 
 
 @lru_cache(maxsize=None)
-def _ramps(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exponent and divisor ramps of one panel order: 0..M, 1..M, 0..M-1 (float)."""
-    ramps = (np.arange(order + 1), np.arange(1, order + 1), np.arange(order, dtype=float))
+def _ramps(order: int) -> tuple[np.ndarray, ...]:
+    """Exponent and divisor ramps of one panel order: 0..M, 1..M, and the
+    kernel exponents running down, M-1..0 (float) and M..0."""
+    ramps = (np.arange(order + 1), np.arange(1, order + 1),
+             np.arange(order - 1, -1, -1, dtype=float), np.arange(order, -1, -1))
     for r in ramps:
         r.setflags(write=False)
     return ramps
@@ -158,114 +186,20 @@ def _log_integrate(dst, src, K):
         dst[:, : p + 1] += src[:, p : p + 1] * K[p, :, : p + 1]
 
 
-def _interior_panel(F, t0, h, forms, order, safety):
-    """Advance all partial integrals from t0 to t0 + h by plain Taylor series.
+def _layout(sing, order: int, safety: float):
+    """Panel centers and steps over [0, 1] for the sorted singularities sing.
 
-    A form exactly at the center is integrated by exponent shift, which
-    requires the previous level to vanish there.  That center can only be
-    t0 = 0, the first panel, since iterated_integral rejects forms on (0, 1).
+    The step is safety times the distance to the nearest singularity, and the
+    last interior panel stops short of t = 1 so that the final panel's
+    expansion in u = 1 - t converges.  Returns (centers, steps, t) with t the
+    start of the final panel.
     """
-    M = order
-    powers, divisors, geo_powers = _ramps(M)
-    kernels: dict[complex, np.ndarray] = {}   # (1/w)(-1/w)^n per distinct w
-    prev = np.zeros(M + 1, complex)
-    prev[0] = 1.0
-    newF = np.empty_like(F)
-    newF[0] = 1.0
-    spow = float(h) ** powers
-    est = 0.0
-    for j in range(1, len(F)):
-        w = t0 - forms[j - 1]
-        cur = np.zeros(M + 1, complex)
-        if w == 0:
-            scale = max(1.0, float(np.abs(prev).max()))
-            if abs(prev[0]) > 1e-12 * scale:
-                raise EvaluationError("nonvanishing integrand at singular panel center", 0, forms)
-            cur[1:] = prev[1:] / divisors
-        else:
-            geo = kernels.get(w)
-            if geo is None:
-                geo = kernels[w] = (1.0 / w) * (-1.0 / w) ** geo_powers
-            conv = np.convolve(prev[:M], geo)[:M]
-            cur[1:] = conv / divisors
-        cur[0] = F[j]
-        newF[j] = cur @ spow
-        tail = max(abs(cur[M]) * spow[M], abs(cur[M - 1]) * spow[M - 1])
-        est += tail * safety / (1.0 - safety)
-        prev = cur
-    return newF, est
-
-
-def _final_panel(F, t, forms, order, safety):
-    """Close the integration at t = 1 with a log-enhanced expansion in u = 1 - t.
-
-    Forms at 1 divide by u and raise the log degree; all other forms contribute
-    analytic kernels.  The value of the last level at u = 0 is its (0, 0)
-    coefficient; leftover (0, p >= 1) coefficients measure how far the input
-    was from an honestly convergent word and are folded into the estimate.
-    """
-    M = order
-    uj = 1.0 - t
-    L = math.log(uj)
-    P = sum(1 for s in forms if s == 1)
-    K = _log_int_table(M, P)
-    powers = _ramps(M)[0]
-    prev = np.zeros((M + 1, P + 1), complex)
-    prev[0, 0] = 1.0
-    upow = uj ** powers
-    lpow = np.array([L ** p for p in range(P + 1)])
-    est = 0.0
-    for j in range(1, len(F)):
-        beta = 1.0 - forms[j - 1]
-        cur = np.zeros_like(prev)
-        if beta == 0:
-            # integrand prev[m, p] u^{m-1} log^p u
-            for p in range(P):
-                cur[0, p + 1] += prev[0, p] / (p + 1)
-            _log_integrate(cur[1:], prev[1:], K)
-        else:
-            kern = -(1.0 / beta) * (1.0 / beta) ** powers
-            prod = np.empty_like(prev)
-            for p in range(P + 1):
-                prod[:, p] = np.convolve(prev[:, p], kern)[: M + 1]
-            _log_integrate(cur[1:], prod[:M], K)
-        partial = complex((cur @ lpow) @ upow)
-        cur[0, 0] = F[j] - partial
-        tail = max(np.abs(cur[M]).max() * upow[M], np.abs(cur[M - 1]).max() * upow[M - 1])
-        est += tail * max(1.0, abs(L)) ** P * safety / (1.0 - safety)
-        prev = cur
-    resid = sum(abs(prev[0, p]) * abs(L) ** p for p in range(1, P + 1))
-    return complex(prev[0, 0]), est + resid
-
-
-def iterated_integral(forms, cfg: EvalConfig = DEFAULT_CONFIG):
-    """int_0^1 of the composed forms dt/(t - a_1) ... dt/(t - a_n), the first
-    form attached to the innermost variable.  Returns (value, est_error, plan).
-    """
-    a = [complex(s) for s in forms]
-    n = len(a)
-    if n == 0:
-        return 1 + 0j, 0.0, PanelPlan((), (), cfg.panel_order)
-    if a[0] == 0:
-        raise DomainError("leading form at 0: integral diverges at the origin")
-    if a[-1] == 1:
-        raise DomainError("trailing form at 1: integral diverges at the endpoint")
-    sing = sorted(set(a), key=lambda s: (s.real, s.imag))
-    for s in sing:
-        if s not in (0, 1) and _seg_dist(s) < PATH_CLEARANCE:
-            raise DomainError(f"form singularity {s} lies on the integration path")
-    safety = cfg.panel_safety
-    order = cfg.panel_order
     r_right = min((abs(1 - s) for s in sing if s != 1), default=1.0)
     u_enter = safety * min(r_right, 1.0)
     r_zero = min(abs(s) for s in sing if s != 0)
-
     t = 0.0
-    F = np.zeros(n + 1, complex)
-    F[0] = 1.0
     centers: list[float] = []
     steps: list[float] = []
-    est = 0.0
     while True:
         u_rem = 1.0 - t
         if u_rem <= 0.75 * u_enter:
@@ -274,18 +208,291 @@ def iterated_integral(forms, cfg: EvalConfig = DEFAULT_CONFIG):
         h = safety * R
         if u_rem - h < 0.75 * u_enter:
             h = u_rem - 0.5 * u_enter
-        F, e = _interior_panel(F, t, h, a, order, safety)
-        est += e
         centers.append(t)
         steps.append(h)
         t += h
         if len(steps) > MAX_PANELS:
-            raise EvaluationError("panel budget exhausted", len(steps), a)
-    value, e = _final_panel(F, t, a, order, safety)
-    est += e
-    centers.append(1.0)
-    steps.append(1.0 - t)
-    return value, est * 4.0, PanelPlan(tuple(centers), tuple(steps), order)
+            raise EvaluationError("panel budget exhausted", len(steps), sing)
+    return centers, steps, t
+
+
+class _Plan:
+    """The panels of one singularity set at one (panel_order, panel_safety),
+    and the levels marched under them.
+
+    Level j of a word is the partial integral of its prefix forms[:j], so words
+    that share a prefix share its levels.  An interior level holds, for every
+    interior panel, the Taylor coefficients of the prefix integral around the
+    panel's left edge; it is kept under the key (None, prefix).  A final-panel
+    level also depends on P, the number of forms at 1 in the whole word, which
+    sets its shape and log table; it is kept under (P, prefix).  A plan keeps
+    its levels, kernel tables and step powers from its second word on: a
+    singularity set met once, as in all of eval and many of main's
+    contractions, keeps nothing.  Kept arrays are dropped least recently
+    used first once they exceed PLAN_BYTES, so a plan retains a fixed amount
+    of memory.
+    """
+
+    def __init__(self, centers, steps, t, order: int, safety: float) -> None:
+        self.centers = centers
+        self.steps = steps
+        self.t = t
+        self.order = order
+        self.safety = safety
+        self.public = PanelPlan(tuple(centers) + (1.0,), tuple(steps) + (1.0 - t,), order)
+        self._kept: OrderedDict = OrderedDict()
+        self._nbytes = 0
+        self._scratch: dict | None = {}   # what the first word keeps; dropped after it
+        self._finals: dict[int, tuple] = {}
+        self._kerns: dict[complex, np.ndarray] = {}
+
+    # --- kept arrays ---
+
+    def _get(self, key):
+        if self._scratch is not None:
+            return self._scratch.get(key)
+        hit = self._kept.get(key)
+        if hit is not None:
+            self._kept.move_to_end(key)
+            return hit[0]
+        return None
+
+    def _keep(self, key, value, nbytes: int) -> None:
+        if self._scratch is not None:
+            self._scratch[key] = value
+            return
+        self._kept[key] = (value, nbytes)
+        self._nbytes += nbytes
+        while self._nbytes > PLAN_BYTES:
+            _, (_, dropped) = self._kept.popitem(last=False)
+            self._nbytes -= dropped
+
+    def _deepest(self, P, a, top: int):
+        """(j, level) for the longest prefix a[:j], j <= top, kept under P."""
+        for j in range(top, 0, -1):
+            level = self._get((P, a[:j]))
+            if level is not None:
+                return j, level
+        return 0, None
+
+    def _spow(self):
+        """(spow, real_spow): row i holds the powers h_i^m, m = 0..order, of
+        interior panel i, as complex numbers (the dtype the dot product casts
+        them to) and as floats."""
+        kept = self._get("spow")
+        if kept is None:
+            spow = np.array(self.steps)[:, None] ** _ramps(self.order)[0]
+            kept = (spow.astype(complex), spow)
+            self._keep("spow", kept, 24 * spow.size)
+        return kept
+
+    def _geo(self, s: complex) -> list:
+        """Per interior panel, the kernel (1/w)(-1/w)^n of 1/(t - s) with
+        w = t0 - s and n running down, for _correlate; None where s is the
+        panel's center."""
+        geo = self._get(("geo", s))
+        if geo is None:
+            rev = _ramps(self.order)[2]
+            geo = []
+            for t0 in self.centers:
+                w = t0 - s
+                geo.append(None if w == 0 else (1.0 / w) * (-1.0 / w) ** rev)
+            self._keep(("geo", s), geo, 16 * self.order * len(geo))
+        return geo
+
+    # --- interior panels ---
+
+    def _interior_root(self):
+        """Level 0: the constant 1 on every panel."""
+        coef = np.zeros((len(self.steps), self.order + 1), complex)
+        coef[:, 0] = 1.0
+        return coef, [0.0] * len(self.steps), (), ()
+
+    def _interior(self, prev, a, j: int, spow, geo, coef):
+        """Coefficients of level j of a on every interior panel, written to
+        coef, from those of level j - 1; returns the value of level j at the
+        end of the last interior panel.
+
+        A form at the center of a panel (a form at 0 on the t0 = 0 panel) is
+        integrated by exponent shift, which requires the previous level to
+        vanish there.  The float operations are those of one Taylor step per
+        panel, in the same order: the convolution, the division by 1..M, then
+        the value at the panel's end feeds the next panel's constant term.
+        Only their grouping differs: each runs for all panels at once where no
+        value of an earlier panel enters.
+        """
+        M = self.order
+        divisors = _ramps(M)[1]
+        conv, centered = [], []
+        for p, g in zip(prev[:, :M], geo):
+            if g is None:
+                centered.append(len(conv))
+                conv.append(np.zeros(2 * M - 1, complex))
+            else:
+                conv.append(_correlate(p, g, "full"))
+        np.divide(np.array(conv)[:, :M], divisors, out=coef[:, 1:])
+        for i in centered:
+            scale = max(1.0, float(np.abs(prev[i]).max()))
+            if abs(prev[i, 0]) > 1e-12 * scale:
+                raise EvaluationError("nonvanishing integrand at singular panel center", 0, a)
+            coef[i, 1:] = prev[i, 1:] / divisors
+        F = 0j
+        for row, sp in zip(coef, spow):
+            row[0] = F
+            F = row.dot(sp)
+        return F
+
+    def _extend(self, level, a, i: int, n: int):
+        """Levels i + 1..n of a from level i, each kept; returns level n.
+
+        A level is (coef, cum, ends, ests): coef[p] the coefficients on panel
+        p; cum[p] panel p's error terms summed over levels 1..j; ends[l - 1] the
+        value of level l at the end of the last interior panel; ests[l - 1] the
+        sum of level l's cum over panels.  The error terms of the new levels,
+        max(|c_{M-1}| h^{M-1}, |c_M| h^M) per panel scaled as in the
+        panel-by-panel march, are formed together once their coefficients are
+        known, then summed over levels and over panels in the same order.
+        """
+        M = self.order
+        spow, real_spow = self._spow()
+        coefs = np.empty((n - i,) + level[0].shape, complex)
+        prev, ends = level[0], level[2]
+        for j, coef in zip(range(i + 1, n + 1), coefs):
+            ends += (self._interior(prev, a, j, spow, self._geo(a[j - 1]), coef),)
+            prev = coef
+        # |c_{M-1}| h^{M-1} and |c_M| h^M per level and panel.  np.abs of a
+        # complex array may differ in the last bit from abs() of one entry;
+        # np.hypot does not.
+        top = coefs[:, :, M - 1:]
+        tails = (np.hypot(top.real, top.imag) * real_spow[:, M - 1:]).tolist()
+        safety, rest = self.safety, 1.0 - self.safety
+        cum, ests = level[1], level[3]
+        for j, coef, panels in zip(range(i + 1, n + 1), coefs, tails):
+            cum = [c + max(t_top, t_below) * safety / rest
+                   for c, (t_below, t_top) in zip(cum, panels)]
+            ests += (reduce(add, cum),)
+            level = (coef, cum, ends[:j], ests)
+            self._keep((None, a[:j]), level, coef.nbytes + 8 * len(cum))
+        return level
+
+    # --- final panel ---
+
+    def _final_consts(self, P: int):
+        """(K, upow, L, log factor, complex upow, complex lpow) of the final panel
+        for P forms at 1: upow[m] = u^m, lpow[p] = log(u)^p at the panel's far
+        end; the complex copies are what the dot products cast them to."""
+        fc = self._finals.get(P)
+        if fc is None:
+            uj = 1.0 - self.t
+            L = math.log(uj)
+            upow = uj ** _ramps(self.order)[0]
+            lpow = np.array([L ** p for p in range(P + 1)])
+            fc = self._finals[P] = (_log_int_table(self.order, P), upow, L, max(1.0, abs(L)) ** P,
+                                    upow.astype(complex), lpow.astype(complex))
+        return fc
+
+    def _final_root(self, P: int):
+        cur = np.zeros((self.order + 1, P + 1), complex)
+        cur[0, 0] = 1.0
+        return cur, 0.0, 0.0
+
+    def _final(self, level, s: complex, F, interior_est, fc):
+        """Level j of the final panel from level j - 1, in u = 1 - t.
+
+        A level is (cur, est, interior_est): cur[m, p] the coefficient of
+        u^m log^p u; est the error terms summed over levels 1..j; interior_est
+        the estimate of the interior panels of the word forms[:j].  Forms at 1
+        divide by u and raise the log degree; other forms contribute analytic
+        kernels.  F is level j's value at the end of the last interior panel.
+        """
+        prev = level[0]
+        M = self.order
+        K, upow, _, logf, upow_c, lpow_c = fc
+        P = len(lpow_c) - 1
+        beta = 1.0 - s
+        cur = np.zeros(prev.shape, complex)
+        if beta == 0:
+            # integrand prev[m, p] u^{m-1} log^p u
+            for p in range(P):
+                cur[0, p + 1] += prev[0, p] / (p + 1)
+            _log_integrate(cur[1:], prev[1:], K)
+        else:
+            kern = self._kerns.get(s)
+            if kern is None:   # n running down, for _correlate
+                kern = self._kerns[s] = -(1.0 / beta) * (1.0 / beta) ** _ramps(M)[3]
+            prod = np.empty_like(prev)
+            for p in range(P + 1):
+                prod[:, p] = _correlate(prev[:, p], kern, "full")[: M + 1]
+            _log_integrate(cur[1:], prod[:M], K)
+        partial = complex(cur.dot(lpow_c).dot(upow_c))
+        cur[0, 0] = F - partial
+        below, top = np.maximum.reduce(np.abs(cur[M - 1:]), axis=1)
+        tail = max(top * upow[M], below * upow[M - 1])
+        return cur, level[1] + tail * logf * self.safety / (1.0 - self.safety), interior_est
+
+    def _close(self, level, fc):
+        """(value, est) of the final panel: the value of the last level at u = 0
+        is its (0, 0) coefficient; leftover (0, p >= 1) coefficients measure how
+        far the input was from an honestly convergent word and are folded into
+        the estimate."""
+        cur, est, _ = level
+        L = fc[2]
+        resid = sum(abs(cur[0, p]) * abs(L) ** p for p in range(1, cur.shape[1]))
+        return complex(cur[0, 0]), est + resid
+
+    # --- one word ---
+
+    def integrate(self, a: tuple) -> tuple[complex, float]:
+        """(value, est) of the integral of the forms a, resuming from the
+        longest prefix of a already marched under this plan."""
+        n = len(a)
+        P = a.count(1)
+        fc = self._final_consts(P)
+        f, final = self._deepest(P, a, n) if self._kept else (0, None)
+        if f < n:
+            i, level = self._deepest(None, a, n) if self._kept else (0, None)
+            if i < n:
+                level = self._extend(level or self._interior_root(), a, i, n)
+            ends, ests = level[2], level[3]
+            final = final or self._final_root(P)
+            for j in range(f + 1, n + 1):
+                final = self._final(final, a[j - 1], ends[j - 1], ests[j - 1], fc)
+                self._keep((P, a[:j]), final, final[0].nbytes)
+        self._scratch = None
+        value, est = self._close(final, fc)
+        return value, (final[2] + est) * 4.0
+
+
+@memo(maxsize=PLANS)
+def _plan(sing: tuple, order: int, safety: float) -> _Plan:
+    """Plan of the sorted singularities sing at (panel_order, panel_safety)."""
+    return _Plan(*_layout(sing, order, safety), order, safety)
+
+
+def iterated_integral(forms, cfg: EvalConfig = DEFAULT_CONFIG):
+    """int_0^1 of the composed forms dt/(t - a_1) ... dt/(t - a_n), the first
+    form attached to the innermost variable.  Returns (value, est_error, plan).
+    """
+    a = tuple(complex(s) for s in forms)
+    n = len(a)
+    if n == 0:
+        return 1 + 0j, 0.0, PanelPlan((), (), cfg.panel_order)
+    if a[0] == 0:
+        raise DomainError("leading form at 0: integral diverges at the origin")
+    if a[-1] == 1:
+        raise DomainError("trailing form at 1: integral diverges at the endpoint")
+    sing = tuple(sorted(set(a), key=lambda s: (s.real, s.imag)))
+    for s in sing:
+        if s not in (0, 1) and _seg_dist(s) < PATH_CLEARANCE:
+            raise DomainError(f"form singularity {s} lies on the integration path")
+    try:
+        plan = _plan(sing, cfg.panel_order, cfg.panel_safety)
+    except EvaluationError as e:   # the witness is this word's forms
+        raise EvaluationError(e.args[0], e.panels, a) from None
+    value, est = plan.integrate(a)
+    if not (cmath.isfinite(value) and math.isfinite(est)):
+        raise EvaluationError("non-finite panel value", len(plan.public.steps), a)
+    return value, est, plan.public
 
 
 def _check_tail_domain(k: Index, z: ArgVector) -> tuple[complex, ...]:

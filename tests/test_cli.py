@@ -277,6 +277,33 @@ def test_config_count_must_be_an_integer(key, tmp_path, capsys):
     assert f"--{key.replace('_', '-')} must be an integer >= 1" in err
 
 
+@pytest.mark.parametrize("cfg,want", [
+    ({"branch": 2}, "--branch must be one of [1, -1], got 2"),
+    ({"theorem": "nosuch"}, "--theorem must be one of ['main', 'reg', 'hirose'], got 'nosuch'"),
+    ({"seed": "3"}, "--seed must be an integer, got '3'"),
+])
+def test_config_values_are_checked_like_their_flags(cfg, want, tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run_cli(["check", "-k", "2", "--args=-2", "--config", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert want in err
+
+
+def test_nonfinite_panel_value_exits_2(capsys):
+    # the form 1/z lies 1e-8 from the path: the panel kernel overflows
+    code, out, err = run_cli(["eval", "k=1", "z=2-4e-8i"], capsys)
+    assert code == 2 and out == ""
+    assert "non-finite panel value" in err
+
+
+def test_sweep_records_a_nonfinite_point_as_an_error():
+    payload = ("main", "plain", (1,), (2 - 4e-8j,), (1,), 0, None, None, None, 0)
+    [rec] = cli._run_sweep_case(payload)
+    assert rec["status"] == "error"
+    assert rec["message"].startswith("EvaluationError: non-finite panel value")
+
+
 # --- config files -------------------------------------------------------------------
 
 

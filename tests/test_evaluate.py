@@ -1,7 +1,9 @@
 """Numeric evaluation: series route, panel route, variants, cross-oracles."""
 
 import cmath
+import functools
 import math
+import operator
 import random
 from dataclasses import replace
 
@@ -9,11 +11,11 @@ import numpy as np
 import pytest
 
 from mplparity import evaluate, regularize, words
-from mplparity.numcore import DEFAULT_CONFIG, DomainError, EvalConfig, log_minus, zeta
+from mplparity.numcore import DEFAULT_CONFIG, DomainError, EvalConfig, EvaluationError, log_minus, zeta
 from mplparity.words import ArgSymbol, ArgVector, EMPTY_WORD, Index, ONE_SYMBOL, Word, X, y_letter
 from mplparity.evaluate import (
-    _final_panel,
-    _interior_panel,
+    PanelPlan,
+    _Plan,
     clear_caches,
     compositions_of,
     enum_compositions,
@@ -283,41 +285,223 @@ def _kernel_F(rng, n):
     return np.array([1.0] + [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(n)])
 
 
+def _ref_iterated_integral(forms, cfg=DEFAULT_CONFIG):
+    """The panel-by-panel march: each panel advances every level of one word,
+    chained from the loop references above."""
+    a = [complex(s) for s in forms]
+    sing = sorted(set(a), key=lambda s: (s.real, s.imag))
+    safety, order = cfg.panel_safety, cfg.panel_order
+    r_right = min((abs(1 - s) for s in sing if s != 1), default=1.0)
+    u_enter = safety * min(r_right, 1.0)
+    r_zero = min(abs(s) for s in sing if s != 0)
+    t = 0.0
+    F = np.zeros(len(a) + 1, complex)
+    F[0] = 1.0
+    centers, steps, est = [], [], 0.0
+    while 1.0 - t > 0.75 * u_enter:
+        R = r_zero if t == 0.0 else min(abs(t - s) for s in sing)
+        h = safety * R
+        if 1.0 - t - h < 0.75 * u_enter:
+            h = 1.0 - t - 0.5 * u_enter
+        F, e = _ref_interior_panel(F, t, h, a, order, safety)
+        est += e
+        centers.append(t)
+        steps.append(h)
+        t += h
+    value, e = _ref_final_panel(F, t, a, order, safety)
+    est += e
+    return value, est * 4.0, PanelPlan(tuple(centers) + (1.0,), tuple(steps) + (1.0 - t,), order)
+
+
 @pytest.mark.parametrize("order", [8, 48])
 def test_final_panel_matches_loop_reference(order):
+    # one final-panel level at a time, from arbitrary values F at the panel's start
     rng = random.Random(f"final-panel-{order}")
     for P in (0, 1, 2, 3):
         for _ in range(4):
             forms = _kernel_forms(rng, P, rng.randint(0, 2), rng.randint(1, 3))
             F = _kernel_F(rng, len(forms))
             t = rng.uniform(0.3, 0.95)
-            got = _final_panel(F, t, forms, order, 0.5)
+            plan = _Plan([], [], t, order, 0.5)
+            fc = plan._final_consts(P)
+            level = plan._final_root(P)
+            for j in range(1, len(forms) + 1):
+                level = plan._final(level, forms[j - 1], F[j], 0.0, fc)
+            got = plan._close(level, fc)
             want = _ref_final_panel(F, t, forms, order, 0.5)
             assert got[0] == want[0] and got[1] == want[1], (P, forms, t)
 
 
+def _march_interior(plan, forms):
+    return plan._extend(plan._interior_root(), tuple(forms), 0, len(forms))
+
+
+def _ref_interior_chain(centers, steps, forms, order):
+    F = np.zeros(len(forms) + 1, complex)
+    F[0] = 1.0
+    ests = []
+    for t0, h in zip(centers, steps):
+        F, e = _ref_interior_panel(F, t0, h, forms, order, 0.5)
+        ests.append(e)
+    return F, ests
+
+
 @pytest.mark.parametrize("order", [8, 48])
 def test_interior_panel_matches_loop_reference(order):
+    # one level on every panel of a run of panels against one panel at a time
     rng = random.Random(f"interior-panel-{order}")
     for _ in range(8):
         forms = _kernel_forms(rng, rng.randint(0, 2), rng.randint(0, 3), rng.randint(1, 3))
-        F = _kernel_F(rng, len(forms))
-        t0 = rng.uniform(0.05, 0.6)
-        h = rng.uniform(0.02, 0.3)
-        got_F, got_est = _interior_panel(F, t0, h, forms, order, 0.5)
-        want_F, want_est = _ref_interior_panel(F, t0, h, forms, order, 0.5)
-        assert np.array_equal(got_F, want_F) and got_est == want_est, (forms, t0, h)
+        steps = [rng.uniform(0.02, 0.3) for _ in range(rng.randint(1, 4))]
+        centers = [rng.uniform(0.05, 0.6)]
+        for h in steps[:-1]:
+            centers.append(centers[-1] + h)
+        plan = _Plan(centers, steps, centers[-1] + steps[-1], order, 0.5)
+        _, cum, ends, ests = _march_interior(plan, forms)
+        want_F, want_est = _ref_interior_chain(centers, steps, forms, order)
+        assert np.array_equal(np.array(ends), want_F[1:]) and cum == want_est, forms
+        assert ests[-1] == functools.reduce(operator.add, want_est)
     # the t0 = 0 panel: F vanishes above level 0 and forms at 0 integrate by
     # exponent shift (the first form is never at 0)
     for _ in range(4):
         first = cmath.rect(rng.uniform(0.3, 3.0), rng.uniform(0.3, 2 * math.pi - 0.3))
         forms = [first] + _kernel_forms(rng, rng.randint(0, 1), rng.randint(1, 3), 1)
-        F = np.zeros(len(forms) + 1, complex)
-        F[0] = 1.0
         h = 0.5 * min(abs(s) for s in forms if s != 0)
-        got_F, got_est = _interior_panel(F, 0.0, h, forms, order, 0.5)
-        want_F, want_est = _ref_interior_panel(F, 0.0, h, forms, order, 0.5)
-        assert np.array_equal(got_F, want_F) and got_est == want_est, forms
+        centers, steps = [0.0, h], [h, 0.5 * h]
+        plan = _Plan(centers, steps, 1.5 * h, order, 0.5)
+        _, cum, ends, _ = _march_interior(plan, forms)
+        want_F, want_est = _ref_interior_chain(centers, steps, forms, order)
+        assert np.array_equal(np.array(ends), want_F[1:]) and cum == want_est, forms
+
+
+# --- the shared march ---------------------------------------------------------------
+#
+# Words with one singularity set share a plan, and words that share a prefix
+# share its levels.  Whatever was marched before, each word must get exactly
+# what the panel-by-panel reference gives it.
+
+
+def _outside_args(rng, d):
+    tails = [cmath.rect(rng.uniform(1.3, 3.0), rng.uniform(0.3, 2 * math.pi - 0.3))
+             for _ in range(d)]
+    return tuple(tails[i] / tails[i + 1] for i in range(d - 1)) + (tails[-1],)
+
+
+def _composition_family(rng):
+    """The integrals of li_shift: Li_{k+l}(z) over every composition l of a <= 3."""
+    words = []
+    for d in (1, 2, 3):
+        z = V(_outside_args(rng, d))
+        k = tuple(rng.randint(1, 2) for _ in range(d))
+        for a in range(4):
+            for l in compositions_of(a, d):
+                forms = []
+                for g, ki, li_ in zip(z.tails, k, l):
+                    forms += [1 / g] + [0j] * (ki + li_ - 1)
+                words.append(tuple(forms))
+    return words
+
+
+def _prefix_family(rng):
+    """Words over {s1, s2, 0, 1} that branch off each other's prefixes, with
+    P = 0..3 forms at 1; most contain every form, so they share one plan."""
+    alphabet = [cmath.rect(rng.uniform(0.6, 2.5), rng.uniform(0.4, 2 * math.pi - 0.4))
+                for _ in range(2)] + [0j, 1 + 0j]
+    words = [(alphabet[0],)]
+    while len(words) < 24 or len({w.count(1) for w in words}) < 4:
+        base = rng.choice(words)
+        word = list(base[: rng.randint(1, len(base))])
+        word += [rng.choice(alphabet) for _ in range(rng.randint(1, 3))]
+        missing = [s for s in alphabet if s not in word]
+        rng.shuffle(missing)
+        if rng.random() < 0.8:
+            word += missing
+        if word[-1] == 1:
+            word.append(rng.choice(alphabet[:3]))
+        if word.count(1) <= 3 and tuple(word) not in words:
+            words.append(tuple(word))
+    return words
+
+
+FAMILIES = {"compositions": _composition_family, "prefixes": _prefix_family}
+
+
+@pytest.mark.parametrize("order", [8, 48])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_shared_march_matches_panel_by_panel_reference(family, order):
+    rng = random.Random(f"{family}-{order}")
+    words = FAMILIES[family](rng)
+    cfg = replace(DEFAULT_CONFIG, panel_order=order)
+    want = {w: _ref_iterated_integral(w, cfg) for w in words}
+    if family == "prefixes":
+        assert {w.count(1) for w in words} == {0, 1, 2, 3}
+        assert any(0 in w for w in words)
+    shuffled = list(words)
+    rng.shuffle(shuffled)
+    for run, (sequence, cold) in enumerate(((words, True), (words, False),
+                                            (shuffled, True), (shuffled, False))):
+        if cold:
+            clear_caches()
+        for w in sequence:
+            got = iterated_integral(w, cfg)
+            assert got == want[w], (run, w)
+            assert repr(got[:2]) == repr(want[w][:2]), (run, w)
+    assert evaluate._plan.cache_info().hits > 0
+
+
+def _plan_of(forms, cfg=DEFAULT_CONFIG):
+    a = tuple(complex(s) for s in forms)
+    sing = tuple(sorted(set(a), key=lambda s: (s.real, s.imag)))
+    return evaluate._plan(sing, cfg.panel_order, cfg.panel_safety)
+
+
+def test_words_sharing_a_plan_reuse_its_levels():
+    words = _prefix_family(random.Random("reuse"))
+    clear_caches()
+    for w in words:
+        iterated_integral(w)
+    info = evaluate._plan.cache_info()
+    assert info.misses < len(words) and info.currsize <= evaluate.PLANS
+    plan = _plan_of(words[-1])
+    assert plan.public == iterated_integral(words[-1])[2]
+    assert any(key[0] is None for key in plan._kept)      # interior levels
+    assert any(type(key[0]) is int for key in plan._kept)  # final-panel levels
+    assert 0 < plan._nbytes <= evaluate.PLAN_BYTES
+    assert plan._nbytes == sum(b for _, b in plan._kept.values())
+
+
+def test_a_plan_met_once_keeps_nothing():
+    clear_caches()
+    word = _prefix_family(random.Random("once"))[-1]
+    iterated_integral(word)
+    plan = _plan_of(word)
+    assert not plan._kept and plan._nbytes == 0
+    iterated_integral(word)
+    assert plan._kept
+
+
+def test_plan_keeps_no_more_than_its_budget(monkeypatch):
+    # a budget smaller than any kept array keeps nothing; the values do not change
+    words = _composition_family(random.Random("budget"))
+    want = [iterated_integral(w) for w in words]
+    monkeypatch.setattr(evaluate, "PLAN_BYTES", 100)
+    clear_caches()
+    assert [iterated_integral(w) for w in words] == want
+    plan = _plan_of(words[-1])
+    assert plan._nbytes == 0 and not plan._kept
+
+
+@pytest.mark.parametrize("offset", [1e-7, 1e-8])
+def test_nonfinite_march_is_an_evaluation_error(offset):
+    # the kernel (1/w)(-1/w)^n overflows once |w| falls below about 1e-6.4,
+    # well above PATH_CLEARANCE: the march turns non-finite and must not
+    # return it as a value
+    form = 0.5 + offset * 1j
+    with pytest.raises(EvaluationError, match="non-finite") as info:
+        iterated_integral([form])
+    assert info.value.forms == (form,) and info.value.panels > 1
+    with pytest.raises(EvaluationError):
+        li_panels(K((2,)), V((1 / form,)))
 
 
 def test_dispatch_routes():
@@ -573,8 +757,9 @@ def test_tails_equal_prod():
 
 
 def test_clear_caches_empties_every_value_memo():
-    memos = (evaluate._li_cached, evaluate._li_word_cached, regularize._reg_value_cached,
-             regularize._decompose_stuffle_word, words._stuffle_words, words._shuffle_words)
+    memos = (evaluate._li_cached, evaluate._li_word_cached, evaluate._plan,
+             regularize._reg_value_cached, regularize._decompose_stuffle_word,
+             words._stuffle_words, words._shuffle_words)
     k, args = REG_POINT
     reg_sides(k, V(args), "stuffle")
     run_selftest(only=("rho",), seed=0)
