@@ -6,12 +6,20 @@ fingerprint of the program's output: a change that claims byte-identical
 output must leave all six lines unchanged.  One line per run: the hash, then
 the command.
 
-    python3 scripts/canonical_hashes.py                 # this checkout
-    python3 scripts/canonical_hashes.py --src OTHER/src # another checkout
+    python3 scripts/canonical_hashes.py                       # this checkout
+    python3 scripts/canonical_hashes.py --src OTHER/src       # another checkout
+    python3 scripts/canonical_hashes.py --against OTHER/src   # compare two
+
+With --against, each line holds the hash of the --src checkout, then the hash
+of OTHER.  For a sweep whose bytes differ, an indented line states the drift:
+the record count, the largest change of lhs and of rhs over the records, each
+as |delta| / max(1, |value|) with value the larger of the two sides, and the
+max residual of each checkout.
 """
 
 import argparse
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -29,21 +37,57 @@ RUNS = (
 )
 
 
+def run(src: Path, argv: list[str]) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=str(src.resolve()))
+    return subprocess.run([sys.executable, "-m", "mplparity.cli", *argv],
+                          env=env, capture_output=True)
+
+
+def _rel_change(a: list[float], b: list[float]) -> float:
+    za, zb = complex(*a), complex(*b)
+    return abs(za - zb) / max(1.0, abs(za), abs(zb))
+
+
+def sweep_drift(out: bytes, ref: bytes) -> str:
+    """One line comparing two sweep reports record by record."""
+    recs = json.loads(out)["records"]
+    ref_recs = json.loads(ref)["records"]
+    if len(recs) != len(ref_recs):
+        return f"record counts differ: {len(recs)} vs {len(ref_recs)}"
+    d_lhs = d_rhs = 0.0
+    where = ("point", "k", "z", "branch", "mode")   # skip records carry no branch
+    for r, q in zip(recs, ref_recs):
+        if [r.get(f) for f in where] != [q.get(f) for f in where]:
+            return f"record {r.get('point')} is at a different (point, k, z, branch, mode)"
+        if "lhs" in r and "lhs" in q:
+            d_lhs = max(d_lhs, _rel_change(r["lhs"], q["lhs"]))
+            d_rhs = max(d_rhs, _rel_change(r["rhs"], q["rhs"]))
+    res = max((r.get("residual", 0.0) for r in recs), default=0.0)
+    ref_res = max((q.get("residual", 0.0) for q in ref_recs), default=0.0)
+    return (f"{len(recs)} records, max rel change lhs {d_lhs:.3g} rhs {d_rhs:.3g}, "
+            f"max residual {res:.3g} vs {ref_res:.3g}")
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", type=Path, default=Path(__file__).resolve().parent.parent / "src",
                     help="directory holding the mplparity package (default: this checkout)")
+    ap.add_argument("--against", type=Path, default=None,
+                    help="a second package directory to hash and compare with --src")
     args = ap.parse_args()
-    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=str(args.src.resolve()))
     status = 0
     for argv in RUNS:
-        cmd = [sys.executable, "-m", "mplparity.cli", *argv]
-        proc = subprocess.run(cmd, env=env, capture_output=True)
-        digest = hashlib.sha256(proc.stdout).hexdigest()
-        note = "" if proc.returncode in (0, 1) else f"  (exit {proc.returncode})"
-        print(f"{digest}  mplparity {' '.join(argv)}{note}", flush=True)
-        if proc.returncode not in (0, 1):
+        procs = [run(args.src, argv)]
+        if args.against is not None:
+            procs.append(run(args.against, argv))
+        digests = "  ".join(hashlib.sha256(p.stdout).hexdigest() for p in procs)
+        codes = [p.returncode for p in procs]
+        note = "" if all(c in (0, 1) for c in codes) else f"  (exit {'/'.join(map(str, codes))})"
+        print(f"{digests}  mplparity {' '.join(argv)}{note}", flush=True)
+        if note:
             status = 1
+        elif len(procs) == 2 and argv[0] == "sweep" and procs[0].stdout != procs[1].stdout:
+            print(f"    {sweep_drift(procs[0].stdout, procs[1].stdout)}", flush=True)
     return status
 
 

@@ -727,6 +727,16 @@ def li_star_detail(k: Index, z: ArgVector, cfg: EvalConfig = DEFAULT_CONFIG):
     return acc, est, tuple(methods)
 
 
+def _shifted_indices(a: int, k: Index):
+    """(coef, k + l) for each weak composition l of a into depth(k) parts, in
+    lexicographic order of l; coef = prod_i binom(k_i + l_i - 1, l_i), an int."""
+    for l in compositions_of(a, k.depth):
+        coef = 1
+        for ki, li_ in zip(k.parts, l):
+            coef *= math.comb(ki + li_ - 1, li_)
+        yield coef, Index(tuple(ki + li_ for ki, li_ in zip(k.parts, l)))
+
+
 def li_shift(a: int, k: Index, z: ArgVector, cfg: EvalConfig = DEFAULT_CONFIG,
              mode: str = "plain") -> complex:
     """Weight-raised alternating sum: (-1)^a times the binomial-weighted sum of
@@ -737,11 +747,7 @@ def li_shift(a: int, k: Index, z: ArgVector, cfg: EvalConfig = DEFAULT_CONFIG,
     if d == 0:
         return (1 + 0j) if a == 0 else 0j
     acc = 0j
-    for l in compositions_of(a, d):
-        coef = 1
-        for ki, li_ in zip(k.parts, l):
-            coef *= math.comb(ki + li_ - 1, li_)
-        shifted = Index(tuple(ki + li_ for ki, li_ in zip(k.parts, l)))
+    for coef, shifted in _shifted_indices(a, k):
         acc += coef * _value(shifted, z, cfg, mode)
     return (-1) ** a * acc
 
@@ -750,19 +756,20 @@ def li_shift_blocks(a: int, k: Index, z: ArgVector, cfg: EvalConfig = DEFAULT_CO
                     mode: str = "plain") -> complex:
     """Block-alternating companion of li_shift: the binomial-weighted sum runs
     over star values of contiguous block splittings with sign (-1)^(d+s).
-    Under the stuffle product it equals li_shift at the reversed index and
-    arguments; the two are kept separate so that identity can be tested."""
+
+    This is the quasi-shuffle antipode.  In plain and stuffle mode it equals
+    li_shift at the reversed index and arguments, and parity.r_factor computes
+    it that way; the tests keep this form as the reference for that identity.
+    Under the shuffle regularization the identity fails at divergent all-ones
+    words (k = (1, 1), z = (1, 1), a = 0 differ by zeta(2)), so r_factor runs
+    this form in shuffle mode."""
     if a < 0:
         return 0j
     d = k.depth
     if d == 0:
         return (1 + 0j) if a == 0 else 0j
     acc = 0j
-    for l in compositions_of(a, d):
-        coef = 1
-        for ki, li_ in zip(k.parts, l):
-            coef *= math.comb(ki + li_ - 1, li_)
-        shifted = Index(tuple(ki + li_ for ki, li_ in zip(k.parts, l)))
+    for coef, shifted in _shifted_indices(a, k):
         inner = 0j
         for blocks in enum_compositions(d):
             s = len(blocks)

@@ -100,18 +100,31 @@ def r_factor(n: int, k: Index, z: ArgVector, cfg: EvalConfig = DEFAULT_CONFIG,
 
     sum over a + b + l = k_n of
       (-1)^b B-factor_l(z_1...z_d) * blocks-shifted_a(front) * shifted_b(1/back)
+
+    The block-alternating front factor is the quasi-shuffle antipode, so in
+    plain and stuffle mode it is computed as li_shift at the reversed front
+    index and arguments: one shifted value per composition of a instead of
+    2^(d-1) block splittings of star sums.  Reversal keeps every consecutive
+    product and its symbols, so the theorem domains are unchanged.  Shuffle
+    mode keeps li_shift_blocks: under the shuffle regularization the antipode
+    is not the reversed value at divergent all-ones words (k = (1, 1),
+    z = (1, 1), a = 0 differ by zeta(2)).
     """
     d = k.depth
     if not 1 <= n <= d:
         raise ValueError("split point out of range")
     kn = k.parts[n - 1]
     front_k, front_z = k.cut(1, n - 1), z.cut(1, n - 1)
+    if mode == "shuffle":
+        front_shift = li_shift_blocks
+    else:
+        front_k, front_z, front_shift = front_k.reversed(), front_z.reversed(), li_shift
     back_k = k.cut(n + 1, d)
     back_z_inv = z.cut(n + 1, d).reciprocal()
     full_prod = z.prod(1, d)
     acc = 0j
     for a in range(kn + 1):
-        front = li_shift_blocks(a, front_k, front_z, cfg, mode)
+        front = front_shift(a, front_k, front_z, cfg, mode)
         if front == 0:
             continue
         for b in range(kn - a + 1):

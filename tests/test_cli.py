@@ -1,8 +1,10 @@
 """Command-line surface: parsing, payload shapes, determinism, exit codes."""
 
 import csv
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -195,6 +197,31 @@ def test_sweep_determinism_and_workers(tmp_path, capsys):
     assert cli.main(argv + ["--out", str(c), "--workers", "2"]) == 0
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes() == c.read_bytes()
+
+
+def test_canonical_hashes_sweep_drift(capsys):
+    # the drift line of scripts/canonical_hashes.py --against, on one sweep
+    # report and a copy with one rhs moved by 1e-13 relative
+    path = Path(__file__).resolve().parent.parent / "scripts" / "canonical_hashes.py"
+    spec = importlib.util.spec_from_file_location("canonical_hashes", path)
+    hashes = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(hashes)
+    code, out, _ = run_cli(["sweep", "--theorem", "main", "--depth-max", "1",
+                            "--weight-max", "2", "--points", "2"], capsys)
+    assert code == 0
+    moved = json.loads(out)
+    rec = moved["records"][1]
+    scale = max(1.0, abs(complex(*rec["rhs"])))
+    rec["rhs"][0] += 1e-13 * scale
+    rec["residual"] = 0.5
+    line = hashes.sweep_drift(json.dumps(moved).encode(), out.encode())
+    head, res = line.split(", max residual ")
+    assert head.startswith("4 records, max rel change lhs 0 rhs ")
+    assert float(head.rsplit(" ", 1)[1]) == pytest.approx(1e-13, rel=1e-2)
+    assert res.startswith("0.5 vs ")
+    del moved["records"][0]
+    assert hashes.sweep_drift(json.dumps(moved).encode(), out.encode()) \
+        == "record counts differ: 3 vs 4"
 
 
 def test_sweep_hirose_enumerates(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import cmath
 import functools
+import itertools
 import math
 import operator
 import random
@@ -636,6 +637,13 @@ def test_shift_depth2_composition_sum():
     assert li_shift(1, k, z) == pytest.approx(want, abs=1e-14)
 
 
+def test_shifted_indices_order_and_coefficients():
+    # li_shift and li_shift_blocks both sum in this order with these exact ints
+    got = list(evaluate._shifted_indices(2, K((1, 2))))
+    assert got == [(3, K((1, 4))), (2, K((2, 3))), (1, K((3, 2)))]
+    assert all(type(coef) is int for coef, _ in got)
+
+
 def test_blocks_depth1_is_star():
     z = V((-2,))
     assert li_shift_blocks(0, K((2,)), z) == pytest.approx(li_star(K((2,)), z))
@@ -648,8 +656,21 @@ def test_blocks_depth2_expansion():
     assert li_shift_blocks(0, k, z) == pytest.approx(want, abs=1e-14)
 
 
+def _args_off_ray(rng, d, lo, hi):
+    """Arguments with moduli in [lo, hi] whose every consecutive product keeps
+    off the nonnegative real axis, so the vector and its reverse both lie in
+    the plain domain."""
+    while True:
+        args = tuple(cmath.rect(rng.uniform(lo, hi), rng.uniform(0.3, 2 * math.pi - 0.3))
+                     for _ in range(d))
+        if all(not (p.real > 0 and abs(p.imag) < 0.1 * abs(p))
+               for i in range(d) for p in itertools.accumulate(args[i:], operator.mul)):
+            return args
+
+
 def test_blocks_reversal_identity():
-    # the block sum evaluates the plain value at reversed index and arguments
+    # the block sum is the quasi-shuffle antipode: in plain and stuffle mode it
+    # is the shifted value at reversed index and arguments
     cases = [
         ((1, 1), (0.3, 0.4)),
         ((2, 1), (0.5j, -0.6)),
@@ -660,6 +681,35 @@ def test_blocks_reversal_identity():
         lhs = li_shift_blocks(0, K(parts), V(args))
         rhs = li(K(parts[::-1]), V(args[::-1])).value
         assert lhs == pytest.approx(rhs, abs=1e-12), (parts, args)
+    rng = random.Random("blocks-reversal")
+    for lo, hi in ((0.2, 0.7), (1.3, 3.0)):   # inside and outside the unit polydisk
+        for d in (1, 2, 3):
+            k = K(tuple(rng.randint(1, 2) for _ in range(d)))
+            z = V(_args_off_ray(rng, d, lo, hi))
+            for a in range(3):
+                lhs = li_shift_blocks(a, k, z)
+                rhs = li_shift(a, k.reversed(), z.reversed())
+                assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs)), (k, z, a)
+    # stuffle at depth 3 with trailing exact ones, both branches at log(-1)
+    pool = (1, -1, 1j, -1j)
+    for parts in ((1, 1, 1), (2, 1, 1), (1, 2, 1)):
+        for head in itertools.product(pool, repeat=2):
+            k, z = K(parts), V(head + (1,))
+            for cfg in (DEFAULT_CONFIG, EvalConfig(branch_at_one=-1)):
+                for a in range(3):
+                    lhs = li_shift_blocks(a, k, z, cfg, "stuffle")
+                    rhs = li_shift(a, k.reversed(), z.reversed(), cfg, "stuffle")
+                    assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs)), (k, z, a, cfg)
+
+
+def test_blocks_reversal_fails_under_shuffle():
+    # pinned non-identity: at the divergent all-ones word the shuffle-regularized
+    # block sum and the reversed value differ by zeta(2), which is why
+    # r_factor keeps the block form in shuffle mode
+    k, z = K((1, 1)), V((1, 1))
+    for cfg in (DEFAULT_CONFIG, EvalConfig(branch_at_one=-1)):
+        gap = li_shift_blocks(0, k, z, cfg, "shuffle") - li_shift(0, k, z, cfg, "shuffle")
+        assert gap == pytest.approx(-zeta(2), abs=1e-12)
 
 
 def test_stuffle_homomorphism_numeric():

@@ -1,14 +1,22 @@
 """The identities themselves: both sides, hand cases, derivatives, probes."""
 
 import cmath
+import itertools
 import math
 import random
 
 import pytest
 
-from mplparity.numcore import DEFAULT_CONFIG, EvalConfig, log_minus, zeta
+from mplparity.numcore import (
+    DEFAULT_CONFIG,
+    EvalConfig,
+    bernoulli_factor,
+    domain_check,
+    log_minus,
+    zeta,
+)
 from mplparity.words import ArgVector, Index
-from mplparity.evaluate import li, li_star
+from mplparity.evaluate import li, li_shift, li_shift_blocks, li_star
 from mplparity.parity import (
     all_ones_delta,
     all_ones_delta_mzv,
@@ -21,6 +29,7 @@ from mplparity.parity import (
     q_value,
     r_factor,
     reg_sides,
+    residual,
     rhs_summands,
 )
 
@@ -92,6 +101,68 @@ def test_r_factor_split_range():
         r_factor(0, K((1,)), V((-2,)))
     with pytest.raises(ValueError):
         r_factor(2, K((1,)), V((-2,)))
+
+
+def _ref_r_factor(n, k, z, cfg=DEFAULT_CONFIG, mode="plain"):
+    """The inner factor with its front term in block form in every mode: the
+    reference for the antipode collapse in r_factor."""
+    d = k.depth
+    kn = k.parts[n - 1]
+    front_k, front_z = k.cut(1, n - 1), z.cut(1, n - 1)
+    back_k = k.cut(n + 1, d)
+    back_z_inv = z.cut(n + 1, d).reciprocal()
+    full_prod = z.prod(1, d)
+    acc = 0j
+    for a in range(kn + 1):
+        front = li_shift_blocks(a, front_k, front_z, cfg, mode)
+        if front == 0:
+            continue
+        for b in range(kn - a + 1):
+            l = kn - a - b
+            back = li_shift(b, back_k, back_z_inv, cfg, mode)
+            if back == 0:
+                continue
+            acc += (-1) ** b * bernoulli_factor(l, full_prod, cfg) * front * back
+    return acc
+
+
+def _split_points(k, z):
+    """(n, local index, local arguments) for every inner factor rhs_summands
+    evaluates at (k, z)."""
+    d = k.depth
+    for m in range(d):
+        for n in range(m + 1, d + 1):
+            yield n - m, k.cut(m + 1, d), z.cut(m + 1, d)
+
+
+def test_r_factor_matches_block_reference_plain():
+    # annulus points of the main sweep's shape, depth <= 4
+    rng = random.Random("r-factor-plain")
+    for d in range(1, 5):
+        for _ in range(3):
+            k = K(tuple(rng.randint(1, 2) for _ in range(d)))
+            z = V(sample_main_point(rng, d))
+            for n, kk, zz in _split_points(k, z):
+                got, want = r_factor(n, kk, zz), _ref_r_factor(n, kk, zz)
+                assert residual(got, want) < 1e-12, (n, kk, zz, got, want)
+
+
+def test_r_factor_matches_block_reference_regularized():
+    # roots:2,4 points in the reg domain, with trailing exact ones among them;
+    # stuffle agrees to rounding, shuffle runs the block form itself
+    pool = (1, 1j, -1, -1j)
+    for parts in ((1, 1), (2, 1), (1, 1, 1), (1, 1, 2), (1, 2, 1)):
+        for args in itertools.product(pool, repeat=len(parts)):
+            if domain_check(args, "consecutive", "nonneg_not_one"):
+                continue
+            k, z = K(parts), V(args)
+            for cfg in (DEFAULT_CONFIG, MINUS):
+                for n, kk, zz in _split_points(k, z):
+                    got = r_factor(n, kk, zz, cfg, "stuffle")
+                    want = _ref_r_factor(n, kk, zz, cfg, "stuffle")
+                    assert residual(got, want) < 1e-12, (n, kk, zz, cfg, got, want)
+                    assert r_factor(n, kk, zz, cfg, "shuffle") \
+                        == _ref_r_factor(n, kk, zz, cfg, "shuffle"), (n, kk, zz, cfg)
 
 
 def test_check_derivative_r_cases():
@@ -201,6 +272,15 @@ def test_reg_all_ones_depth_two():
             assert rep.lhs == pytest.approx(want, abs=1e-12), (mode, cfg.branch_at_one)
             assert rep.rhs == pytest.approx(want, abs=1e-12)
             assert rep.residual < 1e-12
+
+
+def test_reg_shuffle_divergent_fronts():
+    # front terms that are divergent all-ones words under the shuffle product,
+    # where the block form and the reversed value differ
+    for parts, args in (((1, 1, 1), (1, 1, 1)), ((1, 1, 2), (1, 1, -1))):
+        for cfg in (DEFAULT_CONFIG, MINUS):
+            rep = reg_sides(K(parts), V(args), "shuffle", cfg)
+            assert rep.residual < 1e-12, (parts, args, cfg.branch_at_one, rep.residual)
 
 
 def test_reg_fourth_roots():
