@@ -15,6 +15,10 @@ of OTHER.  For a sweep whose bytes differ, an indented line states the drift:
 the record count, the largest change of lhs and of rhs over the records, each
 as |delta| / max(1, |value|) with value the larger of the two sides, and the
 max residual of each checkout.
+
+The exit status is 1 if a run exits with a code other than 0 or 1, or, with
+--against, if the two checkouts print different bytes for any of the six
+runs; otherwise 0.
 """
 
 import argparse
@@ -86,8 +90,10 @@ def main() -> int:
         print(f"{digests}  mplparity {' '.join(argv)}{note}", flush=True)
         if note:
             status = 1
-        elif len(procs) == 2 and argv[0] == "sweep" and procs[0].stdout != procs[1].stdout:
-            print(f"    {sweep_drift(procs[0].stdout, procs[1].stdout)}", flush=True)
+        elif len(procs) == 2 and procs[0].stdout != procs[1].stdout:
+            status = 1
+            if argv[0] == "sweep":
+                print(f"    {sweep_drift(procs[0].stdout, procs[1].stdout)}", flush=True)
     return status
 
 

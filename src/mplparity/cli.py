@@ -28,12 +28,13 @@ import math
 import random
 import sys
 from dataclasses import dataclass, fields, replace
+from functools import partial
 
 from .numcore import DEFAULT_CONFIG, DomainError, EvalConfig, EvaluationError, domain_check, zeta
 from .words import ArgVector, Index
 from .evaluate import li
 from .regularize import reg_value
-from .parity import main_sides, mzv_sides, reg_sides
+from .parity import ParityReport, main_sides, mzv_sides, reg_sides
 from .selftest import GROUPS, run_selftest
 
 SCHEMA = 1
@@ -293,15 +294,17 @@ def parse_cli(argv=None) -> RunConfig:
 # --- shared plumbing ------------------------------------------------------------
 
 
-def _mk_cfg(rc: RunConfig, branch: int) -> EvalConfig:
-    kw = {"branch_at_one": branch}
-    if rc.series_truncation is not None:
-        kw["series_truncation"] = rc.series_truncation
-    if rc.panel_order is not None:
-        kw["panel_order"] = rc.panel_order
-    if rc.panel_safety is not None:
-        kw["panel_safety"] = rc.panel_safety
-    return replace(DEFAULT_CONFIG, **kw)
+def _overrides(rc: RunConfig) -> dict:
+    """The evaluation knobs the run sets; the others keep their defaults."""
+    return {key: getattr(rc, key) for key in ("series_truncation", "panel_order", "panel_safety")
+            if getattr(rc, key) is not None}
+
+
+def _mk_cfg(rc: RunConfig, branch: int | None = None) -> EvalConfig:
+    """The run's evaluation config at branch, by default --branch or else +1."""
+    if branch is None:
+        branch = 1 if rc.branch is None else rc.branch
+    return replace(DEFAULT_CONFIG, branch_at_one=branch, **_overrides(rc))
 
 
 def _pair(w: complex) -> list[float]:
@@ -310,13 +313,6 @@ def _pair(w: complex) -> list[float]:
 
 def _config_echo(rc: RunConfig, theorem: str | None, mode: str | None,
                  tol: float | None, region: str | None) -> dict:
-    overrides = {}
-    if rc.series_truncation is not None:
-        overrides["series_truncation"] = rc.series_truncation
-    if rc.panel_order is not None:
-        overrides["panel_order"] = rc.panel_order
-    if rc.panel_safety is not None:
-        overrides["panel_safety"] = rc.panel_safety
     return {
         "command": rc.command,
         "theorem": theorem,
@@ -332,7 +328,7 @@ def _config_echo(rc: RunConfig, theorem: str | None, mode: str | None,
         "tol": tol,
         "only": list(rc.only),
         "corrupt_zeta": rc.corrupt_zeta,
-        "eval_overrides": overrides,
+        "eval_overrides": _overrides(rc),
     }
 
 
@@ -396,10 +392,12 @@ _CHECK_COLUMNS = ["point", "theorem", "mode", "branch", "k", "z",
                   "branch_gap", "message"]
 
 
-def _domain_error_payload(rc: RunConfig, theorem: str | None, mode: str | None,
-                          exc: Exception, entries, family: str, bad: str) -> dict:
-    violations = domain_check(entries, family, bad) if entries else []
-    return {
+def _domain_error(rc: RunConfig, theorem: str | None, mode: str | None,
+                  exc: Exception, family: str, bad: str) -> int:
+    """Emit the error payload, with the products of the arguments that lie in
+    the bad set, and note it on stderr; returns exit code 2."""
+    violations = domain_check(rc.args or (), family, bad)
+    payload = {
         "schema": SCHEMA,
         "config": _config_echo(rc, theorem, mode, rc.tol, None),
         "error": {
@@ -408,6 +406,9 @@ def _domain_error_payload(rc: RunConfig, theorem: str | None, mode: str | None,
             "violations": [[i, j, _pair(w)] for i, j, w in violations],
         },
     }
+    _emit(rc, payload, [{"error": str(exc)}], ["error"])
+    _note(f"domain error: {exc}")
+    return 2
 
 
 # --- eval -----------------------------------------------------------------------
@@ -419,7 +420,7 @@ def cmd_eval(rc: RunConfig) -> int:
     if len(rc.index) != len(rc.args):
         raise CliError(f"index depth {len(rc.index)} != argument count {len(rc.args)}")
     mode = rc.mode or "plain"
-    cfg = _mk_cfg(rc, rc.branch if rc.branch is not None else 1)
+    cfg = _mk_cfg(rc)
     k, z = Index(rc.index), ArgVector.of(rc.args)
     try:
         if mode == "plain":
@@ -429,10 +430,7 @@ def cmd_eval(rc: RunConfig) -> int:
             value = reg_value(k, z, mode, cfg)
             est, method = None, "regularized"
     except DomainError as e:
-        payload = _domain_error_payload(rc, None, mode, e, rc.args, "tails", "real_gt1")
-        _emit(rc, payload, [{"error": str(e)}], ["error"])
-        _note(f"domain error: {e}")
-        return 2
+        return _domain_error(rc, None, mode, e, "tails", "real_gt1")
     record = {
         "k": list(rc.index),
         "z": [_pair(w) for w in rc.args],
@@ -463,18 +461,34 @@ def _theorem_domain(theorem: str) -> tuple[str, str]:
     return ("consecutive", "nonneg") if theorem == "main" else ("consecutive", "nonneg_not_one")
 
 
+def _theorem_mode(rc: RunConfig) -> str:
+    """--mode, or the theorem's default mode; CliError if the theorem is not
+    defined in it."""
+    mode = rc.mode or _THEOREM_MODE[rc.theorem]
+    if rc.theorem == "main" and mode != "plain":
+        raise CliError("--theorem main is an identity between plain values")
+    if rc.theorem == "reg" and mode == "plain":
+        raise CliError("--theorem reg needs --mode stuffle or shuffle")
+    if rc.theorem == "hirose" and mode != "stuffle":
+        raise CliError("--theorem hirose is defined with stuffle regularization")
+    return mode
+
+
+def _sides(theorem: str, mode: str, k: Index, entries, cfg: EvalConfig) -> ParityReport:
+    """Both sides of the theorem's identity at (k, entries); hirose takes no entries."""
+    if theorem == "main":
+        return main_sides(k, ArgVector.of(entries), cfg)
+    if theorem == "reg":
+        return reg_sides(k, ArgVector.of(entries), mode, cfg)
+    return mzv_sides(k, cfg)
+
+
 def cmd_check(rc: RunConfig) -> int:
     theorem = rc.theorem
     if rc.index is None:
         raise CliError("check needs an index (-k)")
-    mode = rc.mode or _THEOREM_MODE[theorem]
-    if theorem == "main" and mode != "plain":
-        raise CliError("--theorem main is an identity between plain values")
-    if theorem == "reg" and mode == "plain":
-        raise CliError("--theorem reg needs --mode stuffle or shuffle")
+    mode = _theorem_mode(rc)
     if theorem == "hirose":
-        if mode != "stuffle":
-            raise CliError("--theorem hirose is defined with stuffle regularization")
         if rc.args is not None:
             raise CliError("--theorem hirose takes no arguments (all equal 1)")
     elif rc.args is None:
@@ -482,32 +496,14 @@ def cmd_check(rc: RunConfig) -> int:
     elif len(rc.index) != len(rc.args):
         raise CliError(f"index depth {len(rc.index)} != argument count {len(rc.args)}")
     tol = rc.tol if rc.tol is not None else _THEOREM_TOL[theorem]
-    cfg = _mk_cfg(rc, rc.branch if rc.branch is not None else 1)
-    k = Index(rc.index)
-
-    if theorem != "hirose":
-        family, bad = _theorem_domain(theorem)
-        violations = domain_check(rc.args, family, bad)
-        if violations:
-            exc = DomainError(f"arguments violate the {theorem} identity domain")
-            payload = _domain_error_payload(rc, theorem, mode, exc, rc.args, family, bad)
-            _emit(rc, payload, [{"error": str(exc)}], ["error"])
-            _note(f"domain error: {exc}")
-            return 2
-
+    domain = _theorem_domain(theorem)
+    if theorem != "hirose" and domain_check(rc.args, *domain):
+        exc = DomainError(f"arguments violate the {theorem} identity domain")
+        return _domain_error(rc, theorem, mode, exc, *domain)
     try:
-        if theorem == "main":
-            rep = main_sides(k, ArgVector.of(rc.args), cfg)
-        elif theorem == "reg":
-            rep = reg_sides(k, ArgVector.of(rc.args), mode, cfg)
-        else:
-            rep = mzv_sides(k, cfg)
+        rep = _sides(theorem, mode, Index(rc.index), rc.args, _mk_cfg(rc))
     except DomainError as e:
-        payload = _domain_error_payload(rc, theorem, mode, e, rc.args or (),
-                                        *_theorem_domain(theorem))
-        _emit(rc, payload, [{"error": str(e)}], ["error"])
-        _note(f"domain error: {e}")
-        return 2
+        return _domain_error(rc, theorem, mode, e, *domain)
 
     record = rep.to_record()
     record["status"] = "pass" if rep.residual < tol else "fail"
@@ -610,18 +606,13 @@ def _sweep_cases(rc: RunConfig, theorem: str, region) -> list[dict]:
     return cases
 
 
-def _run_sweep_case(payload) -> list[dict]:
+def _run_sweep_case(rc: RunConfig, mode: str, branches: tuple[int, ...], case: dict) -> list[dict]:
     """One sweep point; returns one record per branch (pure, picklable)."""
-    (theorem, mode, parts, entries, branches, seed,
-     series_truncation, panel_order, panel_safety, pid) = payload
-    rc = RunConfig(command="sweep", seed=seed, series_truncation=series_truncation,
-                   panel_order=panel_order, panel_safety=panel_safety)
-    k = Index(parts)
-    base = {"point": pid, "theorem": theorem, "mode": mode,
+    theorem, parts, entries = rc.theorem, case["k"], case["z"]
+    base = {"point": case["point"], "theorem": theorem, "mode": mode,
             "k": list(parts), "z": [_pair(w) for w in entries]}
     if theorem != "hirose":
-        family, bad = _theorem_domain(theorem)
-        violations = domain_check(entries, family, bad)
+        violations = domain_check(entries, *_theorem_domain(theorem))
         if violations:
             return [dict(base, status="skip",
                          violations=[[i, j, _pair(w)] for i, j, w in violations])]
@@ -629,12 +620,7 @@ def _run_sweep_case(payload) -> list[dict]:
     for branch in branches:
         cfg = _mk_cfg(rc, branch)
         try:
-            if theorem == "main":
-                rep = main_sides(k, ArgVector.of(entries), cfg)
-            elif theorem == "reg":
-                rep = reg_sides(k, ArgVector.of(entries), mode, cfg)
-            else:
-                rep = mzv_sides(k, cfg)
+            rep = _sides(theorem, mode, Index(parts), entries, cfg)
             rec = dict(base, **rep.to_record())
             if theorem == "main":
                 rec["routes_independent"] = rep.inv_method not in rep.star_methods
@@ -651,32 +637,27 @@ def _run_sweep_case(payload) -> list[dict]:
 
 def cmd_sweep(rc: RunConfig) -> int:
     theorem = rc.theorem
-    mode = rc.mode or _THEOREM_MODE[theorem]
-    if theorem == "main" and mode != "plain":
-        raise CliError("--theorem main is an identity between plain values")
-    if theorem != "main" and mode == "plain":
-        raise CliError(f"--theorem {theorem} needs a regularization mode")
+    mode = _theorem_mode(rc)
     tol = rc.tol if rc.tol is not None else _THEOREM_TOL[theorem]
-    region = _parse_region(rc.region or _THEOREM_REGION[theorem])
+    region_spec = rc.region or _THEOREM_REGION[theorem]
+    region = _parse_region(region_spec)
     if region[0] == "none" and theorem != "hirose":
         raise CliError(f"--theorem {theorem} needs an argument region")
     if theorem == "reg" and rc.branch is None:
         branches: tuple[int, ...] = (1, -1)  # run both and report the gap
     else:
-        branches = (rc.branch if rc.branch is not None else 1,)
+        branches = (_mk_cfg(rc).branch_at_one,)
 
     cases = _sweep_cases(rc, theorem, region)
-    payloads = [(theorem, mode, case["k"], case["z"], branches, rc.seed,
-                 rc.series_truncation, rc.panel_order, rc.panel_safety, case["point"])
-                for case in cases]
+    run_case = partial(_run_sweep_case, rc, mode, branches)
     if rc.workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        chunk = max(1, len(payloads) // (rc.workers * 4))
+        chunk = max(1, len(cases) // (rc.workers * 4))
         with ProcessPoolExecutor(max_workers=rc.workers) as pool:
-            per_case = list(pool.map(_run_sweep_case, payloads, chunksize=chunk))
+            per_case = list(pool.map(run_case, cases, chunksize=chunk))
     else:
-        per_case = [_run_sweep_case(p) for p in payloads]
+        per_case = [run_case(case) for case in cases]
 
     records = [rec for group in per_case for rec in group]
     max_residual = 0.0
@@ -716,7 +697,7 @@ def cmd_sweep(rc: RunConfig) -> int:
     if theorem == "reg" and len(branches) == 2:
         summary["max_branch_gap"] = max_branch_gap
     payload = {"schema": SCHEMA,
-               "config": _config_echo(rc, theorem, mode, tol, rc.region or _THEOREM_REGION[theorem]),
+               "config": _config_echo(rc, theorem, mode, tol, region_spec),
                "records": records,
                "summary": summary}
     _emit(rc, payload, [_flat_check_row(r) for r in records], _CHECK_COLUMNS)
@@ -736,7 +717,7 @@ def _corrupted_zeta(k: int) -> float:
 def cmd_selftest(rc: RunConfig) -> int:
     try:
         results = run_selftest(only=rc.only, seed=rc.seed,
-                               cfg=_mk_cfg(rc, rc.branch if rc.branch is not None else 1),
+                               cfg=_mk_cfg(rc),
                                zeta_fn=_corrupted_zeta if rc.corrupt_zeta else None)
     except ValueError as e:
         raise CliError(str(e))

@@ -495,15 +495,12 @@ def iterated_integral(forms, cfg: EvalConfig = DEFAULT_CONFIG):
     return value, est, plan.public
 
 
-def _check_tail_domain(k: Index, z: ArgVector) -> tuple[complex, ...]:
-    """Panel-route legality: no tail product in (1, inf), no (k_d, z_d) = (1, 1)."""
-    d = k.depth
+def check_tails(z: ArgVector) -> tuple[complex, ...]:
+    """The tail products of z; DomainError if one lies in (1, inf)."""
     g = z.tails
     for gi in g:
         if gi.imag == 0 and gi.real > 1:
             raise DomainError(f"tail product {gi} lies in (1, inf)")
-    if d and k.parts[-1] == 1 and z.symbols[-1].value == 1:
-        raise DomainError("terminal pair (k_d, z_d) = (1, 1) diverges")
     return g
 
 
@@ -516,7 +513,9 @@ def li_panels(k: Index, z: ArgVector, cfg: EvalConfig = DEFAULT_CONFIG) -> EvalR
         return EvalResult(1 + 0j, 0.0, "panels")
     if any(e == 0 for e in z.entries):
         raise DomainError("panel route needs nonzero arguments")
-    g = _check_tail_domain(k, z)
+    g = check_tails(z)
+    if k.parts[-1] == 1 and z.symbols[-1].value == 1:
+        raise DomainError("terminal pair (k_d, z_d) = (1, 1) diverges")
     forms: list[complex] = []
     for i in range(1, d + 1):
         forms.append(1 / g[i - 1])
@@ -560,19 +559,10 @@ def value_key(k: Index, z: ArgVector, cfg: EvalConfig, tag: str) -> CacheKey:
 @memo(maxsize=400_000)
 def _li_cached(key: CacheKey) -> EvalResult:
     k, z, cfg, route = key.args
-    if route == "series":
-        return li_series(k, z, cfg)
-    if route == "panels":
-        return li_panels(k, z, cfg)
-    if any(e == 0 for e in z.entries):
-        return EvalResult(0j, 0.0, "series")
-    d = k.depth
-    if d == 0:
-        return EvalResult(1 + 0j, 0.0, "series")
-    r = max(abs(g) for g in z.tails)
-    if r <= SERIES_RADIUS:
-        return li_series(k, z, cfg)
-    return li_panels(k, z, cfg)
+    if route == "auto":   # li_series also takes a zero entry and the empty index
+        inside = 0 in z.entries or max(map(abs, z.tails), default=0.0) <= SERIES_RADIUS
+        route = "series" if inside else "panels"
+    return li_series(k, z, cfg) if route == "series" else li_panels(k, z, cfg)
 
 
 def li(k: Index, z: ArgVector, cfg: EvalConfig = DEFAULT_CONFIG, route: str = "auto") -> EvalResult:

@@ -17,15 +17,6 @@ from functools import lru_cache
 
 TWO_PI_I = 2j * math.pi
 
-# exact N-th roots of unity for the N where IEEE arithmetic represents them
-# exactly; products of these stay exact, which the branch logic at z == 1
-# relies on
-EXACT_ROOTS = {
-    1: (1 + 0j,),
-    2: (1 + 0j, -1 + 0j),
-    4: (1 + 0j, 1j, -1 + 0j, -1j),
-}
-
 
 @dataclass(frozen=True)
 class EvalConfig:
@@ -192,29 +183,13 @@ def euler_gamma() -> float:
 # (z_1, ..., z_d):
 #   consecutive: no product z_i ... z_j (i <= j) may lie in the bad set
 #   tails:       no product z_i ... z_d may lie in the bad set
-# The bad sets are subsets of the reals, named below.
-
-BAD_SETS = ("nonneg", "nonneg_not_one", "real_ge1", "real_gt1")
-
-
-def _in_bad_set(w: complex, bad: str, margin: float) -> bool:
-    if bad == "nonneg":
-        dist = abs(w - max(w.real, 0.0))
-        return dist <= margin
-    if bad == "nonneg_not_one":
-        if w == 1:
-            return False
-        dist = abs(w - max(w.real, 0.0))
-        return dist <= margin
-    if bad == "real_ge1":
-        dist = abs(w - max(w.real, 1.0))
-        return dist <= margin
-    if bad == "real_gt1":
-        if w == 1:
-            return False
-        dist = abs(w - max(w.real, 1.0))
-        return dist <= margin
-    raise ValueError(f"unknown bad set {bad!r}")
+# A bad set is a real ray [lo, inf), less the point 1 where one_exempt:
+# name -> (lo, one_exempt).
+_BAD_SETS = {
+    "nonneg": (0.0, False),
+    "nonneg_not_one": (0.0, True),
+    "real_gt1": (1.0, True),
+}
 
 
 def domain_check(entries, family: str, bad: str, margin: float = 0.0):
@@ -225,18 +200,20 @@ def domain_check(entries, family: str, bad: str, margin: float = 0.0):
     of the bad set (used by samplers to keep panel integration healthy);
     margin 0 is the exact legality test.
     """
+    if family not in ("consecutive", "tails"):
+        raise ValueError(f"unknown family {family!r}")
+    if bad not in _BAD_SETS:
+        raise ValueError(f"unknown bad set {bad!r}")
+    lo, one_exempt = _BAD_SETS[bad]
     zs = [complex(e) for e in entries]
     d = len(zs)
     out = []
-    if family not in ("consecutive", "tails"):
-        raise ValueError(f"unknown family {family!r}")
-    starts = range(1, d + 1)
-    for i in starts:
+    for i in range(1, d + 1):
         prod = 1 + 0j
         for j in range(i, d + 1):
             prod *= zs[j - 1]
-            if family == "tails" and j != d:
+            if (family == "tails" and j != d) or (one_exempt and prod == 1):
                 continue
-            if _in_bad_set(prod, bad, margin):
+            if abs(prod - max(prod.real, lo)) <= margin:
                 out.append((i, j, prod))
     return out

@@ -19,7 +19,6 @@ themselves are identical by construction.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 from .evaluate import li, li_shift, li_shift_blocks, li_star, li_star_detail
@@ -50,7 +49,6 @@ class ParityReport:
     residual: float
     star_methods: tuple[str, ...] = ()
     inv_method: str = ""
-    seconds: float = 0.0
 
     def to_record(self) -> dict:
         """Canonical record; deterministic, so no wall-clock fields."""
@@ -149,60 +147,60 @@ def rhs_summands(k: Index, z: ArgVector, cfg: EvalConfig = DEFAULT_CONFIG,
             yield (m, n), sign * star_left * inner
 
 
+def _lhs(k: Index, z: ArgVector, cfg: EvalConfig, mode: str) -> complex:
+    """Left side shared by every identity: (-1)^d star(z) - (-1)^{|k|} value(1/z),
+    plain or regularized by mode."""
+    star = li_star(k, z, cfg, mode)
+    inv = z.reciprocal()
+    inv_val = li(k, inv, cfg).value if mode == "plain" else reg_value(k, inv, mode, cfg)
+    return (-1) ** k.depth * star - (-1) ** k.weight * inv_val
+
+
+def _delta_terms(k: Index, z: ArgVector, cfg: EvalConfig, mode: str, delta_of) -> complex:
+    """All-ones correction: minus the sum over m of (-1)^m star(k_1..k_m) times
+    delta_of(k_{m+1}..k_d, z_{m+1}..z_d)."""
+    d = k.depth
+    acc = 0j
+    for m in range(d):
+        delta = delta_of(k.cut(m + 1, d), z.cut(m + 1, d))
+        if delta:
+            acc -= (-1) ** m * li_star(k.cut(1, m), z.cut(1, m), cfg, mode) * delta
+    return acc
+
+
 def main_sides(k: Index, z: ArgVector, cfg: EvalConfig = DEFAULT_CONFIG) -> ParityReport:
     """Plain-value identity: star at z against the value at 1/z."""
-    t0 = time.perf_counter()
-    d = k.depth
     star_val, _star_est, star_methods = li_star_detail(k, z, cfg)
     inv = li(k, z.reciprocal(), cfg)
-    lhs = (-1) ** d * star_val - (-1) ** k.weight * inv.value
-    rhs = 0j
-    for _mn, term in rhs_summands(k, z, cfg, "plain"):
-        rhs += term
-    rep = ParityReport(
+    lhs = (-1) ** k.depth * star_val - (-1) ** k.weight * inv.value
+    rhs = q_value(k, z, cfg)
+    return ParityReport(
         theorem="main", mode="plain", branch=cfg.branch_at_one,
         k=k.parts, z=z.entries, lhs=lhs, rhs=rhs, residual=residual(lhs, rhs),
         star_methods=star_methods, inv_method=inv.method,
     )
-    rep.seconds = time.perf_counter() - t0
-    return rep
 
 
 def reg_sides(k: Index, z: ArgVector, mode: str, cfg: EvalConfig = DEFAULT_CONFIG) -> ParityReport:
     """Regularized identity; mode picks the product structure of every factor."""
-    t0 = time.perf_counter()
     if mode not in ("stuffle", "shuffle"):
         raise ValueError(f"unknown mode {mode!r}")
-    d = k.depth
-    lhs = (-1) ** d * li_star(k, z, cfg, mode) \
-        - (-1) ** k.weight * reg_value(k, z.reciprocal(), mode, cfg)
-    rhs = 0j
-    for m in range(d):
-        delta = all_ones_delta(k.cut(m + 1, d), z.cut(m + 1, d), cfg)
-        if delta:
-            rhs -= (-1) ** m * li_star(k.cut(1, m), z.cut(1, m), cfg, mode) * delta
+    lhs = _lhs(k, z, cfg, mode)
+    rhs = _delta_terms(k, z, cfg, mode, lambda kt, zt: all_ones_delta(kt, zt, cfg))
     for _mn, term in rhs_summands(k, z, cfg, mode):
         rhs += term
-    rep = ParityReport(
+    return ParityReport(
         theorem="reg", mode=mode, branch=cfg.branch_at_one,
         k=k.parts, z=z.entries, lhs=lhs, rhs=rhs, residual=residual(lhs, rhs),
     )
-    rep.seconds = time.perf_counter() - t0
-    return rep
 
 
 def mzv_sides(k: Index, cfg: EvalConfig = DEFAULT_CONFIG) -> ParityReport:
     """All-ones specialization, stuffle-regularized throughout."""
-    t0 = time.perf_counter()
     d = k.depth
     ones = ArgVector.of((1,) * d)
-    lhs = (-1) ** d * li_star(k, ones, cfg, "stuffle") \
-        - (-1) ** k.weight * reg_value(k, ones, "stuffle", cfg)
-    rhs = 0j
-    for m in range(d):
-        delta = all_ones_delta_mzv(k.cut(m + 1, d))
-        if delta:
-            rhs -= (-1) ** m * li_star(k.cut(1, m), ones.cut(1, m), cfg, "stuffle") * delta
+    lhs = _lhs(k, ones, cfg, "stuffle")
+    rhs = _delta_terms(k, ones, cfg, "stuffle", lambda kt, _zt: all_ones_delta_mzv(kt))
     for m in range(d):
         star_left = li_star(k.cut(1, m), ones.cut(1, m), cfg, "stuffle")
         for n in range(m + 1, d + 1):
@@ -226,25 +224,18 @@ def mzv_sides(k: Index, cfg: EvalConfig = DEFAULT_CONFIG) -> ParityReport:
                         / math.factorial(2 * l)
                     sign = (-1) ** (m + back_k.weight + b + l)
                     rhs += sign * coef * star_left * mid * back
-    rep = ParityReport(
+    return ParityReport(
         theorem="hirose", mode="stuffle", branch=cfg.branch_at_one,
         k=k.parts, z=ones.entries, lhs=lhs, rhs=rhs, residual=residual(lhs, rhs),
     )
-    rep.seconds = time.perf_counter() - t0
-    return rep
 
 
 # --- derivative checks ------------------------------------------------------
 
 
 def p_value(k: Index, z: ArgVector, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
-    """Left side as a function: (-1)^d star(z) - (-1)^{|k|} value(1/z); 0 on
-    the empty index (both conventions for the fused-empty case give 0)."""
-    d = k.depth
-    if d == 0:
-        return 0j
-    return (-1) ** d * li_star(k, z, cfg, "plain") \
-        - (-1) ** k.weight * li(k, z.reciprocal(), cfg).value
+    """Left side as a function; 0 on the empty index, where both terms are 1."""
+    return _lhs(k, z, cfg, "plain")
 
 
 def q_value(k: Index, z: ArgVector, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:

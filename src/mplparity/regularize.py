@@ -20,8 +20,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .evaluate import CacheKey, li, li_word, li_word_series_encoding, value_key
-from .numcore import DEFAULT_CONFIG, DomainError, EvalConfig, memo, zeta
+from .evaluate import CacheKey, check_tails, li, li_word, li_word_series_encoding, value_key
+from .numcore import DEFAULT_CONFIG, EvalConfig, memo, zeta
 from .words import (
     EMPTY_WORD,
     ArgVector,
@@ -213,12 +213,6 @@ def rho_inv(p: TPoly, zeta_fn=None) -> TPoly:
 # --- regularized polynomials and values -------------------------------------
 
 
-def _check_reg_domain(z: ArgVector) -> None:
-    for g in z.tails:
-        if g.imag == 0 and g.real > 1:
-            raise DomainError(f"tail product {g} lies in (1, inf)")
-
-
 def trailing_one_pairs(k: Index, z: ArgVector) -> int:
     """Number of trailing places with (k_i, z_i) = (1, 1) exactly."""
     h = 0
@@ -233,7 +227,7 @@ def trailing_one_pairs(k: Index, z: ArgVector) -> int:
 def shuffle_poly(k: Index, z: ArgVector, cfg: EvalConfig = DEFAULT_CONFIG) -> TPoly:
     """Shuffle-regularized polynomial: decompose the integral encoding and
     evaluate the convergent parts as iterated integrals."""
-    _check_reg_domain(z)
+    check_tails(z)
     w = integral_word(word_from_index(k, z))
     dec = decompose_shuffle(w)
     return TPoly(tuple(li_word(part, cfg) for part in dec.parts))
@@ -242,7 +236,7 @@ def shuffle_poly(k: Index, z: ArgVector, cfg: EvalConfig = DEFAULT_CONFIG) -> TP
 def stuffle_poly_direct(k: Index, z: ArgVector, cfg: EvalConfig = DEFAULT_CONFIG) -> TPoly:
     """Stuffle-regularized polynomial via the direct series-side decomposition;
     kept as the independent cross-check of the rho route."""
-    _check_reg_domain(z)
+    check_tails(z)
     w = word_from_index(k, z)
     dec = decompose_stuffle(w)
     coeffs = []
@@ -254,18 +248,16 @@ def stuffle_poly_direct(k: Index, z: ArgVector, cfg: EvalConfig = DEFAULT_CONFIG
     return TPoly(tuple(coeffs))
 
 
-def reg_poly(k: Index, z: ArgVector, mode: str, cfg: EvalConfig = DEFAULT_CONFIG,
-             route: str = "primary") -> TPoly:
+def reg_poly(k: Index, z: ArgVector, mode: str, cfg: EvalConfig = DEFAULT_CONFIG) -> TPoly:
     """Regularized polynomial in T for the requested product structure.
 
-    mode 'shuffle' is the integral-side decomposition; mode 'stuffle' is, on
-    the primary route, rho^{-1} of the shuffle polynomial (route 'direct'
-    switches to the series-side decomposition)."""
+    mode 'shuffle' is the integral-side decomposition; mode 'stuffle' is
+    rho^{-1} of the shuffle polynomial.  stuffle_poly_direct computes the
+    stuffle polynomial from the series-side decomposition instead, as a
+    cross-check."""
     if mode == "shuffle":
         return shuffle_poly(k, z, cfg)
     if mode == "stuffle":
-        if route == "direct":
-            return stuffle_poly_direct(k, z, cfg)
         return rho_inv(shuffle_poly(k, z, cfg))
     raise ValueError(f"unknown mode {mode!r}")
 

@@ -312,9 +312,6 @@ class Index:
         return f"Index{self.parts}"
 
 
-EMPTY_INDEX = Index(())
-
-
 @dataclass(frozen=True)
 class ArgVector:
     """Argument tuple with symbolic provenance for each entry."""
@@ -382,9 +379,6 @@ class ArgVector:
 
     def __repr__(self) -> str:
         return f"ArgVector{self.entries}"
-
-
-EMPTY_ARGS = ArgVector(())
 
 
 def word_from_index(k: Index, z: ArgVector) -> Word:

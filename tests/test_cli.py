@@ -4,6 +4,8 @@ import csv
 import importlib.util
 import json
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -151,6 +153,18 @@ def test_check_main_mode_validation(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("theorem,mode", [("hirose", "shuffle"), ("hirose", "plain"),
+                                          ("reg", "plain"), ("main", "stuffle")])
+def test_sweep_rejects_a_mode_as_check_does(theorem, mode, capsys):
+    # sweep and check share one theorem/mode rule, message included
+    args = [] if theorem == "hirose" else ["--args=-2"]
+    check = run_cli(["check", "--theorem", theorem, "--mode", mode, "-k", "2", *args], capsys)
+    sweep = run_cli(["sweep", "--theorem", theorem, "--mode", mode], capsys)
+    assert check[0] == sweep[0] == 2
+    assert check[1] == sweep[1] == ""
+    assert sweep[2] == check[2] and sweep[2].startswith(f"error: --theorem {theorem} ")
+
+
 def test_check_domain_guard(capsys):
     code, out, _ = run_cli(["check", "--theorem", "main", "-k", "1", "-z", "2"], capsys)
     assert code == 2
@@ -222,6 +236,40 @@ def test_canonical_hashes_sweep_drift(capsys):
     del moved["records"][0]
     assert hashes.sweep_drift(json.dumps(moved).encode(), out.encode()) \
         == "record counts differ: 3 vs 4"
+
+
+def test_canonical_hashes_exit_status(monkeypatch, capsys):
+    # --against exits 1 when any of the six outputs differ; canned runs, no subprocesses
+    path = Path(__file__).resolve().parent.parent / "scripts" / "canonical_hashes.py"
+    spec = importlib.util.spec_from_file_location("canonical_hashes", path)
+    hashes = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(hashes)
+    report = {"records": [{"point": 0, "k": [1], "z": [[-2.0, 0.0]], "branch": 1,
+                           "mode": "plain", "lhs": [1.0, 0.0], "rhs": [1.0, 0.0],
+                           "residual": 0.0}]}
+
+    def canned(differ):
+        def run(src, argv):
+            out = json.dumps(report) if argv[0] == "sweep" else argv[0]
+            if str(src) == "other" and argv[0] in differ:
+                out += " "
+            return subprocess.CompletedProcess(argv, 0, out.encode(), b"")
+        return run
+
+    for argv, differ, want in (
+            (["--against", "other"], (), 0),
+            (["--against", "other"], ("selftest",), 1),
+            (["--against", "other"], ("eval",), 1),
+            (["--against", "other"], ("sweep",), 1),
+            ([], ("sweep",), 0)):
+        monkeypatch.setattr(hashes, "run", canned(differ))
+        monkeypatch.setattr(sys, "argv", ["canonical_hashes.py", *argv])
+        assert hashes.main() == want, (argv, differ)
+        lines = capsys.readouterr().out.splitlines()
+        drift = [line for line in lines if line.startswith("    ")]
+        assert len(lines) == 6 + len(drift)
+        n_sweeps = sum(run[0] == "sweep" for run in hashes.RUNS)
+        assert len(drift) == (n_sweeps if argv and differ == ("sweep",) else 0)
 
 
 def test_sweep_hirose_enumerates(tmp_path, capsys):
@@ -325,8 +373,8 @@ def test_nonfinite_panel_value_exits_2(capsys):
 
 
 def test_sweep_records_a_nonfinite_point_as_an_error():
-    payload = ("main", "plain", (1,), (2 - 4e-8j,), (1,), 0, None, None, None, 0)
-    [rec] = cli._run_sweep_case(payload)
+    case = {"k": (1,), "z": (2 - 4e-8j,), "point": 0}
+    [rec] = cli._run_sweep_case(cli.RunConfig(command="sweep"), "plain", (1,), case)
     assert rec["status"] == "error"
     assert rec["message"].startswith("EvaluationError: non-finite panel value")
 

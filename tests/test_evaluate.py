@@ -522,6 +522,20 @@ def test_dispatch_agreement_on_overlap():
         assert abs(a.value - b.value) < 1e-9
 
 
+def test_auto_route_is_the_route_it_reports():
+    # auto picks series or panels; the value is that route's value, including
+    # a zero entry, the empty index and tails on either side of SERIES_RADIUS
+    r = evaluate.SERIES_RADIUS
+    cases = [((), ()), ((2, 1), (0, 3)), ((1, 2), (2j, 0)), ((2,), (0.5 * r,)),
+             ((2,), (r,)), ((2,), (r + 1e-3,)), ((1, 1), (-1, r * 1j)),
+             ((1, 2), (-1, (r + 0.02) * 1j)), ((2, 1), (2j, -3))]
+    for parts, args in cases:
+        auto = li(K(parts), V(args))
+        assert auto == li(K(parts), V(args), route=auto.method), (parts, args)
+    methods = {li(K(parts), V(args)).method for parts, args in cases}
+    assert methods == {"series", "panels"}
+
+
 def test_li_rejects_unknown_route():
     with pytest.raises(ValueError):
         li(K((2,)), V((0.5,)), route="fastest")

@@ -152,6 +152,12 @@ def test_domain_check_bad_family():
         domain_check((1j,), "diagonal", "nonneg")
 
 
+@pytest.mark.parametrize("bad", ["real_ge1", "positive"])
+def test_domain_check_bad_set(bad):
+    with pytest.raises(ValueError, match="unknown bad set"):
+        domain_check((2 + 0j,), "consecutive", bad)
+
+
 def test_evaluation_error_witness_survives_pickling():
     err = EvaluationError("panel budget exhausted", 4001, [1.01 - 0.01j, 0j])
     back = pickle.loads(pickle.dumps(err))

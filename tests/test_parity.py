@@ -320,6 +320,22 @@ def test_mzv_depth_two_cases():
         assert rep.residual < 1e-7, (parts, rep.residual, rep.lhs, rep.rhs)
 
 
+def test_mzv_matches_reg_at_all_ones():
+    # mzv_sides sums its own closed form; at all-ones it must agree with
+    # reg_sides in stuffle mode, on both branches
+    ones_cases = [parts for d in range(1, 5) for parts in itertools.product(range(1, 8), repeat=d)
+                  if sum(parts) <= 7]
+    assert len(ones_cases) == 98
+    for cfg in (DEFAULT_CONFIG, MINUS):
+        for parts in ones_cases:
+            mzv = mzv_sides(K(parts), cfg)
+            reg = reg_sides(K(parts), V((1,) * len(parts)), "stuffle", cfg)
+            assert mzv.lhs == reg.lhs, parts
+            # odd weights give rhs 0 against ~1e-14, so the gap is the
+            # package's relative one, |a - b| / max(1, |a|, |b|)
+            assert residual(mzv.rhs, reg.rhs) < 1e-12, parts
+
+
 def test_mzv_star_side_value():
     # depth-2 all-ones: the star side is zeta(2)/2 under the series product
     got = li_star(K((1, 1)), V((1, 1)), DEFAULT_CONFIG, "stuffle")
@@ -349,6 +365,16 @@ def test_limit_probe_decreases():
         mags = limit_probe(K(parts), V(rest), theta, (1e-2, 1e-3, 1e-4))
         assert mags[0] > mags[1] > mags[2], (parts, rest, mags)
         assert mags[-1] < 1e-2
+
+
+def test_p_q_are_the_main_sides():
+    # p_value and q_value share their code with main_sides' lhs and rhs
+    rng = random.Random("p-q-sides")
+    for parts in ((1,), (3,), (1, 2), (2, 1), (1, 1, 2), (2, 1, 1)):
+        z = V(sample_main_point(rng, len(parts)))
+        rep = main_sides(K(parts), z)
+        assert p_value(K(parts), z) == rep.lhs, parts
+        assert q_value(K(parts), z) == rep.rhs, parts
 
 
 def test_p_q_empty_conventions():

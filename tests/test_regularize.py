@@ -205,8 +205,8 @@ def test_stuffle_routes_agree():
         (K((2, 1)), V((-1, 1))),
     ]
     for k, z in cases:
-        a = reg_poly(k, z, "stuffle", route="primary")
-        b = reg_poly(k, z, "stuffle", route="direct")
+        a = reg_poly(k, z, "stuffle")
+        b = stuffle_poly_direct(k, z)
         assert coeff_gap(a, b) < 1e-9, (k, z)
 
 
