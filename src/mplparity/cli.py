@@ -301,10 +301,14 @@ def _overrides(rc: RunConfig) -> dict:
 
 
 def _mk_cfg(rc: RunConfig, branch: int | None = None) -> EvalConfig:
-    """The run's evaluation config at branch, by default --branch or else +1."""
+    """The run's evaluation config at branch, by default --branch or else +1;
+    CliError if a knob is out of range."""
     if branch is None:
         branch = 1 if rc.branch is None else rc.branch
-    return replace(DEFAULT_CONFIG, branch_at_one=branch, **_overrides(rc))
+    try:
+        return replace(DEFAULT_CONFIG, branch_at_one=branch, **_overrides(rc))
+    except ValueError as e:
+        raise CliError(str(e))
 
 
 def _pair(w: complex) -> list[float]:
@@ -643,10 +647,9 @@ def cmd_sweep(rc: RunConfig) -> int:
     region = _parse_region(region_spec)
     if region[0] == "none" and theorem != "hirose":
         raise CliError(f"--theorem {theorem} needs an argument region")
+    branches: tuple[int, ...] = (_mk_cfg(rc).branch_at_one,)
     if theorem == "reg" and rc.branch is None:
-        branches: tuple[int, ...] = (1, -1)  # run both and report the gap
-    else:
-        branches = (_mk_cfg(rc).branch_at_one,)
+        branches = (1, -1)  # run both and report the gap
 
     cases = _sweep_cases(rc, theorem, region)
     run_case = partial(_run_sweep_case, rc, mode, branches)

@@ -3,10 +3,16 @@ words, plus the star / weight-shifted variants assembled from them.
 
 Two independent routes produce values:
 
-  series  nested-sum recursion in the tail-product variables g_i = z_i...z_d,
-          usable when every |g_i| <= SERIES_RADIUS.  The recursion never forms
-          z_i^m directly (individual entries may be huge while every tail
-          product is small), so it cannot overflow.
+  series  nested sum in the tail-product variables g_i = z_i...z_d, usable
+          when every |g_i| <= SERIES_RADIUS.  Each depth level is one array
+          over the summation index: level 1 is the powers g_1^m (a cumprod),
+          and each later level is a prefix sum of the level below scaled by
+          inverse powers of g_i and rescaled by its powers (a cumsum), then
+          divided by a cached table of m^k.  A level sums in blocks short
+          enough that no power of g_i nor its inverse passes 1e150, carrying
+          its running value from block to block, so a tiny tail takes several
+          blocks.  Only tail powers appear, never z_i^m (an entry may be huge
+          while every tail product is small), so nothing overflows.
 
   panels  the iterated-integral representation, marched across [0, 1] in
           one direction.  Each panel re-expands every partial integral as a
@@ -72,6 +78,7 @@ from .words import ONE_SYMBOL, ArgVector, Index, LinComb, Word, index_of_word
 SERIES_RADIUS = 0.95
 PATH_CLEARANCE = 1e-9   # singularities this close to (0,1) make panels meaningless
 MAX_PANELS = 4000
+SCALE_LIMIT = 150 * math.log(10)   # ln 1e150: largest |g|^-j a series block forms
 PLANS = 8               # singularity sets whose panel plans are kept
 PLAN_BYTES = 1 << 16    # arrays one plan keeps: marched levels, kernels, step powers
 
@@ -108,6 +115,41 @@ def _series_tail_bound(r: float, d: int, n: int) -> float:
     return f / (1 - q)
 
 
+@lru_cache(maxsize=None)
+def _m_powers(n: int, k: int) -> np.ndarray:
+    """m^k for m = 1..n, each the float of the exact integer."""
+    table = np.array([float(m ** k) for m in range(1, n + 1)])
+    table.setflags(write=False)
+    return table
+
+
+def _next_level(prev: np.ndarray, g: complex) -> np.ndarray:
+    """The level above prev, one entry shorter: out[t] = g (out[t-1] + prev[t])
+    with out[-1] = 0 (prev[0] sits at m = i, out[0] at m = i + 1).
+
+    Unrolled, out[t] = g^(t+1) sum_{s<=t} g^-s prev[s]: one cumsum of prev
+    scaled by inverse powers, rescaled by powers.  The sum restarts every
+    `block` terms from the carried out value, so |g|^block and |g|^-block
+    stay within e^SCALE_LIMIT; a tiny tail takes many short blocks."""
+    size = len(prev) - 1
+    decay = -math.log(abs(g)) if g else math.inf
+    block = max(1, min(size, int(SCALE_LIMIT / decay)))
+    pw = np.full(block + 1, g)
+    pw[0] = 1
+    pw = pw.cumprod()                       # g^0 .. g^block
+    if block >= size:
+        return pw[1:] * (prev[:-1] / pw[:-1]).cumsum()
+    out = np.empty(size, dtype=complex)
+    c = 0j
+    for p0 in range(0, size, block):
+        q = min(block, size - p0)
+        s = (prev[p0:p0 + q] / pw[:q]).cumsum()
+        s += c
+        np.multiply(pw[1:q + 1], s, out=out[p0:p0 + q])
+        c = out[p0 + q - 1]
+    return out
+
+
 def li_series(k: Index, z: ArgVector, cfg: EvalConfig = DEFAULT_CONFIG) -> EvalResult:
     """Nested sum over m_1 < ... < m_d of prod z_i^{m_i} / m_i^{k_i}."""
     d = k.depth
@@ -123,26 +165,20 @@ def li_series(k: Index, z: ArgVector, cfg: EvalConfig = DEFAULT_CONFIG) -> EvalR
     if r > SERIES_RADIUS:
         raise DomainError(f"tail product of modulus {r:.4f} outside series radius")
     goal = max(cfg.target_tol * 1e-2, 1e-17)
-    n = 32
+    n = min(32, cfg.series_truncation)
     while _series_tail_bound(r, d, n) > goal and n < cfg.series_truncation:
         n = min(cfg.series_truncation, max(n + 8, int(n * 1.4)))
     bound = _series_tail_bound(r, d, n)
 
-    # level recursion in tail products: B_i[m] = m^{-k_i} * C[m],
-    # C[m] = g_i * (C[m-1] + B_{i-1}[m-1]); B_0 = delta_{m,0}
-    prev = [1 + 0j] + [0j] * n
-    for i in range(1, d + 1):
-        gi = g[i - 1]
-        ki = k.parts[i - 1]
-        cur = [0j] * (n + 1)
-        c = 0j
-        for m in range(1, n + 1):
-            c = gi * (c + prev[m - 1])
-            cur[m] = c / m ** ki
-        prev = cur
-    value = sum(prev)
-    rounding = 8e-16 * sum(abs(t) for t in prev)
-    return EvalResult(complex(value), bound + rounding, "series", n_terms=n)
+    # level recursion in tail products, one array per level over m = i..n:
+    # B_i[m] = m^{-k_i} C_i[m], C_i[m] = g_i (C_i[m-1] + B_{i-1}[m-1]), so
+    # C_1[m] = g_1^m and each later level is a prefix sum in powers of g_i
+    # only (_next_level, blocked so no power passes 1e150); no z_i^m
+    cur = np.full(n, g[0]).cumprod() / _m_powers(n, k.parts[0])
+    for i in range(1, d):
+        cur = _next_level(cur, g[i]) / _m_powers(n, k.parts[i])[i:]
+    rounding = 8e-16 * float(abs(cur).sum())
+    return EvalResult(complex(cur.sum()), bound + rounding, "series", n_terms=n)
 
 
 # --- panel route ------------------------------------------------------------

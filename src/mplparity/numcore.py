@@ -70,8 +70,8 @@ _MEMOS: list = []
 def memo(maxsize: int):
     """lru_cache for a memo of computed values; clear_caches() empties every one.
 
-    Constant tables (zeta, Bernoulli numbers, panel ramps) are plain lru_caches:
-    they hold no values derived from a caller's input."""
+    Constant tables (zeta, Bernoulli numbers, panel ramps, the series' m^k) are
+    plain lru_caches: they hold no values derived from a caller's input."""
     def wrap(fn):
         cached = lru_cache(maxsize=maxsize)(fn)
         _MEMOS.append(cached)

@@ -41,6 +41,27 @@ def mp_polylog(s: int, z: complex, dps: int = 30) -> complex:
         return complex(mpmath.polylog(s, z))
 
 
+def mp_nested_li(parts, args, n_terms: int, dps: int = 30) -> complex:
+    """brute_li's running prefixes in mpmath at dps digits, powers by
+    repeated multiplication; no float rounding until the result."""
+    with mpmath.workdps(dps):
+        zs = [mpmath.mpc(a) for a in args]
+        prefix = [mpmath.mpc(0)] * (n_terms + 1)
+        power = mpmath.mpc(1)
+        for m in range(1, n_terms + 1):
+            power *= zs[0]
+            prefix[m] = power / mpmath.mpf(m) ** parts[0]
+        for i in range(1, len(parts)):
+            running, power = mpmath.mpc(0), mpmath.mpc(1)
+            nxt = [mpmath.mpc(0)] * (n_terms + 1)
+            for m in range(1, n_terms + 1):
+                running += prefix[m - 1]
+                power *= zs[i]
+                nxt[m] = running * power / mpmath.mpf(m) ** parts[i]
+            prefix = nxt
+        return complex(mpmath.fsum(prefix))
+
+
 def mp_zeta(s: int, dps: int = 30) -> float:
     with mpmath.workdps(dps):
         return float(mpmath.zeta(s))

@@ -365,6 +365,31 @@ def test_config_values_are_checked_like_their_flags(cfg, want, tmp_path, capsys)
     assert want in err
 
 
+_KNOBS = [("panel_order", 3, "panel_order too small"),
+          ("series_truncation", 4, "series_truncation too small"),
+          ("panel_safety", 0.9, "panel_safety must sit in (0, 0.8)")]
+
+
+@pytest.mark.parametrize("key,value,want", _KNOBS)
+@pytest.mark.parametrize("argv", [
+    ["check", "-k", "2", "--args=-2"],
+    ["eval", "k=2", "z=0.5"],
+    ["sweep", "--theorem", "reg", "--region", "roots:2", "--depth-max", "1", "--weight-max", "2"],
+    ["selftest"],
+], ids=["check", "eval", "sweep-both-branches", "selftest"])
+def test_out_of_range_eval_knob_exits_2(argv, key, value, want, tmp_path, capsys):
+    # EvalConfig rejects the value; the CLI reports it as a usage error
+    flag = ["--" + key.replace("_", "-"), str(value)]
+    code, out, err = run_cli(argv + flag, capsys)
+    assert (code, out) == (2, "")
+    assert err.strip() == f"error: {want}"
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({key: value}))
+    code, out, err = run_cli(argv + ["--config", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.strip() == f"error: {want}"
+
+
 def test_nonfinite_panel_value_exits_2(capsys):
     # the form 1/z lies 1e-8 from the path: the panel kernel overflows
     code, out, err = run_cli(["eval", "k=1", "z=2-4e-8i"], capsys)

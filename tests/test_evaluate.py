@@ -35,17 +35,21 @@ from mplparity.evaluate import (
 from mplparity.parity import reg_sides
 from mplparity.selftest import run_selftest
 from mplparity.words import word_from_index
-from oracles import brute_li, closed_li1, mp_polylog, quad_iint_depth2
+from oracles import brute_li, closed_li1, mp_nested_li, mp_polylog, quad_iint_depth2
 
 K = Index
 V = ArgVector.of
 
 
+def tails_args(tails):
+    """The arguments whose tail products z_i...z_d are tails."""
+    return tuple(tails[i] / tails[i + 1] for i in range(len(tails) - 1)) + (tails[-1],)
+
+
 def sample_in_disk(rng, d, lo=0.2, hi=0.6):
     """Arguments whose tail products have moduli in [lo, hi], off the ray."""
-    tails = [cmath.rect(rng.uniform(lo, hi), rng.uniform(0.3, 2 * math.pi - 0.3))
-             for _ in range(d)]
-    return tuple(tails[i] / tails[i + 1] for i in range(d - 1)) + (tails[-1],)
+    return tails_args([cmath.rect(rng.uniform(lo, hi), rng.uniform(0.3, 2 * math.pi - 0.3))
+                       for _ in range(d)])
 
 
 def sample_index(rng, max_depth=2, max_weight=4):
@@ -111,6 +115,104 @@ def test_series_truncation_is_honest():
     res = li_series(K((1, 1)), V(sample_in_disk(random.Random(7), 2, 0.5, 0.7)), cfg)
     ref = li_series(K((1, 1)), V(sample_in_disk(random.Random(7), 2, 0.5, 0.7)))
     assert abs(res.value - ref.value) <= res.est_error
+
+
+def _ref_li_series(k, z, cfg=DEFAULT_CONFIG):
+    """The per-term loop li_series ran before its levels became array prefix
+    sums: (value, n_terms), its truncation search starting at 32 terms."""
+    d, g = k.depth, z.tails
+    r = max(abs(gi) for gi in g)
+    goal = max(cfg.target_tol * 1e-2, 1e-17)
+    n = 32
+    while evaluate._series_tail_bound(r, d, n) > goal and n < cfg.series_truncation:
+        n = min(cfg.series_truncation, max(n + 8, int(n * 1.4)))
+    prev = [1 + 0j] + [0j] * n
+    for i in range(1, d + 1):
+        gi, ki = g[i - 1], k.parts[i - 1]
+        cur = [0j] * (n + 1)
+        c = 0j
+        for m in range(1, n + 1):
+            c = gi * (c + prev[m - 1])
+            cur[m] = c / m ** ki
+        prev = cur
+    return complex(sum(prev)), n
+
+
+def _kernel_cases():
+    """(parts, args): tails in the bands 0.2-0.5 and 0.8-0.95; a tail down to
+    1e-12 beside near-band tails; entries of modulus about 1e6."""
+    rng = random.Random("series-kernel")
+
+    def tail(lo, hi):
+        return cmath.rect(rng.uniform(lo, hi), rng.uniform(0, 2 * math.pi))
+
+    cases = []
+    for d in range(1, 6):
+        for lo, hi in ((0.2, 0.5), (0.8, 0.95)):
+            cases += [sample_in_disk(rng, d, lo, hi) for _ in range(6)]
+        for _ in range(3 if d > 1 else 0):
+            tails = [tail(0.8, 0.95) for _ in range(d)]
+            tails[rng.randrange(1, d)] *= 10 ** -rng.uniform(3, 12)
+            cases.append(tails_args(tails))
+            tails = [tail(0.5, 0.95) for _ in range(d)]
+            i = rng.randrange(d - 1)   # z_i = g_i / g_{i+1} of modulus about 1e6
+            tails[i + 1] = tails[i] * cmath.rect(10 ** -rng.uniform(5.8, 6.2), rng.uniform(0, 6.3))
+            cases.append(tails_args(tails))
+    return [(tuple(rng.randint(1, 6) for _ in args), args) for args in cases]
+
+
+@pytest.mark.parametrize("cfg", [DEFAULT_CONFIG, EvalConfig(series_truncation=64)],
+                         ids=["default", "cap64"])
+def test_series_kernel_matches_loop_reference(cfg):
+    several_blocks = huge_entry = 0
+    for parts, args in _kernel_cases():
+        k, z = K(parts), V(args)
+        got = li_series(k, z, cfg)
+        want, n = _ref_li_series(k, z, cfg)
+        assert got.n_terms == n, (parts, args)
+        assert abs(got.value - want) <= 1e-14 * max(1.0, abs(want)), (parts, args)
+        several_blocks += any(evaluate.SCALE_LIMIT / -math.log(abs(g)) < n - 2
+                              for g in z.tails[1:])
+        huge_entry += max(map(abs, args)) > 5e5
+    assert several_blocks >= 10 and huge_entry >= 10
+
+
+def test_series_est_error_covers_mpmath_polylog():
+    # depth 1 in the near band, where the sums are longest
+    rng = random.Random("series-est-depth1")
+    misses = []
+    for _ in range(400):
+        s = rng.choice((1, 2))
+        z = cmath.rect(rng.uniform(0.8, 0.95), rng.uniform(0, 2 * math.pi))
+        res = li_series(K((s,)), V((z,)))
+        err = abs(res.value - mp_polylog(s, z))
+        if not err <= res.est_error:
+            misses.append((s, z, err, res.est_error))
+    assert not misses, misses[:5]
+
+
+def test_series_est_error_covers_mpmath_nested_sum():
+    rng = random.Random("series-est-nested")
+    for _ in range(30):
+        d = rng.randint(2, 4)
+        parts = tuple(rng.randint(1, 3) for _ in range(d))
+        args = sample_in_disk(rng, d, 0.8, 0.95)
+        n = 64   # oracle terms: n^(d-1) 0.95^n below 1e-24 (1 - 0.95)
+        while n ** (d - 1) * 0.95 ** n > 5e-26:
+            n += 64
+        res = li_series(K(parts), V(args))
+        assert abs(res.value - mp_nested_li(parts, args, n)) <= res.est_error, (parts, args)
+
+
+@pytest.mark.parametrize("cap", [8, 16, 31])
+def test_series_truncation_caps_below_32(cap):
+    z = V(sample_in_disk(random.Random(cap), 2, 0.3, 0.5))
+    res = li_series(K((2, 1)), z, EvalConfig(series_truncation=cap))
+    assert res.n_terms <= cap
+    assert abs(res.value - li_series(K((2, 1)), z).value) <= res.est_error
+    # a depth beyond the cap has no term left: the value is the empty sum
+    deep = li_series(K((1,) * 9), V((0.5,) * 9), EvalConfig(series_truncation=8))
+    assert deep.value == 0 and deep.n_terms == 8 and deep.est_error > 0
 
 
 # --- panel route ----------------------------------------------------------------
