@@ -131,14 +131,12 @@ def _next_level(prev: np.ndarray, g: complex) -> np.ndarray:
     scaled by inverse powers, rescaled by powers.  The sum restarts every
     `block` terms from the carried out value, so |g|^block and |g|^-block
     stay within e^SCALE_LIMIT; a tiny tail takes many short blocks."""
-    size = len(prev) - 1
+    size = max(len(prev) - 1, 0)
     decay = -math.log(abs(g)) if g else math.inf
     block = max(1, min(size, int(SCALE_LIMIT / decay)))
     pw = np.full(block + 1, g)
     pw[0] = 1
     pw = pw.cumprod()                       # g^0 .. g^block
-    if block >= size:
-        return pw[1:] * (prev[:-1] / pw[:-1]).cumsum()
     out = np.empty(size, dtype=complex)
     c = 0j
     for p0 in range(0, size, block):
