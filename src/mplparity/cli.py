@@ -126,18 +126,24 @@ def _split_top_level(s: str) -> list[str]:
 
 
 def parse_args_spec(v) -> tuple[complex, ...]:
-    if isinstance(v, str):
-        return tuple(parse_complex_token(t) for t in _split_top_level(v))
+    """Argument entries from a -z string or a config-file list of strings,
+    numbers and [re, im] pairs; CliError for an entry that is not finite."""
     out = []
-    for item in v:  # config-file form: strings or [re, im] pairs
+    for item in _split_top_level(v) if isinstance(v, str) else v:
         if isinstance(item, str):
-            out.append(parse_complex_token(item))
+            w = parse_complex_token(item)
         elif isinstance(item, (list, tuple)) and len(item) == 2:
-            out.append(complex(float(item[0]), float(item[1])))
+            try:
+                w = complex(float(item[0]), float(item[1]))
+            except (TypeError, ValueError):
+                raise CliError(f"cannot parse argument entry {item!r}")
         elif isinstance(item, (int, float)):
-            out.append(complex(item))
+            w = complex(item)
         else:
             raise CliError(f"cannot parse argument entry {item!r}")
+        if not cmath.isfinite(w):
+            raise CliError(f"argument entry {item!r} is not finite")
+        out.append(w)
     return tuple(out)
 
 
@@ -529,12 +535,16 @@ def cmd_check(rc: RunConfig) -> int:
 
 
 def _enumerate_indices(depth_max: int, weight_max: int) -> list[tuple[int, ...]]:
-    out = []
-    for d in range(1, depth_max + 1):
-        for parts in itertools.product(range(1, weight_max + 1), repeat=d):
-            if sum(parts) <= weight_max:
-                out.append(parts)
-    return out
+    """Every index of depth <= depth_max and weight <= weight_max, by depth,
+    lexicographic within a depth."""
+    def of_depth(d: int, budget: int) -> list[tuple[int, ...]]:
+        # d parts >= 1 summing to at most budget; each part leaves room for the rest
+        if d == 0:
+            return [()]
+        return [(p,) + rest for p in range(1, budget - d + 2)
+                for rest in of_depth(d - 1, budget - p)]
+
+    return [parts for d in range(1, depth_max + 1) for parts in of_depth(d, weight_max)]
 
 
 def _parse_region(region: str):

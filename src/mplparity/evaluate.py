@@ -40,13 +40,13 @@ that is meant to be trusted (over-, never under-stated).
 
 Value caches key on what the computation reads, never on provenance or on
 branch_at_one.  A value at (k, z) reads k.parts, z.entries, z.tails and the
-numeric knobs series_truncation, target_tol, panel_order and panel_safety, so
-those (plus the route or regularization mode) are its key; a word value reads
-the forms of its integral and the same knobs.  Both branches of a regularized
-check and every ArgVector that carries the same numbers share one computed
-value.  The tails are part of the key because equal entries do not imply equal
-tail products: a contraction multiplies its base entries in slot order, which
-can differ in the last bit from multiplying the fused entries.
+numeric knobs series_truncation, panel_order and panel_safety, so those (plus
+the route or regularization mode) are its key; a word value reads the forms of
+its integral and the same knobs.  Both branches of a regularized check and
+every ArgVector that carries the same numbers share one computed value.  The
+tails are part of the key because equal entries do not imply equal tail
+products: a contraction multiplies its base entries in slot order, which can
+differ in the last bit from multiplying the fused entries.
 
 Panel plans live in a memo of PLANS entries keyed on (sorted singularities,
 panel_order, panel_safety).  From its second word on, a plan retains its
@@ -76,6 +76,7 @@ from .numcore import DEFAULT_CONFIG, DomainError, EvalConfig, EvaluationError, c
 from .words import ONE_SYMBOL, ArgVector, Index, LinComb, Word, index_of_word
 
 SERIES_RADIUS = 0.95
+SERIES_GOAL = 1e-11 * 1e-2   # series tail bound to reach, cap permitting
 PATH_CLEARANCE = 1e-9   # singularities this close to (0,1) make panels meaningless
 MAX_PANELS = 4000
 SCALE_LIMIT = 150 * math.log(10)   # ln 1e150: largest |g|^-j a series block forms
@@ -162,9 +163,8 @@ def li_series(k: Index, z: ArgVector, cfg: EvalConfig = DEFAULT_CONFIG) -> EvalR
     r = max(abs(gi) for gi in g)
     if r > SERIES_RADIUS:
         raise DomainError(f"tail product of modulus {r:.4f} outside series radius")
-    goal = max(cfg.target_tol * 1e-2, 1e-17)
     n = min(32, cfg.series_truncation)
-    while _series_tail_bound(r, d, n) > goal and n < cfg.series_truncation:
+    while _series_tail_bound(r, d, n) > SERIES_GOAL and n < cfg.series_truncation:
         n = min(cfg.series_truncation, max(n + 8, int(n * 1.4)))
     bound = _series_tail_bound(r, d, n)
 
@@ -581,7 +581,7 @@ class CacheKey:
 
 def _knobs(cfg: EvalConfig) -> tuple:
     """The EvalConfig fields evaluation reads."""
-    return (cfg.series_truncation, cfg.target_tol, cfg.panel_order, cfg.panel_safety)
+    return (cfg.series_truncation, cfg.panel_order, cfg.panel_safety)
 
 
 def value_key(k: Index, z: ArgVector, cfg: EvalConfig, tag: str) -> CacheKey:
@@ -621,14 +621,14 @@ def _word_value(w: Word, cfg: EvalConfig) -> complex:
     if not w.in_h0:
         raise DomainError(f"word {w!r} is not evaluable (leading x or trailing y1)")
     last = w.letters[-1]
-    if last.is_y and last.arg.value == 1:
+    if last is not None and last.value == 1:
         raise DomainError(f"word {w!r} ends in an argument equal to 1; integral diverges")
     forms: list[complex] = []
     for l in w.letters:
-        if l.is_y:
-            if l.arg.value == 0:
+        if l is not None:
+            if l.value == 0:
                 raise DomainError("zero argument letter")
-            forms.append(1 / l.arg.value)
+            forms.append(1 / l.value)
         else:
             forms.append(0j)
     forms = tuple(forms)

@@ -3,9 +3,9 @@ data, zeta constants, and argument-domain checks.
 
 Everything here is double precision by design.  The only extended-precision
 objects are Bernoulli numbers, which are exact rationals; they are converted
-to float at the last moment.  zeta values and Euler's gamma are produced by
-Euler-Maclaurin summation whose truncation error is far below double rounding,
-and are cached on first use.
+to float at the last moment.  zeta values are produced by Euler-Maclaurin
+summation whose truncation error is far below double rounding, and are cached
+on first use.
 """
 from __future__ import annotations
 
@@ -23,7 +23,6 @@ class EvalConfig:
     """Knobs shared by every evaluator and identity check."""
 
     series_truncation: int = 4000   # hard cap on series terms
-    target_tol: float = 1e-11      # evaluation accuracy goal per call
     panel_order: int = 48          # Taylor/log-series order per panel
     panel_safety: float = 0.35     # panel step = safety * distance to nearest singularity
     branch_at_one: int = +1        # sign of i*pi used for log(-z) at exactly z == 1
@@ -31,8 +30,6 @@ class EvalConfig:
     def __post_init__(self) -> None:
         if self.series_truncation < 8:
             raise ValueError("series_truncation too small")
-        if not 0 < self.target_tol < 1:
-            raise ValueError("target_tol out of range")
         if self.panel_order < 8:
             raise ValueError("panel_order too small")
         if not 0 < self.panel_safety < 0.8:
@@ -164,16 +161,6 @@ def zeta(k: int) -> float:
         b = float(bernoulli_number(2 * j)) / math.factorial(2 * j)
         acc += b * rising * _EM_M ** (-s - 2 * j + 1)
         rising *= (s + 2 * j - 1) * (s + 2 * j)
-    return acc
-
-
-@lru_cache(maxsize=None)
-def euler_gamma() -> float:
-    """Euler's constant by the harmonic-number asymptotic at M = 24."""
-    h = sum(Fraction(1, n) for n in range(1, _EM_M + 1))
-    acc = float(h) - math.log(_EM_M) - 0.5 / _EM_M
-    for j in range(1, _EM_J + 1):
-        acc += float(bernoulli_number(2 * j)) / (2 * j * _EM_M ** (2 * j))
     return acc
 
 

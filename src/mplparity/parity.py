@@ -119,7 +119,7 @@ def r_factor(n: int, k: Index, z: ArgVector, cfg: EvalConfig = DEFAULT_CONFIG,
         front_k, front_z, front_shift = front_k.reversed(), front_z.reversed(), li_shift
     back_k = k.cut(n + 1, d)
     back_z_inv = z.cut(n + 1, d).reciprocal()
-    full_prod = z.prod(1, d)
+    full_prod = z.tails[0]
     acc = 0j
     for a in range(kn + 1):
         front = front_shift(a, front_k, front_z, cfg, mode)
@@ -320,7 +320,7 @@ def limit_probe(k: Index, z_rest: ArgVector, theta: float, ts,
         val = li(k, z.reciprocal(), cfg).value
         for b in range(k1 + 1):
             l = k1 - b
-            val += (-1) ** (k1 + b) * bernoulli_factor(l, z.prod(1, d), cfg) \
+            val += (-1) ** (k1 + b) * bernoulli_factor(l, z.tails[0], cfg) \
                 * li_shift(b, rest_k, z_rest.reciprocal(), cfg, "plain")
         out.append(abs(val))
     return out

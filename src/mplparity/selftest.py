@@ -33,7 +33,6 @@ from .words import (
     shuffle,
     stuffle,
     word_from_index,
-    y_letter,
     y_one_power,
 )
 from .evaluate import li
@@ -119,7 +118,7 @@ def _random_plain_words(rng: random.Random, count: int, max_len: int = 3) -> lis
             if rng.random() < 0.45:
                 letters.append(X)
             else:
-                letters.append(y_letter(symbols[pos]))
+                letters.append(symbols[pos])
                 pos += 1
         out.append(Word(tuple(letters)))
     return out

@@ -1,22 +1,22 @@
 """Word algebra over the alphabet {x, y_c}: the bookkeeping layer every
 identity check is assembled from.
 
-Letters are either the differential-form letter x or an argument letter y_c.
-The subscript c is not stored as a raw complex number: two letters must
-compare equal exactly when they denote the same argument product, and floating
-multiplication is not associative.  Instead each y-letter carries an ArgSymbol,
-a sorted multiset of slot indices into one base tuple of complex entries; the
-numeric value is recomputed from the base in sorted slot order whenever symbols
-are multiplied, so equal multisets always carry bit-identical values.  The
-empty multiset is the literal argument 1 (the letter created by
+A letter is stored bare: None for the differential-form letter x, and the
+ArgSymbol c itself for an argument letter y_c, so a word is a tuple of
+symbols and Nones.  The subscript c is not stored as a raw complex number: two
+letters must compare equal exactly when they denote the same argument
+product, and floating multiplication is not associative.  Instead each symbol
+is a sorted multiset of slot indices into one base tuple of complex entries;
+the numeric value is recomputed from the base in sorted slot order whenever
+symbols are multiplied, so equal multisets always carry bit-identical values.
+The empty multiset is the literal argument 1 (the letter created by
 regularization), and base entries exactly equal to 1 canonicalize to it.
 
-Symbols, letters and words compute their hash once, at construction, and
-return it from ``__hash__``; equality is still by value, so a symbol over a
-base tuple equal to another one compares and hashes alike.  Pickling rebuilds
-them from their fields, so the stored hash is recomputed in the receiving
-process (the hash of None, inside the x letter, is not stable across
-processes).
+Symbols and words compute their hash once, at construction, and return it
+from ``__hash__``; equality is still by value, so a symbol over a base tuple
+equal to another one compares and hashes alike.  Pickling rebuilds them from
+their fields, so the stored hash is recomputed in the receiving process (the
+hash of None, the x letter, is not stable across processes).
 
 Coefficients are exact rationals throughout, stored as ``int`` where they are
 integers (stuffle and shuffle multiplicities) and as ``Fraction`` otherwise;
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 from .numcore import memo
@@ -89,45 +89,21 @@ class ArgSymbol:
 ONE_SYMBOL = ArgSymbol((), ())
 
 
-@dataclass(frozen=True, slots=True)
-class Letter:
-    """A word letter: arg is None for x, an ArgSymbol for y_c."""
-
-    arg: ArgSymbol | None = None
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.arg,)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        return Letter, (self.arg,)
-
-    @property
-    def is_y(self) -> bool:
-        return self.arg is not None
-
-    def __repr__(self) -> str:
-        if self.arg is None:
-            return "x"
-        if self.arg.is_literal_one:
-            return "y1"
-        return f"y[{self.arg.value:.6g}]"
+X = None          # the letter x; y_c is the ArgSymbol c itself
+Y_ONE = ONE_SYMBOL
 
 
-X = Letter(None)
-Y_ONE = Letter(ONE_SYMBOL)
-
-
-def y_letter(sym: ArgSymbol) -> Letter:
-    return Letter(sym)
+def _letter_repr(l: ArgSymbol | None) -> str:
+    if l is None:
+        return "x"
+    if l.is_literal_one:
+        return "y1"
+    return f"y[{l.value:.6g}]"
 
 
 @dataclass(frozen=True, slots=True)
 class Word:
-    letters: tuple[Letter, ...] = ()
+    letters: tuple[ArgSymbol | None, ...] = ()
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -145,12 +121,12 @@ class Word:
 
     @property
     def depth(self) -> int:
-        return sum(1 for l in self.letters if l.is_y)
+        return sum(1 for l in self.letters if l is not None)
 
     @property
     def in_h1(self) -> bool:
         """No leading x (admits a series interpretation)."""
-        return not self.letters or self.letters[0].is_y
+        return not self.letters or self.letters[0] is not None
 
     @property
     def in_h0(self) -> bool:
@@ -173,16 +149,16 @@ class Word:
     def sort_key(self):
         key = []
         for l in self.letters:
-            if l.arg is None:
+            if l is None:
                 key.append((0, (), 0.0, 0.0))
             else:
-                key.append((1, l.arg.slots, l.arg.value.real, l.arg.value.imag))
+                key.append((1, l.slots, l.value.real, l.value.imag))
         return (len(self.letters), tuple(key))
 
     def __repr__(self) -> str:
         if not self.letters:
             return "Word()"
-        return "".join(repr(l) for l in self.letters)
+        return "".join(map(_letter_repr, self.letters))
 
 
 EMPTY_WORD = Word()
@@ -336,8 +312,8 @@ class ArgVector:
 
     @cached_property
     def tails(self) -> tuple[complex, ...]:
-        """Tail products (z_1...z_d, z_2...z_d, ..., z_d); entry i - 1 equals
-        prod(i, d) bit for bit, since a symbol's value depends only on its slots."""
+        """Tail products (z_1...z_d, z_2...z_d, ..., z_d): the values of the
+        symbol products, so each depends only on the slots it multiplies."""
         out = []
         suffix = ONE_SYMBOL
         for sym in reversed(self.symbols):
@@ -368,15 +344,6 @@ class ArgVector:
             head = ONE_SYMBOL
         return ArgVector((head,) + self.symbols[2:])
 
-    def consec_symbol(self, i: int, j: int) -> ArgSymbol:
-        """Symbol of the product z_i ... z_j (1-based inclusive)."""
-        if i > j:
-            return ONE_SYMBOL
-        return reduce(lambda a, b: a * b, self.symbols[i - 1 : j])
-
-    def prod(self, i: int, j: int) -> complex:
-        return self.consec_symbol(i, j).value
-
     def __repr__(self) -> str:
         return f"ArgVector{self.entries}"
 
@@ -385,9 +352,9 @@ def word_from_index(k: Index, z: ArgVector) -> Word:
     """y_{z_1} x^{k_1 - 1} ... y_{z_d} x^{k_d - 1}."""
     if k.depth != z.depth:
         raise ValueError("index and argument depth differ")
-    letters: list[Letter] = []
+    letters: list[ArgSymbol | None] = []
     for ki, sym in zip(k.parts, z.symbols):
-        letters.append(y_letter(sym))
+        letters.append(sym)
         letters.extend([X] * (ki - 1))
     return Word(tuple(letters))
 
@@ -399,9 +366,9 @@ def index_of_word(w: Word) -> tuple[Index, tuple[ArgSymbol, ...]]:
     parts: list[int] = []
     syms: list[ArgSymbol] = []
     for l in w.letters:
-        if l.is_y:
+        if l is not None:
             parts.append(1)
-            syms.append(l.arg)  # type: ignore[arg-type]
+            syms.append(l)
         else:
             parts[-1] += 1
     return Index(tuple(parts)), tuple(syms)
@@ -417,19 +384,19 @@ def integral_word(w: Word) -> Word:
     suffix = ONE_SYMBOL
     for i in range(len(letters) - 1, -1, -1):
         l = letters[i]
-        if l.is_y:
-            suffix = l.arg * suffix  # type: ignore[operator]
-            letters[i] = y_letter(suffix)
+        if l is not None:
+            suffix = l * suffix
+            letters[i] = suffix
     return Word(tuple(letters))
 
 
 def _split_head_block(w: Word) -> tuple[ArgSymbol, int, Word]:
     # w = y_s x^n rest, for w in H1 and nonempty
-    sym = w.letters[0].arg
+    sym = w.letters[0]
     assert sym is not None
     n = 0
     i = 1
-    while i < len(w.letters) and not w.letters[i].is_y:
+    while i < len(w.letters) and w.letters[i] is None:
         n += 1
         i += 1
     return sym, n, Word(w.letters[i:])
@@ -447,7 +414,7 @@ def _stuffle_words(u: Word, v: Word) -> LinComb:
     s2, n2, w2 = _split_head_block(v)
     head1 = u.letters[: n1 + 1]
     head2 = v.letters[: n2 + 1]
-    headm = (y_letter(s1 * s2),) + (X,) * (n1 + n2 + 1)
+    headm = (s1 * s2,) + (X,) * (n1 + n2 + 1)
     acc: dict[Word, int] = {}
     for head, tail in ((head1, _stuffle_words(w1, v)),
                        (head2, _stuffle_words(u, w2)),

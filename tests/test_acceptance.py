@@ -22,7 +22,6 @@ from mplparity.words import (
     X,
     shuffle,
     stuffle,
-    y_letter,
 )
 from mplparity.evaluate import li, li_panels, li_series
 from mplparity.parity import (
@@ -266,7 +265,7 @@ def random_word(rng, base, max_weight):
     letters = []
     weight = 0
     for slot in rng.sample(range(len(base)), d):
-        letters.append(y_letter(ArgSymbol(base, (slot,))))
+        letters.append(ArgSymbol(base, (slot,)))
         weight += 1
         while weight < max_weight and rng.random() < 0.4:
             letters.append(X)

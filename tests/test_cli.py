@@ -2,10 +2,12 @@
 
 import csv
 import importlib.util
+import itertools
 import json
 import math
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -117,6 +119,34 @@ def test_eval_panel_budget_exhausted(capsys):
     assert out == ""
     assert "panel budget exhausted after 4001 panels" in err
     assert "forms [(1.0099979596000817-0.010201999591920018j), 0j]" in err
+
+
+@pytest.mark.parametrize("argv,want", [
+    (["eval", "k=1", "z=nan"], "argument entry 'nan' is not finite"),
+    (["eval", "k=1", "z=inf"], "argument entry 'inf' is not finite"),
+    (["check", "--theorem", "main", "-k", "1", "-z", "nan"], "argument entry 'nan' is not finite"),
+    (["eval", "--config", '{"index": [1], "args": [[NaN, 0]]}'],   # json reads NaN
+     "argument entry [nan, 0] is not finite"),
+    (["eval", "--config", '{"index": [1], "args": [["a", 0]]}'],
+     "cannot parse argument entry ['a', 0]"),
+], ids=["eval-nan", "eval-inf", "check-nan", "config-nan", "config-pair-not-a-number"])
+def test_bad_argument_entries_rejected_before_evaluation(argv, want, tmp_path, monkeypatch,
+                                                         capsys):
+    # NaN passes the domain check (it compares false) and would march the
+    # whole panel budget before failing
+    if argv[1] == "--config":
+        path = tmp_path / "run.json"
+        path.write_text(argv[2])
+        argv = argv[:2] + [str(path)]
+
+    def no_evaluation(*args, **kw):
+        raise AssertionError("evaluated a bad argument")
+
+    monkeypatch.setattr(cli, "li", no_evaluation)
+    monkeypatch.setattr(cli, "_sides", no_evaluation)
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {want}")
 
 
 # --- check ------------------------------------------------------------------------
@@ -316,6 +346,23 @@ def test_sweep_records_evaluation_error_per_point(capsys):
     for rec in payload["records"]:
         if rec["status"] == "error":
             assert rec["message"].startswith("EvaluationError: panel budget exhausted after 4001 panels")
+
+
+def test_enumerate_indices_matches_product_filter():
+    # the pruned enumeration returns what filtering the full product did, in order
+    for d in range(1, 6):
+        for w in range(1, 6):
+            ref = [parts for depth in range(1, d + 1)
+                   for parts in itertools.product(range(1, w + 1), repeat=depth)
+                   if sum(parts) <= w]
+            assert cli._enumerate_indices(d, w) == ref, (d, w)
+
+
+def test_enumerate_indices_deep_is_fast():
+    # filtering all w^d tuples would walk 4^12 of them here, about 5 s
+    start = time.perf_counter()
+    assert len(cli._enumerate_indices(12, 4)) == 15
+    assert time.perf_counter() - start < 0.5
 
 
 def test_sweep_unsamplable_annulus(capsys):

@@ -13,7 +13,7 @@ import pytest
 
 from mplparity import evaluate, regularize, words
 from mplparity.numcore import DEFAULT_CONFIG, DomainError, EvalConfig, EvaluationError, log_minus, zeta
-from mplparity.words import ArgSymbol, ArgVector, EMPTY_WORD, Index, ONE_SYMBOL, Word, X, y_letter
+from mplparity.words import ArgSymbol, ArgVector, EMPTY_WORD, Index, ONE_SYMBOL, Word, X
 from mplparity.evaluate import (
     PanelPlan,
     _Plan,
@@ -122,7 +122,7 @@ def _ref_li_series(k, z, cfg=DEFAULT_CONFIG):
     sums: (value, n_terms), its truncation search starting at 32 terms."""
     d, g = k.depth, z.tails
     r = max(abs(gi) for gi in g)
-    goal = max(cfg.target_tol * 1e-2, 1e-17)
+    goal = evaluate.SERIES_GOAL
     n = 32
     while evaluate._series_tail_bound(r, d, n) > goal and n < cfg.series_truncation:
         n = min(cfg.series_truncation, max(n + 8, int(n * 1.4)))
@@ -649,7 +649,7 @@ def test_li_rejects_unknown_route():
 def test_li_word_values():
     assert li_word(EMPTY_WORD) == 1
     base = (-2 + 0j,)
-    w = Word((y_letter(ArgSymbol(base, (0,))),))
+    w = Word((ArgSymbol(base, (0,)),))
     assert li_word(w) == pytest.approx(-math.log(3), abs=1e-13)
     ones = ArgVector.of((1,))
     w2 = word_from_index(Index((2,)), ones)  # y_1 x
@@ -657,7 +657,7 @@ def test_li_word_values():
 
 
 def test_li_word_guards():
-    ya = y_letter(ArgSymbol((0.5 + 0j,), (0,)))
+    ya = ArgSymbol((0.5 + 0j,), (0,))
     with pytest.raises(DomainError):
         li_word(Word((X, ya)))  # leading x
     with pytest.raises(DomainError):
@@ -919,7 +919,8 @@ def test_tails_equal_prod():
     z = V(WITNESS)
     contractions = [zc for _, zc in enum_contractions(K((1, 1, 1)), z)]
     for v in (z, z.cut(2, 3), z.reversed(), V((1, -1j, 1)), *contractions):
-        assert v.tails == tuple(v.prod(i, v.depth) for i in range(1, v.depth + 1))
+        assert v.tails == tuple(functools.reduce(operator.mul, v.symbols[i - 1:]).value
+                                for i in range(1, v.depth + 1))
 
 
 def test_clear_caches_empties_every_value_memo():

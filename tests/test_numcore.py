@@ -16,7 +16,6 @@ from mplparity.numcore import (
     bernoulli_number,
     bernoulli_poly,
     domain_check,
-    euler_gamma,
     log_minus,
     principal_log,
     zeta,
@@ -66,10 +65,6 @@ def test_bernoulli_poly_symmetry():
 def test_zeta_against_mpmath():
     for k in range(2, 13):
         assert zeta(k) == pytest.approx(mp_zeta(k), rel=1e-15)
-
-
-def test_euler_gamma():
-    assert euler_gamma() == pytest.approx(0.5772156649015329, abs=1e-15)
 
 
 def test_principal_log_branch():

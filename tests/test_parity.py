@@ -111,7 +111,7 @@ def _ref_r_factor(n, k, z, cfg=DEFAULT_CONFIG, mode="plain"):
     front_k, front_z = k.cut(1, n - 1), z.cut(1, n - 1)
     back_k = k.cut(n + 1, d)
     back_z_inv = z.cut(n + 1, d).reciprocal()
-    full_prod = z.prod(1, d)
+    full_prod = z.tails[0]
     acc = 0j
     for a in range(kn + 1):
         front = li_shift_blocks(a, front_k, front_z, cfg, mode)

@@ -16,7 +16,6 @@ from mplparity.words import (
     X,
     Y_ONE,
     word_from_index,
-    y_letter,
     y_one_power,
 )
 from mplparity.evaluate import li
@@ -72,7 +71,7 @@ def test_stuffle_decomposition_hand_case():
 
 
 def test_shuffle_decomposition_hand_case():
-    c = y_letter(ArgSymbol((0.5 + 0j,), (0,)))
+    c = ArgSymbol((0.5 + 0j,), (0,))
     w = Word((c, Y_ONE, Y_ONE))
     dec = decompose_shuffle(w)
     assert dict(dec.parts[0].terms) == {Word((Y_ONE, Y_ONE, c)): Fraction(1)}
@@ -100,7 +99,7 @@ def random_trailing_word(rng) -> Word:
     letters = []
     slot = 0
     for _ in range(d):
-        letters.append(y_letter(ArgSymbol(base, (slot,))))
+        letters.append(ArgSymbol(base, (slot,)))
         slot += 1
         for _ in range(rng.randint(0, 2)):
             letters.append(X)

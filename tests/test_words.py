@@ -34,7 +34,6 @@ from mplparity.words import (
     shuffle,
     stuffle,
     word_from_index,
-    y_letter,
     y_one_power,
 )
 
@@ -105,8 +104,7 @@ def test_argvector_cut_and_reverse_keep_base():
 
 def test_argvector_prod_and_merged_head():
     z = ArgVector.of((2j, -1 + 0j, 0.5 + 0j))
-    assert z.prod(1, 3) == -1j
-    assert z.prod(2, 2) == -1 + 0j
+    assert z.tails[0] == -1j
     m = z.merged_head()
     assert m.depth == 2 and m.entries[0] == -2j
     # a merged head that lands exactly on 1 becomes the literal one
@@ -140,7 +138,7 @@ def test_index_dec_head_requires_room():
 
 def test_word_properties():
     base = (2j,)
-    ya = y_letter(ArgSymbol(base, (0,)))
+    ya = ArgSymbol(base, (0,))
     w = Word((ya, X, Y_ONE))
     assert w.weight == 3 and w.depth == 2
     assert w.in_h1 and not w.in_h0
@@ -152,9 +150,9 @@ def test_word_properties():
 def test_word_from_index_layout():
     z = ArgVector.of((0.5 + 0j, -2 + 0j))
     w = word_from_index(Index((2, 1)), z)
-    assert [l.arg is None for l in w.letters] == [False, True, False]
-    assert w.letters[0].arg.value == 0.5 + 0j
-    assert w.letters[2].arg.value == -2 + 0j
+    assert [l is None for l in w.letters] == [False, True, False]
+    assert w.letters[0].value == 0.5 + 0j
+    assert w.letters[2].value == -2 + 0j
 
 
 def test_index_word_round_trip():
@@ -169,9 +167,9 @@ def test_integral_word_suffix_products():
     z = ArgVector.of((0.5 + 0j, -2 + 0j))
     w = integral_word(word_from_index(Index((2, 1)), z))
     # y letters now carry the running products down to the last slot
-    assert w.letters[0].arg.value == -1 + 0j and w.letters[0].arg.slots == (0, 1)
-    assert w.letters[1] is X or w.letters[1].arg is None
-    assert w.letters[2].arg.value == -2 + 0j
+    assert w.letters[0].value == -1 + 0j and w.letters[0].slots == (0, 1)
+    assert w.letters[1] is X
+    assert w.letters[2].value == -2 + 0j
     # weight-preserving relabeling
     assert w.weight == 3 and w.depth == 2
 
@@ -192,9 +190,9 @@ def test_stuffle_hand_example():
     v = word_from_index(Index((1,)), z.cut(2, 2))  # y_b
     got = stuffle(u, v)
     want = LinComb({
-        Word((y_letter(a), X, y_letter(b))): Fraction(1),
-        Word((y_letter(b), y_letter(a), X)): Fraction(1),
-        Word((y_letter(a * b), X, X)): Fraction(1),  # merged block adds exponents
+        Word((a, X, b)): Fraction(1),
+        Word((b, a, X)): Fraction(1),
+        Word((a * b, X, X)): Fraction(1),  # merged block adds exponents
     })
     assert got == want
 
@@ -210,7 +208,7 @@ def test_stuffle_merged_ones_collapse():
 
 def test_shuffle_hand_example():
     base = (0.5 + 0j, -2 + 0j)
-    ya, yb = y_letter(ArgSymbol(base, (0,))), y_letter(ArgSymbol(base, (1,)))
+    ya, yb = ArgSymbol(base, (0,)), ArgSymbol(base, (1,))
     got = shuffle(Word((X, ya)), Word((yb,)))
     want = LinComb({
         Word((yb, X, ya)): Fraction(1),
@@ -323,7 +321,7 @@ def plain_words(draw, count: int):
         letters = []
         for use_y in draw(st.lists(st.booleans(), max_size=3)):
             if use_y:
-                letters.append(y_letter(ArgSymbol(base, (slot,))))
+                letters.append(ArgSymbol(base, (slot,)))
                 slot += 1
             else:
                 letters.append(X)
@@ -375,9 +373,9 @@ def _ref_stuffle_words(u: Word, v: Word) -> LinComb:
         return LinComb({u: Fraction(1)})
     s1, n1, w1 = _split_head_block(u)
     s2, n2, w2 = _split_head_block(v)
-    head1 = Word((y_letter(s1),) + (X,) * n1)
-    head2 = Word((y_letter(s2),) + (X,) * n2)
-    headm = Word((y_letter(s1 * s2),) + (X,) * (n1 + n2 + 1))
+    head1 = Word((s1,) + (X,) * n1)
+    head2 = Word((s2,) + (X,) * n2)
+    headm = Word((s1 * s2,) + (X,) * (n1 + n2 + 1))
     acc = {}
     for head, tail in ((head1, _ref_stuffle_words(w1, v)),
                        (head2, _ref_stuffle_words(u, w2)),
@@ -476,7 +474,7 @@ def _seeded_words(seed: int, count: int, index_form: bool) -> list[Word]:
     for _ in range(count):
         letters = [] if index_form or rng.random() < 0.5 else [X]
         for _ in range(rng.randint(1, 2)):
-            letters.append(y_letter(rng.choice(syms)))
+            letters.append(rng.choice(syms))
             letters.extend([X] * rng.randint(0, 1))
         letters.extend([Y_ONE] * rng.randint(0, 2))
         out.append(Word(tuple(letters)))
@@ -548,9 +546,7 @@ def test_hash_and_equality_by_value_across_equal_bases():
     assert base1 == base2 and base1 is not base2
     a, b = ArgSymbol(base1, (0, 2)), ArgSymbol(base2, (0, 2))
     assert a == b and hash(a) == hash(b)
-    la, lb = y_letter(a), y_letter(b)
-    assert la == lb and hash(la) == hash(lb)
-    wa, wb = Word((la, X, Y_ONE)), Word((lb, X, Y_ONE))
+    wa, wb = Word((a, X, Y_ONE)), Word((b, X, Y_ONE))
     assert wa == wb and hash(wa) == hash(wb)
     assert {wa: 1}[wb] == 1
 
@@ -561,7 +557,7 @@ def test_pickle_and_deepcopy_keep_equality_and_hash(roundtrip):
     z = ArgVector.of((0.5 + 0j, -2 + 0j, 1 + 0j))
     w = integral_word(word_from_index(Index((2, 1, 2)), z))
     combo = stuffle(w, y_one_power(1)) + LinComb.of(w, Fraction(-1, 3))
-    for obj in (w, w.letters[0].arg, w.letters[1], combo):
+    for obj in (w, w.letters[0], w.letters[1], combo):
         back = roundtrip(obj)
         assert back == obj and hash(back) == hash(obj)
     assert roundtrip(combo).terms == combo.terms
@@ -610,7 +606,7 @@ def _stuffle_words_no_second_branch(u: Word, v: Word) -> LinComb:
         return LinComb.of(u)
     s1, n1, w1 = _split_head_block(u)
     s2, n2, w2 = _split_head_block(v)
-    headm = Word((y_letter(s1 * s2),) + (X,) * (n1 + n2 + 1))
+    headm = Word((s1 * s2,) + (X,) * (n1 + n2 + 1))
     return (LinComb({Word(u.letters[: n1 + 1]) * w: c
                      for w, c in _stuffle_words_no_second_branch(w1, v).terms.items()})
             + LinComb({headm * w: c
