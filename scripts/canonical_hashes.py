@@ -11,10 +11,15 @@ the command.
     python3 scripts/canonical_hashes.py --against OTHER/src   # compare two
 
 With --against, each line holds the hash of the --src checkout, then the hash
-of OTHER.  For a sweep whose bytes differ, an indented line states the drift:
-the record count, the largest change of lhs and of rhs over the records, each
-as |delta| / max(1, |value|) with value the larger of the two sides, and the
-max residual of each checkout.
+of OTHER.  For a run whose bytes differ, an indented line states the drift,
+this checkout's figure first:
+
+  sweep     the record count, the largest change of lhs and of rhs over the
+            records, each as |delta| / max(1, |value|) with value the larger
+            of the two sides, and the max residual of each checkout
+  eval      the change of value, as for a sweep's sides, and of est_error,
+            as |delta| / max(|a|, |b|)
+  selftest  the invariants whose pass flag or case count differs
 
 The exit status is 1 if a run exits with a code other than 0 or 1, or, with
 --against, if the two checkouts print different bytes for any of the six
@@ -72,6 +77,30 @@ def sweep_drift(out: bytes, ref: bytes) -> str:
             f"max residual {res:.3g} vs {ref_res:.3g}")
 
 
+def eval_drift(out: bytes, ref: bytes) -> str:
+    """One line comparing two eval reports."""
+    rec, q = json.loads(out)["record"], json.loads(ref)["record"]
+    a, b = rec["est_error"], q["est_error"]
+    d_est = abs(a - b) / max(abs(a), abs(b)) if a != b else 0.0
+    return (f"rel change value {_rel_change(rec['value'], q['value']):.3g}, "
+            f"est_error {d_est:.3g} ({a:.3g} vs {b:.3g})")
+
+
+def selftest_drift(out: bytes, ref: bytes) -> str:
+    """One line naming the invariants whose pass flag or case count differs."""
+    def table(report):
+        return {f"{r['group']}/{r['invariant']}": (r["passed"], r["n_cases"])
+                for r in json.loads(report)["records"]}
+    got, want = table(out), table(ref)
+    moved = [f"{name} passed {got.get(name, (None,))[0]} vs {want.get(name, (None,))[0]}, "
+             f"cases {got.get(name, (None, 0))[1]} vs {want.get(name, (None, 0))[1]}"
+             for name in sorted(got.keys() | want.keys()) if got.get(name) != want.get(name)]
+    return "invariants differing in pass flag or case count: " + ("; ".join(moved) or "none")
+
+
+DRIFT = {"sweep": sweep_drift, "eval": eval_drift, "selftest": selftest_drift}
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", type=Path, default=Path(__file__).resolve().parent.parent / "src",
@@ -92,8 +121,7 @@ def main() -> int:
             status = 1
         elif len(procs) == 2 and procs[0].stdout != procs[1].stdout:
             status = 1
-            if argv[0] == "sweep":
-                print(f"    {sweep_drift(procs[0].stdout, procs[1].stdout)}", flush=True)
+            print(f"    {DRIFT[argv[0]](procs[0].stdout, procs[1].stdout)}", flush=True)
     return status
 
 

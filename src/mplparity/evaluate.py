@@ -29,9 +29,12 @@ Two independent routes produce values:
           one level at a time: level j of a word, the partial integral of its
           prefix forms[:j], is computed on every panel from level j - 1.  A
           word resumes from the longest prefix already marched under its plan.
-          Each level uses the float operations of a panel-by-panel march in
-          the same order, so a value is bit for bit the same whatever was
-          marched before it.
+          Every kernel is geometric, so a level is one prefix sum over all
+          panels at once, the same blocked kernel as the series route's, in
+          powers of each form's ratio that a plan builds for all its forms in
+          one cumprod; one cumsum chains the panels' end values.  A level's
+          float operations depend only on the plan and the level below, so a
+          value is bit for bit the same whatever was marched before it.
 
 Route agreement on the overlap region is one of the standing invariants; the
 dispatcher picks series strictly inside the polydisk and panels otherwise, and
@@ -50,10 +53,10 @@ differ in the last bit from multiplying the fused entries.
 
 Panel plans live in a memo of PLANS entries keyed on (sorted singularities,
 panel_order, panel_safety).  From its second word on, a plan retains its
-kernel tables, its step powers and the levels it marches (interior levels under
-(None, prefix); final-panel levels under (P, prefix), P the number of forms at
-1 in the word), dropping the least recently used once they exceed PLAN_BYTES.
-clear_caches() empties it with the value memos.
+kernel table (which holds its step powers) and the levels it marches (interior
+levels under (None, prefix); final-panel levels under (P, prefix), P the number
+of forms at 1 in the word), dropping the least recently used once they exceed
+PLAN_BYTES.  clear_caches() empties it with the value memos.
 """
 from __future__ import annotations
 
@@ -67,11 +70,6 @@ from operator import add
 
 import numpy as np
 
-try:   # np.convolve(a, v) is correlate(a, v[::-1]); kernels are stored reversed
-    from numpy._core.multiarray import correlate as _correlate
-except ImportError:   # numpy < 2
-    from numpy.core.multiarray import correlate as _correlate
-
 from .numcore import DEFAULT_CONFIG, DomainError, EvalConfig, EvaluationError, clear_caches, memo
 from .words import ONE_SYMBOL, ArgVector, Index, LinComb, Word, index_of_word
 
@@ -81,7 +79,7 @@ PATH_CLEARANCE = 1e-9   # singularities this close to (0,1) make panels meaningl
 MAX_PANELS = 4000
 SCALE_LIMIT = 150 * math.log(10)   # ln 1e150: largest |g|^-j a series block forms
 PLANS = 8               # singularity sets whose panel plans are kept
-PLAN_BYTES = 1 << 16    # arrays one plan keeps: marched levels, kernels, step powers
+PLAN_BYTES = 1 << 16    # arrays one plan keeps: marched levels, kernel table
 
 
 @dataclass(frozen=True)
@@ -124,29 +122,38 @@ def _m_powers(n: int, k: int) -> np.ndarray:
     return table
 
 
-def _next_level(prev: np.ndarray, g: complex) -> np.ndarray:
-    """The level above prev, one entry shorter: out[t] = g (out[t-1] + prev[t])
-    with out[-1] = 0 (prev[0] sits at m = i, out[0] at m = i + 1).
+def _next_level(prev: np.ndarray, pw: np.ndarray, block: int, out: np.ndarray) -> np.ndarray:
+    """Prefix sums in powers of one ratio g per row, written to out and
+    returned: out[:, t] = g (out[:, t-1] + prev[:, t]) with out[:, -1] = 0, for
+    t below out's width.  pw[:, j] = g^j for j = 0..block; one row of pw may
+    serve every row of prev.
 
-    Unrolled, out[t] = g^(t+1) sum_{s<=t} g^-s prev[s]: one cumsum of prev
-    scaled by inverse powers, rescaled by powers.  The sum restarts every
-    `block` terms from the carried out value, so |g|^block and |g|^-block
-    stay within e^SCALE_LIMIT; a tiny tail takes many short blocks."""
-    size = max(len(prev) - 1, 0)
-    decay = -math.log(abs(g)) if g else math.inf
-    block = max(1, min(size, int(SCALE_LIMIT / decay)))
-    pw = np.full(block + 1, g)
-    pw[0] = 1
-    pw = pw.cumprod()                       # g^0 .. g^block
-    out = np.empty(size, dtype=complex)
-    c = 0j
+    Unrolled, out[:, t] = g^(t+1) sum_{s<=t} g^-s prev[:, s]: one cumsum of
+    prev scaled by inverse powers, rescaled by powers.  The sum restarts every
+    `block` terms from the carried out value, so no power beyond g^block nor
+    its inverse is formed; the caller picks block to keep those in range."""
+    size = out.shape[1]
+    if block >= size:
+        return np.multiply(pw[:, 1:size + 1], (prev[:, :size] / pw[:, :size]).cumsum(1), out=out)
     for p0 in range(0, size, block):
         q = min(block, size - p0)
-        s = (prev[p0:p0 + q] / pw[:q]).cumsum()
-        s += c
-        np.multiply(pw[1:q + 1], s, out=out[p0:p0 + q])
-        c = out[p0 + q - 1]
+        s = (prev[:, p0:p0 + q] / pw[:, :q]).cumsum(1)
+        if p0:
+            s += out[:, p0 - 1:p0]
+        np.multiply(pw[:, 1:q + 1], s, out=out[:, p0:p0 + q])
     return out
+
+
+def _series_level(prev: np.ndarray, g: complex) -> np.ndarray:
+    """The series level above prev, one entry shorter (prev[0] sits at m = i,
+    the result's first entry at m = i + 1), in blocks short enough that
+    |g|^block and |g|^-block stay within e^SCALE_LIMIT; a tiny tail takes many
+    short blocks."""
+    size = max(len(prev) - 1, 0)
+    block = max(1, min(size, int(SCALE_LIMIT / -math.log(abs(g)))))
+    pw = np.full((1, block + 1), g)
+    pw[0, 0] = 1
+    return _next_level(prev[None], pw.cumprod(1), block, np.empty((1, size), complex))[0]
 
 
 def li_series(k: Index, z: ArgVector, cfg: EvalConfig = DEFAULT_CONFIG) -> EvalResult:
@@ -171,10 +178,10 @@ def li_series(k: Index, z: ArgVector, cfg: EvalConfig = DEFAULT_CONFIG) -> EvalR
     # level recursion in tail products, one array per level over m = i..n:
     # B_i[m] = m^{-k_i} C_i[m], C_i[m] = g_i (C_i[m-1] + B_{i-1}[m-1]), so
     # C_1[m] = g_1^m and each later level is a prefix sum in powers of g_i
-    # only (_next_level, blocked so no power passes 1e150); no z_i^m
+    # only (_series_level, blocked so no power passes 1e150); no z_i^m
     cur = np.full(n, g[0]).cumprod() / _m_powers(n, k.parts[0])
     for i in range(1, d):
-        cur = _next_level(cur, g[i]) / _m_powers(n, k.parts[i])[i:]
+        cur = _series_level(cur, g[i]) / _m_powers(n, k.parts[i])[i:]
     rounding = 8e-16 * float(abs(cur).sum())
     return EvalResult(complex(cur.sum()), bound + rounding, "series", n_terms=n)
 
@@ -189,10 +196,8 @@ def _seg_dist(s: complex) -> float:
 
 @lru_cache(maxsize=None)
 def _ramps(order: int) -> tuple[np.ndarray, ...]:
-    """Exponent and divisor ramps of one panel order: 0..M, 1..M, and the
-    kernel exponents running down, M-1..0 (float) and M..0."""
-    ramps = (np.arange(order + 1), np.arange(1, order + 1),
-             np.arange(order - 1, -1, -1, dtype=float), np.arange(order, -1, -1))
+    """Exponent and divisor ramps of one panel order: 0..M, 1..M and -1..-M."""
+    ramps = (np.arange(order + 1), np.arange(1, order + 1), -np.arange(1.0, order + 1))
     for r in ramps:
         r.setflags(write=False)
     return ramps
@@ -212,12 +217,13 @@ def _log_int_table(order: int, P: int) -> np.ndarray:
     return K
 
 
-def _log_integrate(dst, src, K):
-    """dst[m, q] += sum_p src[m, p] K[p, m, q].  The sum runs in ascending p, the
-    order of the term-by-term loop kept in the tests, so results are bit-identical
-    to it; one einsum or matmul would be free to reorder it."""
+def _log_integrate(dst, src, K, add=np.add):
+    """dst[m, q] += sum_p src[m, p] K[p, m, q], or -= with add=np.subtract.  The
+    sum runs in ascending p, the order of the term-by-term loop kept in the
+    tests; one einsum or matmul would be free to reorder it."""
     for p in range(K.shape[0]):
-        dst[:, : p + 1] += src[:, p : p + 1] * K[p, :, : p + 1]
+        d = dst[:, : p + 1]
+        add(d, src[:, p : p + 1] * K[p, :, : p + 1], out=d)
 
 
 def _layout(sing, order: int, safety: float):
@@ -226,11 +232,15 @@ def _layout(sing, order: int, safety: float):
     The step is safety times the distance to the nearest singularity, and the
     last interior panel stops short of t = 1 so that the final panel's
     expansion in u = 1 - t converges.  Returns (centers, steps, t) with t the
-    start of the final panel.
+    start of the final panel.  Near a form at 0 or at 1 the steps shrink
+    geometrically, so a march needs about ln(1/safety)/safety panels there;
+    the budget is four times that, at least MAX_PANELS and at most ten times
+    MAX_PANELS.
     """
     r_right = min((abs(1 - s) for s in sing if s != 1), default=1.0)
     u_enter = safety * min(r_right, 1.0)
     r_zero = min(abs(s) for s in sing if s != 0)
+    budget = min(10 * MAX_PANELS, max(MAX_PANELS, math.ceil(4 * math.log(1 / safety) / safety)))
     t = 0.0
     centers: list[float] = []
     steps: list[float] = []
@@ -245,9 +255,24 @@ def _layout(sing, order: int, safety: float):
         centers.append(t)
         steps.append(h)
         t += h
-        if len(steps) > MAX_PANELS:
+        if len(steps) > budget:
             raise EvaluationError("panel budget exhausted", len(steps), sing)
     return centers, steps, t
+
+
+def _blocks(lg: np.ndarray, M: int) -> list[int]:
+    """Per singularity, the longest block _next_level may sum on every panel,
+    from lg[k, p] = ln|g| of singularity k on panel p.
+
+    A power g^j or g^-j beyond e^SCALE_LIMIT costs range or precision.  A far
+    form (|g| < 1) also scales up the coefficients it sums, which may be as
+    large as R^-M with R the distance from the panel to its nearest
+    singularity, ln(1/R) = max_k lg[k, p]; its terms stay within
+    e^(2 SCALE_LIMIT)."""
+    room = np.minimum(SCALE_LIMIT, 2 * SCALE_LIMIT - M * np.maximum(lg.max(0), 0.0))
+    with np.errstate(divide="ignore"):
+        b = np.where(lg > 0, SCALE_LIMIT / lg, np.where(lg < 0, room / -lg, np.inf))
+    return np.clip(b.min(1), 1, M).astype(int).tolist()
 
 
 class _Plan:
@@ -259,15 +284,19 @@ class _Plan:
     interior panel, the Taylor coefficients of the prefix integral around the
     panel's left edge; it is kept under the key (None, prefix).  A final-panel
     level also depends on P, the number of forms at 1 in the whole word, which
-    sets its shape and log table; it is kept under (P, prefix).  A plan keeps
-    its levels, kernel tables and step powers from its second word on: a
-    singularity set met once, as in all of eval and many of main's
-    contractions, keeps nothing.  Kept arrays are dropped least recently
-    used first once they exceed PLAN_BYTES, so a plan retains a fixed amount
-    of memory.
+    sets its shape and log table; it is kept under (P, prefix).  Every form's
+    kernel is geometric on every panel, so a level is one blocked prefix sum
+    (_next_level) over all panels at once, in powers that the plan builds for
+    all its singularities in one cumprod (_kernels).  A plan keeps its levels
+    and kernel tables from its second word on: a singularity set met once, as
+    in all of eval and many of main's contractions, keeps nothing.  Kept
+    arrays are dropped least recently used first once they exceed PLAN_BYTES,
+    and an array larger than that is not kept, so a plan retains a fixed
+    amount of memory.
     """
 
-    def __init__(self, centers, steps, t, order: int, safety: float) -> None:
+    def __init__(self, sing, centers, steps, t, order: int, safety: float) -> None:
+        self.sing = sing
         self.centers = centers
         self.steps = steps
         self.t = t
@@ -278,7 +307,6 @@ class _Plan:
         self._nbytes = 0
         self._scratch: dict | None = {}   # what the first word keeps; dropped after it
         self._finals: dict[int, tuple] = {}
-        self._kerns: dict[complex, np.ndarray] = {}
 
     # --- kept arrays ---
 
@@ -295,6 +323,8 @@ class _Plan:
         if self._scratch is not None:
             self._scratch[key] = value
             return
+        if nbytes > PLAN_BYTES:
+            return
         self._kept[key] = (value, nbytes)
         self._nbytes += nbytes
         while self._nbytes > PLAN_BYTES:
@@ -309,30 +339,60 @@ class _Plan:
                 return j, level
         return 0, None
 
-    def _spow(self):
-        """(spow, real_spow): row i holds the powers h_i^m, m = 0..order, of
-        interior panel i, as complex numbers (the dtype the dot product casts
-        them to) and as floats."""
-        kept = self._get("spow")
-        if kept is None:
-            spow = np.array(self.steps)[:, None] ** _ramps(self.order)[0]
-            kept = (spow.astype(complex), spow)
-            self._keep("spow", kept, 24 * spow.size)
-        return kept
+    def _kernels(self):
+        """(pw, blocks, index, centered): the powers every level convolves with.
 
-    def _geo(self, s: complex) -> list:
-        """Per interior panel, the kernel (1/w)(-1/w)^n of 1/(t - s) with
-        w = t0 - s and n running down, for _correlate; None where s is the
-        panel's center."""
-        geo = self._get(("geo", s))
-        if geo is None:
-            rev = _ramps(self.order)[2]
-            geo = []
-            for t0 in self.centers:
-                w = t0 - s
-                geo.append(None if w == 0 else (1.0 / w) * (-1.0 / w) ** rev)
-            self._keep(("geo", s), geo, 16 * self.order * len(geo))
-        return geo
+        pw[k, p, j] = g^j, j = 0..M, for singularity s = sing[k] (k = index[s])
+        on panel p, the final panel last.  On an interior panel g = 1/(s - t0):
+        the kernel (1/w)(-1/w)^n of 1/(t - s), w = t0 - s, is -g^(n+1).  On the
+        final panel g = 1/(1 - s), and the kernel in u = 1 - t is -g^(n+1) too.
+        The last row, k = len(sing), holds each panel's step powers h^j, the
+        final panel's h being its length 1 - t.  The whole table is one
+        cumprod.  blocks[k] is the block length _next_level sums for
+        singularity k (_blocks); powers beyond it are never read.
+        centered[k] lists the panels whose center is sing[k] (a form at 0 on
+        the t0 = 0 panel), integrated by exponent shift; like a form at 1 on
+        the final panel, their entries are a placeholder.
+        """
+        kern = self._get("kernels")
+        if kern is not None:
+            return kern
+        M, sing, n = self.order, self.sing, len(self.steps)
+        S = len(sing)
+        ratio = np.empty((S + 1, n + 1), complex)
+        den = ratio[:S]
+        col = np.array(sing)[:, None]
+        np.subtract(col, self.centers, out=den[:, :n])
+        np.subtract(1.0, col, out=den[:, n:])
+        index = {s: k for k, s in enumerate(sing)}
+        centered = {}
+        for k, s in enumerate(sing):
+            if s.imag == 0 and 0 <= s.real < 1:
+                hits = [p for p, t0 in enumerate(self.centers) if t0 == s.real]
+                for p in hits:
+                    den[k, p] = 1.0
+                if hits:
+                    centered[k] = hits
+        if 1 in index:
+            den[index[1], n] = 1.0
+        dist = np.abs(den)
+        np.reciprocal(den, out=den)
+        ratio[S, :n] = self.steps
+        ratio[S, n] = 1.0 - self.t
+        pw = np.empty((S + 1, n + 1, M + 1), complex)
+        pw[...] = ratio[..., None]
+        pw[..., 0] = 1.0
+        flat = dist.ravel().tolist()
+        if M * math.log(max(max(flat), 1 / min(flat))) <= SCALE_LIMIT:
+            blocks = [M] * S   # one block keeps every bound of _blocks
+            pw.cumprod(2, out=pw)
+        else:
+            blocks = _blocks(-np.log(dist), M)
+            with np.errstate(over="ignore", invalid="ignore"):
+                pw.cumprod(2, out=pw)
+        kern = (pw, blocks, index, centered)
+        self._keep("kernels", kern, pw.nbytes)
+        return kern
 
     # --- interior panels ---
 
@@ -342,42 +402,43 @@ class _Plan:
         coef[:, 0] = 1.0
         return coef, [0.0] * len(self.steps), (), ()
 
-    def _interior(self, prev, a, j: int, spow, geo, coef):
+    def _interior(self, prev, a, j: int, coef, kern):
         """Coefficients of level j of a on every interior panel, written to
-        coef, from those of level j - 1; returns the value of level j at the
-        end of the last interior panel.
+        coef, from those of level j - 1 in prev; returns the value of level j
+        at the end of the last interior panel.
 
-        A form at the center of a panel (a form at 0 on the t0 = 0 panel) is
-        integrated by exponent shift, which requires the previous level to
-        vanish there.  The float operations are those of one Taylor step per
-        panel, in the same order: the convolution, the division by 1..M, then
-        the value at the panel's end feeds the next panel's constant term.
-        Only their grouping differs: each runs for all panels at once where no
-        value of an earlier panel enters.
+        With the form's kernel -g^(n+1) (see _kernels), coefficient n + 1 is
+        -g^(n+1)/(n+1) times the prefix sum of prev[i] g^-i, i <= n: one
+        _next_level over all panels at once.  A form at the center of a panel
+        (a form at 0 on the t0 = 0 panel) is integrated by exponent shift
+        instead, which requires the previous level to vanish there.  Each
+        panel's row summed against its step powers is the change of the
+        level across the panel; one cumsum chains them into the values at
+        the panels' ends, and each panel's constant term is the value at the
+        end of the panel before it.
         """
         M = self.order
-        divisors = _ramps(M)[1]
-        conv, centered = [], []
-        for p, g in zip(prev[:, :M], geo):
-            if g is None:
-                centered.append(len(conv))
-                conv.append(np.zeros(2 * M - 1, complex))
-            else:
-                conv.append(_correlate(p, g, "full"))
-        np.divide(np.array(conv)[:, :M], divisors, out=coef[:, 1:])
-        for i in centered:
+        pw, blocks, index, centered = kern
+        k = index[a[j - 1]]
+        out = coef[:, 1:]
+        _next_level(prev, pw[k, :-1], blocks[k], out)
+        out /= _ramps(M)[2]
+        for i in centered.get(k, ()):
             scale = max(1.0, float(np.abs(prev[i]).max()))
             if abs(prev[i, 0]) > 1e-12 * scale:
                 raise EvaluationError("nonvanishing integrand at singular panel center", 0, a)
-            coef[i, 1:] = prev[i, 1:] / divisors
-        F = 0j
-        for row, sp in zip(coef, spow):
-            row[0] = F
-            F = row.dot(sp)
-        return F
+            coef[i, 1:] = prev[i, 1:] / _ramps(M)[1]
+        ends = np.vecdot(pw[-1, :-1, 1:], out)
+        coef[0, 0] = 0.0
+        if len(ends) > 1:
+            ends = ends.cumsum()
+            coef[1:, 0] = ends[:-1]
+        return ends[-1]
 
-    def _extend(self, level, a, i: int, n: int):
+    def _extend(self, level, a, i: int, n: int, kern):
         """Levels i + 1..n of a from level i, each kept; returns level n.
+        Each level is one _interior step over all panels, in the powers of
+        kern, the plan's _kernels.
 
         A level is (coef, cum, ends, ests): coef[p] the coefficients on panel
         p; cum[p] panel p's error terms summed over levels 1..j; ends[l - 1] the
@@ -388,17 +449,16 @@ class _Plan:
         known, then summed over levels and over panels in the same order.
         """
         M = self.order
-        spow, real_spow = self._spow()
         coefs = np.empty((n - i,) + level[0].shape, complex)
         prev, ends = level[0], level[2]
         for j, coef in zip(range(i + 1, n + 1), coefs):
-            ends += (self._interior(prev, a, j, spow, self._geo(a[j - 1]), coef),)
+            ends += (self._interior(prev, a, j, coef, kern),)
             prev = coef
         # |c_{M-1}| h^{M-1} and |c_M| h^M per level and panel.  np.abs of a
         # complex array may differ in the last bit from abs() of one entry;
         # np.hypot does not.
         top = coefs[:, :, M - 1:]
-        tails = (np.hypot(top.real, top.imag) * real_spow[:, M - 1:]).tolist()
+        tails = (np.hypot(top.real, top.imag) * kern[0][-1, :-1, M - 1:].real).tolist()
         safety, rest = self.safety, 1.0 - self.safety
         cum, ests = level[1], level[3]
         for j, coef, panels in zip(range(i + 1, n + 1), coefs, tails):
@@ -411,18 +471,18 @@ class _Plan:
 
     # --- final panel ---
 
-    def _final_consts(self, P: int):
-        """(K, upow, L, log factor, complex upow, complex lpow) of the final panel
-        for P forms at 1: upow[m] = u^m, lpow[p] = log(u)^p at the panel's far
-        end; the complex copies are what the dot products cast them to."""
+    def _final_consts(self, P: int, kern):
+        """(K, upow, logf, complex upow, complex lpow) of the final panel for P
+        forms at 1: upow[m] = u^m (from the kernel table) and lpow[p] =
+        log(u)^p at the panel's far end, logf = max(1, |log u|)^P; the complex
+        copies are what the dot products cast them to."""
         fc = self._finals.get(P)
         if fc is None:
-            uj = 1.0 - self.t
-            L = math.log(uj)
-            upow = uj ** _ramps(self.order)[0]
-            lpow = np.array([L ** p for p in range(P + 1)])
-            fc = self._finals[P] = (_log_int_table(self.order, P), upow, L, max(1.0, abs(L)) ** P,
-                                    upow.astype(complex), lpow.astype(complex))
+            L = math.log(1.0 - self.t)
+            upow_c = kern[0][-1, -1].copy()   # a view would keep the whole table
+            lpow = np.array([L ** p for p in range(P + 1)], complex)
+            fc = self._finals[P] = (_log_int_table(self.order, P), upow_c.real,
+                                    max(1.0, abs(L)) ** P, upow_c, lpow)
         return fc
 
     def _final_root(self, P: int):
@@ -430,47 +490,45 @@ class _Plan:
         cur[0, 0] = 1.0
         return cur, 0.0, 0.0
 
-    def _final(self, level, s: complex, F, interior_est, fc):
+    def _final(self, level, s: complex, F, interior_est, fc, kern):
         """Level j of the final panel from level j - 1, in u = 1 - t.
 
         A level is (cur, est, interior_est): cur[m, p] the coefficient of
         u^m log^p u; est the error terms summed over levels 1..j; interior_est
         the estimate of the interior panels of the word forms[:j].  Forms at 1
-        divide by u and raise the log degree; other forms contribute analytic
-        kernels.  F is level j's value at the end of the last interior panel.
+        divide by u and raise the log degree; any other form convolves every
+        log power at once with its kernel -g^(n+1) (see _kernels), one
+        _next_level along u, before the log integration.  F is level j's
+        value at the end of the last interior panel.
         """
         prev = level[0]
         M = self.order
-        K, upow, _, logf, upow_c, lpow_c = fc
+        K, upow, logf, upow_c, lpow_c = fc
         P = len(lpow_c) - 1
-        beta = 1.0 - s
         cur = np.zeros(prev.shape, complex)
-        if beta == 0:
+        if s == 1:
             # integrand prev[m, p] u^{m-1} log^p u
             for p in range(P):
                 cur[0, p + 1] += prev[0, p] / (p + 1)
             _log_integrate(cur[1:], prev[1:], K)
         else:
-            kern = self._kerns.get(s)
-            if kern is None:   # n running down, for _correlate
-                kern = self._kerns[s] = -(1.0 / beta) * (1.0 / beta) ** _ramps(M)[3]
-            prod = np.empty_like(prev)
-            for p in range(P + 1):
-                prod[:, p] = _correlate(prev[:, p], kern, "full")[: M + 1]
-            _log_integrate(cur[1:], prod[:M], K)
+            pw, blocks, index, _ = kern
+            k = index[s]
+            prod = _next_level(prev.T, pw[k, -1:], blocks[k], np.empty((P + 1, M), complex))
+            _log_integrate(cur[1:], prod.T, K, np.subtract)
         partial = complex(cur.dot(lpow_c).dot(upow_c))
         cur[0, 0] = F - partial
         below, top = np.maximum.reduce(np.abs(cur[M - 1:]), axis=1)
         tail = max(top * upow[M], below * upow[M - 1])
         return cur, level[1] + tail * logf * self.safety / (1.0 - self.safety), interior_est
 
-    def _close(self, level, fc):
+    def _close(self, level):
         """(value, est) of the final panel: the value of the last level at u = 0
         is its (0, 0) coefficient; leftover (0, p >= 1) coefficients measure how
         far the input was from an honestly convergent word and are folded into
         the estimate."""
         cur, est, _ = level
-        L = fc[2]
+        L = math.log(1.0 - self.t)
         resid = sum(abs(cur[0, p]) * abs(L) ** p for p in range(1, cur.shape[1]))
         return complex(cur[0, 0]), est + resid
 
@@ -481,26 +539,27 @@ class _Plan:
         longest prefix of a already marched under this plan."""
         n = len(a)
         P = a.count(1)
-        fc = self._final_consts(P)
         f, final = self._deepest(P, a, n) if self._kept else (0, None)
         if f < n:
+            kern = self._kernels()
+            fc = self._final_consts(P, kern)
             i, level = self._deepest(None, a, n) if self._kept else (0, None)
             if i < n:
-                level = self._extend(level or self._interior_root(), a, i, n)
+                level = self._extend(level or self._interior_root(), a, i, n, kern)
             ends, ests = level[2], level[3]
             final = final or self._final_root(P)
             for j in range(f + 1, n + 1):
-                final = self._final(final, a[j - 1], ends[j - 1], ests[j - 1], fc)
+                final = self._final(final, a[j - 1], ends[j - 1], ests[j - 1], fc, kern)
                 self._keep((P, a[:j]), final, final[0].nbytes)
         self._scratch = None
-        value, est = self._close(final, fc)
+        value, est = self._close(final)
         return value, (final[2] + est) * 4.0
 
 
 @memo(maxsize=PLANS)
 def _plan(sing: tuple, order: int, safety: float) -> _Plan:
     """Plan of the sorted singularities sing at (panel_order, panel_safety)."""
-    return _Plan(*_layout(sing, order, safety), order, safety)
+    return _Plan(sing, *_layout(sing, order, safety), order, safety)
 
 
 def iterated_integral(forms, cfg: EvalConfig = DEFAULT_CONFIG):

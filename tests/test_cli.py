@@ -12,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from mplparity import cli
+from mplparity import cli, evaluate
+from oracles import mp_polylog
 
 
 def run_cli(argv, capsys):
@@ -111,13 +112,22 @@ def test_eval_domain_error(capsys):
     assert payload["error"]["violations"] == [[1, 2, [1.5, 0.0]]]
 
 
-def test_eval_panel_budget_exhausted(capsys):
-    # a step of 0.001 times the distance to a form just off the path near
-    # t = 1 needs more panels than the route allows
-    code, out, err = run_cli(["eval", "k=2", "z=0.99+0.01j", "--panel-safety", "0.001"], capsys)
+def test_eval_panel_budget_exhausted(capsys, monkeypatch):
+    # a step of 0.001 times the distance to the nearest form needs about
+    # ln(1/0.001)/0.001 panels near t = 1, and the budget grows with it: this
+    # point marches 9,945 panels and matches mpmath
+    argv = ["eval", "k=2", "z=0.99+0.01j", "--panel-safety", "0.001"]
+    payload = run_json(argv, capsys)
+    value = complex(*payload["record"]["value"])
+    assert abs(value - mp_polylog(2, 0.99 + 0.01j)) <= 1e-12 * abs(value)
+    # a budget that runs out (here at most 10 MAX_PANELS) is an
+    # EvaluationError naming the forms, exit 2
+    monkeypatch.setattr(evaluate, "MAX_PANELS", 100)
+    evaluate.clear_caches()
+    code, out, err = run_cli(argv, capsys)
     assert code == 2
     assert out == ""
-    assert "panel budget exhausted after 4001 panels" in err
+    assert "panel budget exhausted after 1001 panels" in err
     assert "forms [(1.0099979596000817-0.010201999591920018j), 0j]" in err
 
 
@@ -243,13 +253,18 @@ def test_sweep_determinism_and_workers(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes() == c.read_bytes()
 
 
-def test_canonical_hashes_sweep_drift(capsys):
-    # the drift line of scripts/canonical_hashes.py --against, on one sweep
-    # report and a copy with one rhs moved by 1e-13 relative
+def _canonical_hashes():
     path = Path(__file__).resolve().parent.parent / "scripts" / "canonical_hashes.py"
     spec = importlib.util.spec_from_file_location("canonical_hashes", path)
     hashes = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(hashes)
+    return hashes
+
+
+def test_canonical_hashes_sweep_drift(capsys):
+    # the drift line of scripts/canonical_hashes.py --against, on one sweep
+    # report and a copy with one rhs moved by 1e-13 relative
+    hashes = _canonical_hashes()
     code, out, _ = run_cli(["sweep", "--theorem", "main", "--depth-max", "1",
                             "--weight-max", "2", "--points", "2"], capsys)
     assert code == 0
@@ -268,19 +283,59 @@ def test_canonical_hashes_sweep_drift(capsys):
         == "record counts differ: 3 vs 4"
 
 
+def test_canonical_hashes_eval_drift(capsys):
+    # the eval drift line: relative change of value and of est_error
+    hashes = _canonical_hashes()
+    code, out, _ = run_cli(["eval", "k=2,1", "z=-1.5,2j"], capsys)
+    assert code == 0
+    moved = json.loads(out)
+    rec = moved["record"]
+    rec["value"][1] += 1e-13 * max(1.0, abs(complex(*rec["value"])))
+    est = rec["est_error"]
+    rec["est_error"] = 2 * est
+    line = hashes.eval_drift(json.dumps(moved).encode(), out.encode())
+    head, tail = line.split(", est_error ")
+    assert head.startswith("rel change value ")
+    assert float(head.rsplit(" ", 1)[1]) == pytest.approx(1e-13, rel=1e-2)
+    assert tail == f"0.5 ({2 * est:.3g} vs {est:.3g})"
+    assert hashes.eval_drift(out.encode(), out.encode()) \
+        == f"rel change value 0, est_error 0 ({est:.3g} vs {est:.3g})"
+
+
+def test_canonical_hashes_selftest_drift(capsys):
+    # the selftest drift line names the invariants whose pass flag or case count moved
+    hashes = _canonical_hashes()
+    code, out, _ = run_cli(["selftest", "--only", "oracle,probe"], capsys)
+    assert code == 0
+    assert hashes.selftest_drift(out.encode(), out.encode()) \
+        == "invariants differing in pass flag or case count: none"
+    moved = json.loads(out)
+    oracle, probe = moved["records"]
+    oracle["passed"] = False
+    oracle["witnesses"] = ["a gap"]
+    probe["n_cases"] += 1
+    line = hashes.selftest_drift(json.dumps(moved).encode(), out.encode())
+    assert line == ("invariants differing in pass flag or case count: "
+                    f"oracle/series-vs-panels passed False vs True, cases 12 vs 12; "
+                    f"probe/small-argument passed True vs True, "
+                    f"cases {probe['n_cases']} vs {probe['n_cases'] - 1}")
+
+
 def test_canonical_hashes_exit_status(monkeypatch, capsys):
     # --against exits 1 when any of the six outputs differ; canned runs, no subprocesses
-    path = Path(__file__).resolve().parent.parent / "scripts" / "canonical_hashes.py"
-    spec = importlib.util.spec_from_file_location("canonical_hashes", path)
-    hashes = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(hashes)
+    hashes = _canonical_hashes()
     report = {"records": [{"point": 0, "k": [1], "z": [[-2.0, 0.0]], "branch": 1,
                            "mode": "plain", "lhs": [1.0, 0.0], "rhs": [1.0, 0.0],
                            "residual": 0.0}]}
 
+    reports = {"sweep": report,
+               "eval": {"record": {"value": [1.0, 0.0], "est_error": 1e-15}},
+               "selftest": {"records": [{"group": "oracle", "invariant": "series-vs-panels",
+                                         "passed": True, "n_cases": 12}]}}
+
     def canned(differ):
         def run(src, argv):
-            out = json.dumps(report) if argv[0] == "sweep" else argv[0]
+            out = json.dumps(reports[argv[0]])
             if str(src) == "other" and argv[0] in differ:
                 out += " "
             return subprocess.CompletedProcess(argv, 0, out.encode(), b"")
@@ -298,8 +353,8 @@ def test_canonical_hashes_exit_status(monkeypatch, capsys):
         lines = capsys.readouterr().out.splitlines()
         drift = [line for line in lines if line.startswith("    ")]
         assert len(lines) == 6 + len(drift)
-        n_sweeps = sum(run[0] == "sweep" for run in hashes.RUNS)
-        assert len(drift) == (n_sweeps if argv and differ == ("sweep",) else 0)
+        # one drift line per run that differs, sweep, eval or selftest
+        assert len(drift) == (sum(run[0] in differ for run in hashes.RUNS) if argv else 0)
 
 
 def test_sweep_hirose_enumerates(tmp_path, capsys):
@@ -335,17 +390,25 @@ def test_sweep_fail_exit(tmp_path, capsys):
     assert json.loads(out.read_text())["summary"]["n_fail"] > 0
 
 
-def test_sweep_records_evaluation_error_per_point(capsys):
-    payload = run_json(["sweep", "--theorem", "reg", "--region", "roots:2", "--depth-max", "1",
-                        "--weight-max", "2", "--branch", "1", "--panel-safety", "0.001"],
-                       capsys, expect=1)
+def test_sweep_records_evaluation_error_per_point(capsys, monkeypatch):
+    argv = ["sweep", "--theorem", "reg", "--region", "roots:2", "--depth-max", "1",
+            "--weight-max", "2", "--branch", "1", "--panel-safety", "0.001"]
+    payload = run_json(argv, capsys)
+    status = {(tuple(r["k"]), r["z"][0][0]): r["status"] for r in payload["records"]}
+    assert status == {((1,), 1.0): "pass", ((1,), -1.0): "pass",
+                      ((2,), 1.0): "pass", ((2,), -1.0): "pass"}
+    # with the budget cut to 1,000 panels, far below the 6,912-12,718 that
+    # the k = (2,) points need, each becomes an error record and the rest run on
+    monkeypatch.setattr(evaluate, "MAX_PANELS", 100)
+    evaluate.clear_caches()
+    payload = run_json(argv, capsys, expect=1)
     status = {(tuple(r["k"]), r["z"][0][0]): r["status"] for r in payload["records"]}
     assert status == {((1,), 1.0): "pass", ((1,), -1.0): "pass",
                       ((2,), 1.0): "error", ((2,), -1.0): "error"}
     assert payload["summary"]["n_error"] == 2
     for rec in payload["records"]:
         if rec["status"] == "error":
-            assert rec["message"].startswith("EvaluationError: panel budget exhausted after 4001 panels")
+            assert rec["message"].startswith("EvaluationError: panel budget exhausted after 1001 panels")
 
 
 def test_enumerate_indices_matches_product_filter():
@@ -438,7 +501,7 @@ def test_out_of_range_eval_knob_exits_2(argv, key, value, want, tmp_path, capsys
 
 
 def test_nonfinite_panel_value_exits_2(capsys):
-    # the form 1/z lies 1e-8 from the path: the panel kernel overflows
+    # the form 1/z lies 1e-8 from the path: the Taylor coefficients overflow
     code, out, err = run_cli(["eval", "k=1", "z=2-4e-8i"], capsys)
     assert code == 2 and out == ""
     assert "non-finite panel value" in err

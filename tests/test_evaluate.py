@@ -292,8 +292,18 @@ def test_panels_est_error_honest():
         assert abs(res.value - ref.value) <= max(res.est_error, 1e-14), (parts, args)
 
 
-# Loop versions of the panel kernels, kept as the reference for the vectorized
-# ones: same float operations in the same order, so results must be equal.
+# Loop versions of the panel kernels, kept as the reference for the array ones.
+# The array march sums each convolution as a blocked prefix sum over all panels
+# and chains the panel ends by one cumsum, so it rounds differently: values
+# agree within 1e-14 max(1, |ref|) and error estimates within 1e-6 relative.
+# An estimate below 1e-16 is a top coefficient made of rounding noise, so it
+# is held to 1e-22 absolute instead.
+
+
+def _assert_near_ref(got, want, what):
+    """got and want are (value, est) pairs: the array march and the loop reference."""
+    assert abs(got[0] - want[0]) <= 1e-14 * max(1.0, abs(want[0])), (what, got, want)
+    assert abs(got[1] - want[1]) <= 1e-6 * max(want[1], 1e-16), (what, got, want)
 
 
 def _ref_log_int_coeffs(mdiv, p):
@@ -425,18 +435,35 @@ def test_final_panel_matches_loop_reference(order):
             forms = _kernel_forms(rng, P, rng.randint(0, 2), rng.randint(1, 3))
             F = _kernel_F(rng, len(forms))
             t = rng.uniform(0.3, 0.95)
-            plan = _Plan([], [], t, order, 0.5)
-            fc = plan._final_consts(P)
+            plan = _Plan(_sorted_set(forms), [], [], t, order, 0.5)
+            kern = plan._kernels()
+            fc = plan._final_consts(P, kern)
             level = plan._final_root(P)
             for j in range(1, len(forms) + 1):
-                level = plan._final(level, forms[j - 1], F[j], 0.0, fc)
-            got = plan._close(level, fc)
+                level = plan._final(level, forms[j - 1], F[j], 0.0, fc, kern)
+            got = plan._close(level)
             want = _ref_final_panel(F, t, forms, order, 0.5)
-            assert got[0] == want[0] and got[1] == want[1], (P, forms, t)
+            _assert_near_ref(got, want, (P, forms, t))
+
+
+def _sorted_set(forms):
+    return tuple(sorted(set(map(complex, forms)), key=lambda s: (s.real, s.imag)))
 
 
 def _march_interior(plan, forms):
-    return plan._extend(plan._interior_root(), tuple(forms), 0, len(forms))
+    return plan._extend(plan._interior_root(), tuple(forms), 0, len(forms), plan._kernels())
+
+
+def _assert_interior_near_ref(got, want, forms):
+    """got is an interior level (coef, cum, ends, ests), want the reference
+    chain's (F, per-panel estimates)."""
+    _, cum, ends, ests = got
+    want_F, want_est = want
+    for l, (e, w) in enumerate(zip(ends, want_F[1:])):
+        _assert_near_ref((e, 1.0), (w, 1.0), (forms, "level", l + 1))
+    for c, w in zip(cum, want_est):
+        _assert_near_ref((0.0, c), (0.0, w), (forms, "estimate"))
+    _assert_near_ref((0.0, ests[-1]), (0.0, functools.reduce(operator.add, want_est)), forms)
 
 
 def _ref_interior_chain(centers, steps, forms, order):
@@ -459,11 +486,9 @@ def test_interior_panel_matches_loop_reference(order):
         centers = [rng.uniform(0.05, 0.6)]
         for h in steps[:-1]:
             centers.append(centers[-1] + h)
-        plan = _Plan(centers, steps, centers[-1] + steps[-1], order, 0.5)
-        _, cum, ends, ests = _march_interior(plan, forms)
-        want_F, want_est = _ref_interior_chain(centers, steps, forms, order)
-        assert np.array_equal(np.array(ends), want_F[1:]) and cum == want_est, forms
-        assert ests[-1] == functools.reduce(operator.add, want_est)
+        plan = _Plan(_sorted_set(forms), centers, steps, centers[-1] + steps[-1], order, 0.5)
+        _assert_interior_near_ref(_march_interior(plan, forms),
+                                  _ref_interior_chain(centers, steps, forms, order), forms)
     # the t0 = 0 panel: F vanishes above level 0 and forms at 0 integrate by
     # exponent shift (the first form is never at 0)
     for _ in range(4):
@@ -471,17 +496,45 @@ def test_interior_panel_matches_loop_reference(order):
         forms = [first] + _kernel_forms(rng, rng.randint(0, 1), rng.randint(1, 3), 1)
         h = 0.5 * min(abs(s) for s in forms if s != 0)
         centers, steps = [0.0, h], [h, 0.5 * h]
-        plan = _Plan(centers, steps, 1.5 * h, order, 0.5)
-        _, cum, ends, _ = _march_interior(plan, forms)
-        want_F, want_est = _ref_interior_chain(centers, steps, forms, order)
-        assert np.array_equal(np.array(ends), want_F[1:]) and cum == want_est, forms
+        plan = _Plan(_sorted_set(forms), centers, steps, 1.5 * h, order, 0.5)
+        _assert_interior_near_ref(_march_interior(plan, forms),
+                                  _ref_interior_chain(centers, steps, forms, order), forms)
+
+
+# Words whose powers g^48 or g^-48 pass e^SCALE_LIMIT, so their levels sum in
+# blocks: (forms, s, rel) with the integral equal to -Li_s(1/forms[0]) when s
+# is given, checked against mpmath within rel.  Near the path the panel
+# route's true error is far above its estimate (about 7e-13 at 1e-4), so that
+# comparison is loose; the loop reference is held to the usual bound.
+BLOCKED = {
+    "near-path-li1": ([0.5 + 1e-4j], 1, 1e-11),         # |g| up to 1e4
+    "near-path-li2": ([0.5 + 1e-4j, 0j], 2, 1e-11),
+    "tiny-tail-li2": ([2e4 + 1e4j, 0j], 2, 1e-14),      # |g| about 4e-5
+    "tiny-tail-li3": ([1e5j, 0j, 0j], 3, 1e-14),
+    # a far form summing coefficients as large as 1e5^n: its blocks also
+    # keep R^-M |g|^-block within range, R the distance to the nearest form
+    "near-path-then-far": ([0.5 + 1e-5j, -1e3 + 1e3j, 0j], None, None),
+    "far-then-near-path": ([3e4j, 0.5 - 1e-4j], None, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCKED))
+def test_blocked_kernels_match_loop_reference(name):
+    forms, s, rel = BLOCKED[name]
+    clear_caches()
+    got = iterated_integral(forms)
+    assert min(_plan_of(forms)._kernels()[1]) < DEFAULT_CONFIG.panel_order
+    _assert_near_ref(got[:2], _ref_iterated_integral(forms)[:2], name)
+    if s is not None:
+        want = mp_polylog(s, 1 / forms[0])
+        assert abs(-got[0] - want) <= rel * abs(want), (name, got[0], want)
 
 
 # --- the shared march ---------------------------------------------------------------
 #
 # Words with one singularity set share a plan, and words that share a prefix
-# share its levels.  Whatever was marched before, each word must get exactly
-# what the panel-by-panel reference gives it.
+# share its levels.  Each word must get what the panel-by-panel reference gives
+# it, within rounding, and whatever was marched before, bit for bit the same.
 
 
 def _outside_args(rng, d):
@@ -541,14 +594,17 @@ def test_shared_march_matches_panel_by_panel_reference(family, order):
         assert any(0 in w for w in words)
     shuffled = list(words)
     rng.shuffle(shuffled)
+    first = {}
     for run, (sequence, cold) in enumerate(((words, True), (words, False),
                                             (shuffled, True), (shuffled, False))):
         if cold:
             clear_caches()
         for w in sequence:
             got = iterated_integral(w, cfg)
-            assert got == want[w], (run, w)
-            assert repr(got[:2]) == repr(want[w][:2]), (run, w)
+            ref = first.setdefault(w, got)
+            assert got == ref and repr(got[:2]) == repr(ref[:2]), (run, w)
+            _assert_near_ref(got[:2], want[w][:2], (run, w))
+            assert got[2] == want[w][2], (run, w)
     assert evaluate._plan.cache_info().hits > 0
 
 
@@ -596,7 +652,8 @@ def test_plan_keeps_no_more_than_its_budget(monkeypatch):
 
 @pytest.mark.parametrize("offset", [1e-7, 1e-8])
 def test_nonfinite_march_is_an_evaluation_error(offset):
-    # the kernel (1/w)(-1/w)^n overflows once |w| falls below about 1e-6.4,
+    # a Taylor coefficient c_n around a panel at distance |w| from the form
+    # grows like |w|^-n, so c_48 overflows once |w| falls below about 1e-6.4,
     # well above PATH_CLEARANCE: the march turns non-finite and must not
     # return it as a value
     form = 0.5 + offset * 1j

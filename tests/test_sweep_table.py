@@ -6,7 +6,7 @@ import json
 import sys
 from pathlib import Path
 
-from mplparity import cli
+from mplparity import cli, evaluate
 
 _PATH = Path(__file__).resolve().parent.parent / "scripts" / "sweep_table.py"
 _spec = importlib.util.spec_from_file_location("sweep_table", _PATH)
@@ -44,8 +44,11 @@ def test_main_report_from_a_file(tmp_path, capsys):
 
 
 def test_reg_report_with_errors_from_stdin(tmp_path, monkeypatch, capsys):
-    # at this panel safety the k = (2,) values exhaust the panel budget, so the
-    # report holds error records, which carry no residual
+    # with the panel budget cut to 1,000 panels the k = (2,) values at this
+    # panel safety exhaust it, so the report holds error records, which carry
+    # no residual
+    monkeypatch.setattr(evaluate, "MAX_PANELS", 100)
+    evaluate.clear_caches()
     report = tmp_path / "reg.json"
     assert cli.main(["sweep", "--theorem", "reg", "--region", "roots:2", "--depth-max", "1",
                      "--weight-max", "2", "--panel-safety", "0.001", "--out", str(report)]) == 1
