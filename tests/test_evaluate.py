@@ -296,14 +296,18 @@ def test_panels_est_error_honest():
 # The array march sums each convolution as a blocked prefix sum over all panels
 # and chains the panel ends by one cumsum, so it rounds differently: values
 # agree within 1e-14 max(1, |ref|) and error estimates within 1e-6 relative.
-# An estimate below 1e-16 is a top coefficient made of rounding noise, so it
-# is held to 1e-22 absolute instead.
 
 
-def _assert_near_ref(got, want, what):
-    """got and want are (value, est) pairs: the array march and the loop reference."""
-    assert abs(got[0] - want[0]) <= 1e-14 * max(1.0, abs(want[0])), (what, got, want)
-    assert abs(got[1] - want[1]) <= 1e-6 * max(want[1], 1e-16), (what, got, want)
+def _assert_near_ref(got, want, what, noise=False):
+    """got and want are (value, est) pairs: the array march and the loop
+    reference.  With noise, two estimates below 1e-16 max(1, |ref|), the
+    value's own rounding, are top coefficients made of rounding noise: they
+    need only stay below it."""
+    scale = max(1.0, abs(want[0]))
+    assert abs(got[0] - want[0]) <= 1e-14 * scale, (what, got, want)
+    if noise and max(got[1], want[1]) < 1e-16 * scale:
+        return
+    assert abs(got[1] - want[1]) <= 1e-6 * want[1], (what, got, want)
 
 
 def _ref_log_int_coeffs(mdiv, p):
@@ -462,7 +466,7 @@ def _assert_interior_near_ref(got, want, forms):
     for l, (e, w) in enumerate(zip(ends, want_F[1:])):
         _assert_near_ref((e, 1.0), (w, 1.0), (forms, "level", l + 1))
     for c, w in zip(cum, want_est):
-        _assert_near_ref((0.0, c), (0.0, w), (forms, "estimate"))
+        _assert_near_ref((0.0, c), (0.0, w), (forms, "estimate"), noise=True)
     _assert_near_ref((0.0, ests[-1]), (0.0, functools.reduce(operator.add, want_est)), forms)
 
 
@@ -505,7 +509,8 @@ def test_interior_panel_matches_loop_reference(order):
 # blocks: (forms, s, rel) with the integral equal to -Li_s(1/forms[0]) when s
 # is given, checked against mpmath within rel.  Near the path the panel
 # route's true error is far above its estimate (about 7e-13 at 1e-4), so that
-# comparison is loose; the loop reference is held to the usual bound.
+# comparison is loose; the loop reference is held to the usual bound.  A tiny
+# tail's estimate (about 1e-58) is rounding noise on both sides.
 BLOCKED = {
     "near-path-li1": ([0.5 + 1e-4j], 1, 1e-11),         # |g| up to 1e4
     "near-path-li2": ([0.5 + 1e-4j, 0j], 2, 1e-11),
@@ -524,7 +529,7 @@ def test_blocked_kernels_match_loop_reference(name):
     clear_caches()
     got = iterated_integral(forms)
     assert min(_plan_of(forms)._kernels()[1]) < DEFAULT_CONFIG.panel_order
-    _assert_near_ref(got[:2], _ref_iterated_integral(forms)[:2], name)
+    _assert_near_ref(got[:2], _ref_iterated_integral(forms)[:2], name, noise=True)
     if s is not None:
         want = mp_polylog(s, 1 / forms[0])
         assert abs(-got[0] - want) <= rel * abs(want), (name, got[0], want)
