@@ -381,8 +381,8 @@ class _Plan:
         pw[..., 0] = 1.0
         flat = dist.ravel().tolist()
         if M * math.log(max(max(flat), 1 / min(flat))) <= SCALE_LIMIT:
-            # what _blocks returns here, without its dozen numpy calls: a
-            # quarter of the time of a single-use plan on 1-2 panels
+            # what _blocks returns here, without its dozen numpy calls,
+            # which would add a quarter to a single-use plan on 1-2 panels
             blocks = [M] * S
             pw.cumprod(2, out=pw)
         else:
