@@ -52,11 +52,11 @@ products: a contraction multiplies its base entries in slot order, which can
 differ in the last bit from multiplying the fused entries.
 
 Panel plans live in a memo of PLANS entries keyed on (sorted singularities,
-panel_order, panel_safety).  From its second word on, a plan retains its
-kernel table (which holds its step powers) and the levels it marches (interior
-levels under (None, prefix); final-panel levels under (P, prefix), P the number
-of forms at 1 in the word), dropping the least recently used once they exceed
-PLAN_BYTES.  clear_caches() empties it with the value memos.
+panel_order, panel_safety).  From its first word on, a plan keeps its kernel
+table (which holds its step powers) and the levels it marches (interior levels
+under (None, prefix); final-panel levels under (P, prefix), P the number of
+forms at 1 in the word) in one store, dropping the least recently used once
+they exceed PLAN_BYTES.  clear_caches() empties it with the value memos.
 """
 from __future__ import annotations
 
@@ -66,7 +66,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import combinations
-from operator import add
+from operator import add, mul
 
 import numpy as np
 
@@ -133,7 +133,7 @@ def _next_level(prev: np.ndarray, pw: np.ndarray, block: int, out: np.ndarray) -
     `block` terms from the carried out value, so no power beyond g^block nor
     its inverse is formed; the caller picks block to keep those in range."""
     size = out.shape[1]
-    if block >= size:
+    if block >= size:   # the loop's slicing costs a 1-3-form word about 2.5%
         return np.multiply(pw[:, 1:size + 1], (prev[:, :size] / pw[:, :size]).cumsum(1), out=out)
     for p0 in range(0, size, block):
         q = min(block, size - p0)
@@ -270,8 +270,7 @@ def _blocks(lg: np.ndarray, M: int) -> list[int]:
     singularity, ln(1/R) = max_k lg[k, p]; its terms stay within
     e^(2 SCALE_LIMIT)."""
     room = np.minimum(SCALE_LIMIT, 2 * SCALE_LIMIT - M * np.maximum(lg.max(0), 0.0))
-    with np.errstate(divide="ignore"):
-        b = np.where(lg > 0, SCALE_LIMIT / lg, np.where(lg < 0, room / -lg, np.inf))
+    b = np.where(lg > 0, SCALE_LIMIT / lg, np.where(lg < 0, room / -lg, np.inf))
     return np.clip(b.min(1), 1, M).astype(int).tolist()
 
 
@@ -287,12 +286,11 @@ class _Plan:
     sets its shape and log table; it is kept under (P, prefix).  Every form's
     kernel is geometric on every panel, so a level is one blocked prefix sum
     (_next_level) over all panels at once, in powers that the plan builds for
-    all its singularities in one cumprod (_kernels).  A plan keeps its levels
-    and kernel tables from its second word on: a singularity set met once, as
-    in all of eval and many of main's contractions, keeps nothing.  Kept
-    arrays are dropped least recently used first once they exceed PLAN_BYTES,
-    and an array larger than that is not kept, so a plan retains a fixed
-    amount of memory.
+    all its singularities in one cumprod (_kernels).  Everything a plan holds,
+    its kernel table and its levels, is one entry of _kept from the first word
+    on; entries are dropped least recently used first once they exceed
+    PLAN_BYTES, and an array larger than that is not kept, so a plan retains a
+    fixed amount of memory.
     """
 
     def __init__(self, sing, centers, steps, t, order: int, safety: float) -> None:
@@ -305,14 +303,10 @@ class _Plan:
         self.public = PanelPlan(tuple(centers) + (1.0,), tuple(steps) + (1.0 - t,), order)
         self._kept: OrderedDict = OrderedDict()
         self._nbytes = 0
-        self._scratch: dict | None = {}   # what the first word keeps; dropped after it
-        self._finals: dict[int, tuple] = {}
 
     # --- kept arrays ---
 
     def _get(self, key):
-        if self._scratch is not None:
-            return self._scratch.get(key)
         hit = self._kept.get(key)
         if hit is not None:
             self._kept.move_to_end(key)
@@ -320,9 +314,6 @@ class _Plan:
         return None
 
     def _keep(self, key, value, nbytes: int) -> None:
-        if self._scratch is not None:
-            self._scratch[key] = value
-            return
         if nbytes > PLAN_BYTES:
             return
         self._kept[key] = (value, nbytes)
@@ -385,9 +376,9 @@ class _Plan:
             # which would add a quarter to a single-use plan on 1-2 panels
             blocks = [M] * S
             pw.cumprod(2, out=pw)
-        else:
-            blocks = _blocks(-np.log(dist), M)
-            with np.errstate(over="ignore", invalid="ignore"):
+        else:   # lg = 0 at placeholders divides by zero; far powers may overflow
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                blocks = _blocks(-np.log(dist), M)
                 pw.cumprod(2, out=pw)
         kern = (pw, blocks, index, zero)
         self._keep("kernels", kern, pw.nbytes)
@@ -472,17 +463,13 @@ class _Plan:
 
     def _final_consts(self, P: int, kern):
         """(K, upow, logf, complex upow, complex lpow) of the final panel for P
-        forms at 1: upow[m] = u^m (from the kernel table) and lpow[p] =
+        forms at 1: upow[m] = u^m (a view of the kernel table) and lpow[p] =
         log(u)^p at the panel's far end, logf = max(1, |log u|)^P; the complex
-        copies are what the dot products cast them to."""
-        fc = self._finals.get(P)
-        if fc is None:
-            L = math.log(1.0 - self.t)
-            upow_c = kern[0][-1, -1].copy()   # a view would keep the whole table
-            lpow = np.array([L ** p for p in range(P + 1)], complex)
-            fc = self._finals[P] = (_log_int_table(self.order, P), upow_c.real,
-                                    max(1.0, abs(L)) ** P, upow_c, lpow)
-        return fc
+        arrays are what the dot products cast them to."""
+        L = math.log(1.0 - self.t)
+        upow = kern[0][-1, -1]
+        lpow = np.array([L ** p for p in range(P + 1)], complex)
+        return _log_int_table(self.order, P), upow.real, max(1.0, abs(L)) ** P, upow, lpow
 
     def _final_root(self, P: int):
         cur = np.zeros((self.order + 1, P + 1), complex)
@@ -538,11 +525,11 @@ class _Plan:
         longest prefix of a already marched under this plan."""
         n = len(a)
         P = a.count(1)
-        f, final = self._deepest(P, a, n) if self._kept else (0, None)
+        f, final = self._deepest(P, a, n)
         if f < n:
             kern = self._kernels()
             fc = self._final_consts(P, kern)
-            i, level = self._deepest(None, a, n) if self._kept else (0, None)
+            i, level = self._deepest(None, a, n)
             if i < n:
                 level = self._extend(level or self._interior_root(), a, i, n, kern)
             ends, ests = level[2], level[3]
@@ -550,7 +537,6 @@ class _Plan:
             for j in range(f + 1, n + 1):
                 final = self._final(final, a[j - 1], ends[j - 1], ests[j - 1], fc, kern)
                 self._keep((P, a[:j]), final, final[0].nbytes)
-        self._scratch = None
         value, est = self._close(final)
         return value, (final[2] + est) * 4.0
 
@@ -581,7 +567,9 @@ def iterated_integral(forms, cfg: EvalConfig = DEFAULT_CONFIG):
         plan = _plan(sing, cfg.panel_order, cfg.panel_safety)
     except EvaluationError as e:   # the witness is this word's forms
         raise EvaluationError(e.args[0], e.panels, a) from None
-    value, est = plan.integrate(a)
+    # a march that overflows next to a form is reported below, not warned about
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        value, est = plan.integrate(a)
     if not (cmath.isfinite(value) and math.isfinite(est)):
         raise EvaluationError("non-finite panel value", len(plan.public.steps), a)
     return value, est, plan.public
@@ -719,25 +707,19 @@ def li_word_series_encoding(w: Word, cfg: EvalConfig = DEFAULT_CONFIG) -> comple
 
 def enum_contractions(k: Index, z: ArgVector) -> list[tuple[Index, ArgVector]]:
     """All 2^(d-1) ways of fusing adjacent places: exponents add, arguments
-    multiply.  Deterministic order; the identity contraction comes first."""
-    d = k.depth
-    if d != z.depth:
+    multiply in slot order.  Deterministic order; the identity contraction
+    comes first.  Contraction number m fuses the gaps whose bit is set in m,
+    so it cuts the gaps of the complement: enum_compositions in reverse."""
+    if k.depth != z.depth:
         raise ValueError("index and argument depth differ")
-    if d <= 1:
-        return [(k, z)]
     out: list[tuple[Index, ArgVector]] = []
-    for mask in range(2 ** (d - 1)):
-        parts: list[int] = [k.parts[0]]
-        syms = [z.symbols[0]]
-        for gap in range(d - 1):
-            if mask & (1 << gap):
-                parts[-1] += k.parts[gap + 1]
-                merged = syms[-1] * z.symbols[gap + 1]
-                syms[-1] = merged
-            else:
-                parts.append(k.parts[gap + 1])
-                syms.append(z.symbols[gap + 1])
-        syms = [ONE_SYMBOL if s.value == 1 else s for s in syms]
+    for blocks in reversed(enum_compositions(k.depth)):
+        parts, syms, pos = [], [], 0
+        for blen in blocks:
+            parts.append(sum(k.parts[pos:pos + blen]))
+            s = reduce(mul, z.symbols[pos:pos + blen])
+            syms.append(ONE_SYMBOL if s.value == 1 else s)
+            pos += blen
         out.append((Index(tuple(parts)), ArgVector(tuple(syms))))
     return out
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .evaluate import li, li_shift, li_shift_blocks, li_star, li_star_detail
+from .evaluate import _value, li, li_shift, li_shift_blocks, li_star, li_star_detail
 from .numcore import (
     DEFAULT_CONFIG,
     EvalConfig,
@@ -29,7 +29,6 @@ from .numcore import (
     bernoulli_number,
     log_minus,
 )
-from .regularize import reg_value
 from .words import ArgVector, Index
 
 
@@ -151,9 +150,7 @@ def _lhs(k: Index, z: ArgVector, cfg: EvalConfig, mode: str) -> complex:
     """Left side shared by every identity: (-1)^d star(z) - (-1)^{|k|} value(1/z),
     plain or regularized by mode."""
     star = li_star(k, z, cfg, mode)
-    inv = z.reciprocal()
-    inv_val = li(k, inv, cfg).value if mode == "plain" else reg_value(k, inv, mode, cfg)
-    return (-1) ** k.depth * star - (-1) ** k.weight * inv_val
+    return (-1) ** k.depth * star - (-1) ** k.weight * _value(k, z.reciprocal(), cfg, mode)
 
 
 def _delta_terms(k: Index, z: ArgVector, cfg: EvalConfig, mode: str, delta_of) -> complex:

@@ -5,6 +5,7 @@ import importlib.util
 import itertools
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -505,6 +506,19 @@ def test_nonfinite_panel_value_exits_2(capsys):
     code, out, err = run_cli(["eval", "k=1", "z=2-4e-8i"], capsys)
     assert code == 2 and out == ""
     assert "non-finite panel value" in err
+
+
+def test_nonfinite_panel_value_is_the_only_stderr_line():
+    # a fresh interpreter, where numpy would warn once per source line: the
+    # overflowing march ends in the typed error alone
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "mplparity.cli", "eval", "k=1", "z=2-4e-8i"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2 and proc.stdout == ""
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error: non-finite panel value")
 
 
 def test_sweep_records_a_nonfinite_point_as_an_error():

@@ -635,14 +635,31 @@ def test_words_sharing_a_plan_reuse_its_levels():
     assert plan._nbytes == sum(b for _, b in plan._kept.values())
 
 
-def test_a_plan_met_once_keeps_nothing():
+def test_a_plan_keeps_from_its_first_word(monkeypatch):
+    # everything a plan holds is in its byte-bounded store from the first word
+    # on: a word sharing a prefix reuses the kernel table and marches only the
+    # interior levels past that prefix
     clear_caches()
-    word = _prefix_family(random.Random("once"))[-1]
-    iterated_integral(word)
-    plan = _plan_of(word)
-    assert not plan._kept and plan._nbytes == 0
-    iterated_integral(word)
-    assert plan._kept
+    first = (-0.5 + 2j, 0j, 0.4 + 0.7j, 0j)
+    second = first[:2] + (-0.5 + 2j, 0.4 + 0.7j)   # same forms, shares first[:2]
+    iterated_integral(first)
+    plan = _plan_of(first)
+    kern = plan._get("kernels")
+    assert kern is not None
+    assert all(plan._get((P, first[:j])) is not None for P in (None, 0) for j in (1, 2, 3, 4))
+    assert 0 < plan._nbytes <= evaluate.PLAN_BYTES
+    assert plan._nbytes == sum(b for _, b in plan._kept.values())
+    marched = []
+    interior = evaluate._Plan._interior
+
+    def counted(self, prev, a, j, coef, kern):
+        marched.append(j)
+        return interior(self, prev, a, j, coef, kern)
+
+    monkeypatch.setattr(evaluate._Plan, "_interior", counted)
+    iterated_integral(second)
+    assert _plan_of(second) is plan and plan._get("kernels") is kern
+    assert marched == [3, 4]
 
 
 def test_plan_keeps_no_more_than_its_budget(monkeypatch):
@@ -745,6 +762,10 @@ def test_enum_contractions_counts_and_order():
     assert len(merged_all) == 1
     assert merged_all[0][0].parts == (4,)
     assert merged_all[0][1].entries[0] == pytest.approx(-1j)
+    # contraction m fuses the gaps whose bit is set in m
+    z4 = V((2j, -1, 0.5, 3))
+    assert [kc.parts for kc, _ in enum_contractions(K((1, 2, 4, 8)), z4)] == [
+        (1, 2, 4, 8), (3, 4, 8), (1, 6, 8), (7, 8), (1, 2, 12), (3, 12), (1, 14), (15,)]
 
 
 def test_enum_contractions_merge_to_literal_one():
