@@ -635,10 +635,7 @@ def _run_sweep_case(rc: RunConfig, mode: str, branches: tuple[int, ...], case: d
         cfg = _mk_cfg(rc, branch)
         try:
             rep = _sides(theorem, mode, Index(parts), entries, cfg)
-            rec = dict(base, **rep.to_record())
-            if theorem == "main":
-                rec["routes_independent"] = rep.inv_method not in rep.star_methods
-            records.append(rec)
+            records.append(dict(base, **rep.to_record()))
         except Exception as e:  # record and keep sweeping
             records.append(dict(base, branch=branch, status="error",
                                 message=f"{type(e).__name__}: {e}"))

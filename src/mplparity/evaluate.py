@@ -1,5 +1,6 @@
 """Numerical evaluation of multiple polylogarithms and of arbitrary convergent
-words, plus the star / weight-shifted variants assembled from them.
+words, of their star values, and of the weight-shifted variants assembled from
+them.
 
 Two independent routes produce values:
 
@@ -12,7 +13,9 @@ Two independent routes produce values:
           enough that no power of g_i nor its inverse passes 1e150, carrying
           its running value from block to block, so a tiny tail takes several
           blocks.  Only tail powers appear, never z_i^m (an entry may be huge
-          while every tail product is small), so nothing overflows.
+          while every tail product is small), so nothing overflows.  A star
+          value sums over m_1 <= ... <= m_d: each level is inclusive, the
+          strict level plus the level below at the same m.
 
   panels  the iterated-integral representation, marched across [0, 1] in
           one direction.  Each panel re-expands every partial integral as a
@@ -23,6 +26,12 @@ Two independent routes produce values:
           exact rather than approached geometrically.  Log integration in
           the final panel applies a table of u^m log^q u coefficients that
           is built once per (order, number of forms at 1) and cached.
+
+          A letter of a word is a form or a form minus the form at 0,
+          dt/(t - s) - dt/t.  Contracting places i - 1 and i of a star value
+          turns the block-start form 1/g_i into the form at 0 and flips the
+          sign, so the plain star value, the sum over all contractions, is
+          one word whose block starts after the first are such differences.
 
           The panels depend only on the set of singularities and the two
           panel knobs, so all words with one set are marched under one plan,
@@ -44,9 +53,10 @@ that is meant to be trusted (over-, never under-stated).
 Value caches key on what the computation reads, never on provenance or on
 branch_at_one.  A value at (k, z) reads k.parts, z.entries, z.tails and the
 numeric knobs series_truncation, panel_order and panel_safety, so those (plus
-the route or regularization mode) are its key; a word value reads the forms of
-its integral and the same knobs.  Both branches of a regularized check and
-every ArgVector that carries the same numbers share one computed value.  The
+the route or regularization mode, and whether it is the star value) are its
+key; a word value reads the forms of its integral and the same knobs.  Both
+branches of a regularized check and every ArgVector that carries the same
+numbers share one computed value.  The
 tails are part of the key because equal entries do not imply equal tail
 products: a contraction multiplies its base entries in slot order, which can
 differ in the last bit from multiplying the fused entries.
@@ -55,8 +65,9 @@ Panel plans live in a memo of PLANS entries keyed on (sorted singularities,
 panel_order, panel_safety).  From its first word on, a plan keeps its kernel
 table (which holds its step powers) and the levels it marches (interior levels
 under (None, prefix); final-panel levels under (P, prefix), P the number of
-forms at 1 in the word) in one store, dropping the least recently used once
-they exceed PLAN_BYTES.  clear_caches() empties it with the value memos.
+letters at 1 in the word, differences included; a prefix holds the letters,
+so a star word shares its leading plain prefix with plain words) in one
+store, dropping the least recently used once they exceed PLAN_BYTES.  clear_caches() empties it with the value memos.
 """
 from __future__ import annotations
 
@@ -103,12 +114,19 @@ class EvalResult:
 # --- series route -----------------------------------------------------------
 
 
-def _series_tail_bound(r: float, d: int, n: int) -> float:
-    # sum_{M > n} C(M-1, d-1) r^M <= f(n+1) / (1 - q) with f geometric-ish
+def _series_tail_bound(r: float, d: int, n: int, star: bool = False) -> float:
+    # sum_{M > n} c(M) r^M <= f(n+1) / (1 - q) with f geometric-ish, c(M) the
+    # number of index tuples whose largest index is M: C(M-1, d-1) for
+    # m_1 < ... < m_d, C(M+d-2, d-1) for the star's m_1 <= ... <= m_d, whose
+    # term ratio r (M+d-1)/M falls with M
     if r >= 1:
         return math.inf
-    f = (n + 1) ** (d - 1) / math.factorial(d - 1) * r ** (n + 1)
-    q = r * (1 + 1 / (n + 1)) ** (d - 1)
+    if star:
+        f = math.comb(n + d - 1, d - 1) * r ** (n + 1)
+        q = r * (n + d) / (n + 1)
+    else:
+        f = (n + 1) ** (d - 1) / math.factorial(d - 1) * r ** (n + 1)
+        q = r * (1 + 1 / (n + 1)) ** (d - 1)
     if q >= 1:
         return math.inf
     return f / (1 - q)
@@ -156,8 +174,10 @@ def _series_level(prev: np.ndarray, g: complex) -> np.ndarray:
     return _next_level(prev[None], pw.cumprod(1), block, np.empty((1, size), complex))[0]
 
 
-def li_series(k: Index, z: ArgVector, cfg: EvalConfig = DEFAULT_CONFIG) -> EvalResult:
-    """Nested sum over m_1 < ... < m_d of prod z_i^{m_i} / m_i^{k_i}."""
+def li_series(k: Index, z: ArgVector, cfg: EvalConfig = DEFAULT_CONFIG,
+              star: bool = False) -> EvalResult:
+    """Nested sum over m_1 < ... < m_d of prod z_i^{m_i} / m_i^{k_i}, or with
+    star over m_1 <= ... <= m_d."""
     d = k.depth
     if d != z.depth:
         raise ValueError("index and argument depth differ")
@@ -171,17 +191,23 @@ def li_series(k: Index, z: ArgVector, cfg: EvalConfig = DEFAULT_CONFIG) -> EvalR
     if r > SERIES_RADIUS:
         raise DomainError(f"tail product of modulus {r:.4f} outside series radius")
     n = min(32, cfg.series_truncation)
-    while _series_tail_bound(r, d, n) > SERIES_GOAL and n < cfg.series_truncation:
+    while _series_tail_bound(r, d, n, star) > SERIES_GOAL and n < cfg.series_truncation:
         n = min(cfg.series_truncation, max(n + 8, int(n * 1.4)))
-    bound = _series_tail_bound(r, d, n)
+    bound = _series_tail_bound(r, d, n, star)
 
     # level recursion in tail products, one array per level over m = i..n:
     # B_i[m] = m^{-k_i} C_i[m], C_i[m] = g_i (C_i[m-1] + B_{i-1}[m-1]), so
     # C_1[m] = g_1^m and each later level is a prefix sum in powers of g_i
-    # only (_series_level, blocked so no power passes 1e150); no z_i^m
+    # only (_series_level, blocked so no power passes 1e150); no z_i^m.  A
+    # star level runs over m = 1..n and is inclusive: C_i[m] + B_{i-1}[m]
     cur = np.full(n, g[0]).cumprod() / _m_powers(n, k.parts[0])
     for i in range(1, d):
-        cur = _series_level(cur, g[i]) / _m_powers(n, k.parts[i])[i:]
+        if star:
+            level = cur.copy()
+            level[1:] += _series_level(cur, g[i])
+            cur = level / _m_powers(n, k.parts[i])
+        else:
+            cur = _series_level(cur, g[i]) / _m_powers(n, k.parts[i])[i:]
     rounding = 8e-16 * float(abs(cur).sum())
     return EvalResult(complex(cur.sum()), bound + rounding, "series", n_terms=n)
 
@@ -399,25 +425,38 @@ class _Plan:
 
         With the form's kernel -g^(n+1) (see _kernels), coefficient n + 1 is
         -g^(n+1)/(n+1) times the prefix sum of prev[i] g^-i, i <= n: one
-        _next_level over all panels at once.  A form at 0 on the t0 = 0 panel
-        sits at the panel's center and is integrated by exponent shift there
-        instead, which requires the previous level to vanish there.  Each
-        panel's row summed against its step powers is the change of the
-        level across the panel; one cumsum chains them into the values at
-        the panels' ends, and each panel's constant term is the value at the
-        end of the panel before it.
+        _next_level over all panels at once.  A pair letter (s, 0) is the
+        form s minus the form at 0: two such sums, the second subtracted.  A
+        form at 0 on the t0 = 0 panel sits at the panel's center and is
+        integrated by exponent shift there instead, which requires the
+        previous level to vanish there.  Each panel's row summed against its
+        step powers is the change of the level across the panel; one cumsum
+        chains them into the values at the panels' ends, and each panel's
+        constant term is the value at the end of the panel before it.
         """
         M = self.order
         pw, blocks, index, zero = kern
-        k = index[a[j - 1]]
+        letter = a[j - 1]
+        pair = type(letter) is tuple
+        k = index[letter[0] if pair else letter]
         out = coef[:, 1:]
         _next_level(prev, pw[k, :-1], blocks[k], out)
+        if pair:
+            k = index[letter[1]]
+            minus = _next_level(prev, pw[k, :-1], blocks[k], np.empty(out.shape, complex))
+            if k == zero:
+                minus[0] = 0.0   # shifted below
+            out -= minus
         out /= _ramps(M)[2]
         if k == zero:
             scale = max(1.0, float(np.abs(prev[0]).max()))
-            if abs(prev[0, 0]) > 1e-12 * scale:
-                raise EvaluationError("nonvanishing integrand at singular panel center", 0, a)
-            coef[0, 1:] = prev[0, 1:] / _ramps(M)[1]
+            if abs(prev[0, 0]) > 1e-12 * scale:   # iterated_integral adds the forms
+                raise EvaluationError("nonvanishing integrand at singular panel center", 0, ())
+            shift = prev[0, 1:] / _ramps(M)[1]
+            if pair:
+                coef[0, 1:] -= shift
+            else:
+                coef[0, 1:] = shift
         ends = (out * pw[-1, :-1, 1:]).sum(1)
         coef[0, 0] = 0.0
         if len(ends) > 1:
@@ -484,29 +523,44 @@ class _Plan:
         the estimate of the interior panels of the word forms[:j].  Forms at 1
         divide by u and raise the log degree; any other form convolves every
         log power at once with its kernel -g^(n+1) (see _kernels), one
-        _next_level along u, before the log integration.  F is level j's
-        value at the end of the last interior panel.
+        _next_level along u, before the log integration.  A pair letter
+        (s, 0) does the first for s and subtracts the second for its form at
+        0.  F is level j's value at the end of the last interior panel.
         """
         prev = level[0]
         M = self.order
         K, upow, logf, upow_c, lpow_c = fc
         P = len(lpow_c) - 1
         cur = np.zeros(prev.shape, complex)
+        minus = None
+        if type(s) is tuple:
+            s, zero = s
+            minus = self._along_u(prev, zero, kern)
         if s == 1:
             # integrand prev[m, p] u^{m-1} log^p u
             for p in range(P):
                 cur[0, p + 1] += prev[0, p] / (p + 1)
             _log_integrate(cur[1:], prev[1:], K)
+            if minus is not None:
+                _log_integrate(cur[1:], minus.T, K)
         else:
-            pw, blocks, index, _ = kern
-            k = index[s]
-            prod = _next_level(prev.T, pw[k, -1:], blocks[k], np.empty((P + 1, M), complex))
+            prod = self._along_u(prev, s, kern)
+            if minus is not None:
+                prod -= minus
             _log_integrate(cur[1:], prod.T, K, np.subtract)
         partial = complex(cur.dot(lpow_c).dot(upow_c))
         cur[0, 0] = F - partial
         below, top = np.maximum.reduce(np.abs(cur[M - 1:]), axis=1)
         tail = max(top * upow[M], below * upow[M - 1])
         return cur, level[1] + tail * logf * self.safety / (1.0 - self.safety), interior_est
+
+    def _along_u(self, prev, s: complex, kern):
+        """prev, coefficients of u^m log^p u, convolved along u with the kernel
+        of the form s on the final panel: one _next_level over every log power."""
+        pw, blocks, index, _ = kern
+        k = index[s]
+        out = np.empty((prev.shape[1], self.order), complex)
+        return _next_level(prev.T, pw[k, -1:], blocks[k], out)
 
     def _close(self, level):
         """(value, est) of the final panel: the value of the last level at u = 0
@@ -520,11 +574,12 @@ class _Plan:
 
     # --- one word ---
 
-    def integrate(self, a: tuple) -> tuple[complex, float]:
-        """(value, est) of the integral of the forms a, resuming from the
-        longest prefix of a already marched under this plan."""
+    def integrate(self, a: tuple, P: int) -> tuple[complex, float]:
+        """(value, est) of the integral of the letters a, resuming from the
+        longest prefix of a already marched under this plan.  A letter is a
+        form or a pair (s, 0) read as the form s minus the form at 0; P counts
+        the letters whose form, or first form, is 1."""
         n = len(a)
-        P = a.count(1)
         f, final = self._deepest(P, a, n)
         if f < n:
             kern = self._kernels()
@@ -547,9 +602,12 @@ def _plan(sing: tuple, order: int, safety: float) -> _Plan:
     return _Plan(sing, *_layout(sing, order, safety), order, safety)
 
 
-def iterated_integral(forms, cfg: EvalConfig = DEFAULT_CONFIG):
+def iterated_integral(forms, cfg: EvalConfig = DEFAULT_CONFIG, star: bool = False):
     """int_0^1 of the composed forms dt/(t - a_1) ... dt/(t - a_n), the first
     form attached to the innermost variable.  Returns (value, est_error, plan).
+
+    With star, every nonzero form after the first stands for that form minus
+    the form at 0, dt/(t - a_i) - dt/t: the word of a plain star value.
     """
     a = tuple(complex(s) for s in forms)
     n = len(a)
@@ -559,17 +617,22 @@ def iterated_integral(forms, cfg: EvalConfig = DEFAULT_CONFIG):
         raise DomainError("leading form at 0: integral diverges at the origin")
     if a[-1] == 1:
         raise DomainError("trailing form at 1: integral diverges at the endpoint")
-    sing = tuple(sorted(set(a), key=lambda s: (s.real, s.imag)))
+    letters, sing = a, set(a)
+    if star:
+        letters = a[:1] + tuple(s if s == 0 else (s, 0j) for s in a[1:])
+        if letters != a:
+            sing.add(0j)
+    sing = tuple(sorted(sing, key=lambda s: (s.real, s.imag)))
     for s in sing:
         if s not in (0, 1) and _seg_dist(s) < PATH_CLEARANCE:
             raise DomainError(f"form singularity {s} lies on the integration path")
-    try:
+    try:   # the witness of a failed layout or march is this word's forms
         plan = _plan(sing, cfg.panel_order, cfg.panel_safety)
-    except EvaluationError as e:   # the witness is this word's forms
+        # a march that overflows next to a form is reported below, not warned about
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            value, est = plan.integrate(letters, a.count(1))
+    except EvaluationError as e:
         raise EvaluationError(e.args[0], e.panels, a) from None
-    # a march that overflows next to a form is reported below, not warned about
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        value, est = plan.integrate(a)
     if not (cmath.isfinite(value) and math.isfinite(est)):
         raise EvaluationError("non-finite panel value", len(plan.public.steps), a)
     return value, est, plan.public
@@ -584,8 +647,14 @@ def check_tails(z: ArgVector) -> tuple[complex, ...]:
     return g
 
 
-def li_panels(k: Index, z: ArgVector, cfg: EvalConfig = DEFAULT_CONFIG) -> EvalResult:
-    """Integral-representation route, valid outside the unit polydisk too."""
+def li_panels(k: Index, z: ArgVector, cfg: EvalConfig = DEFAULT_CONFIG,
+              star: bool = False) -> EvalResult:
+    """Integral-representation route, valid outside the unit polydisk too.
+
+    The word is [1/g_1, 0^(k_1-1), 1/g_2, 0^(k_2-1), ...] times (-1)^d.  The
+    star value is the same word with each block start after the first read as
+    1/g_i minus the form at 0: contracting places i-1 and i turns 1/g_i into
+    the form at 0 and flips the sign, so the contraction sum is one integral."""
     d = k.depth
     if d != z.depth:
         raise ValueError("index and argument depth differ")
@@ -600,7 +669,7 @@ def li_panels(k: Index, z: ArgVector, cfg: EvalConfig = DEFAULT_CONFIG) -> EvalR
     for i in range(1, d + 1):
         forms.append(1 / g[i - 1])
         forms.extend([0j] * (k.parts[i - 1] - 1))
-    val, err, plan = iterated_integral(forms, cfg)
+    val, err, plan = iterated_integral(forms, cfg, star=star)
     sign = -1.0 if d % 2 else 1.0
     return EvalResult(sign * val, err, "panels", n_panels=len(plan.steps))
 
@@ -630,19 +699,19 @@ def _knobs(cfg: EvalConfig) -> tuple:
     return (cfg.series_truncation, cfg.panel_order, cfg.panel_safety)
 
 
-def value_key(k: Index, z: ArgVector, cfg: EvalConfig, tag: str) -> CacheKey:
-    """Key of the value at (k, z) by route or regularization mode `tag`; its
-    args are (k, z, cfg, tag)."""
-    return CacheKey((tag, k.parts, z.entries, z.tails) + _knobs(cfg), k, z, cfg, tag)
+def value_key(k: Index, z: ArgVector, cfg: EvalConfig, tag: str, star: bool = False) -> CacheKey:
+    """Key of the value at (k, z) by route or regularization mode `tag`, of
+    the star value with star; its args are (k, z, cfg, tag, star)."""
+    return CacheKey((tag, star, k.parts, z.entries, z.tails) + _knobs(cfg), k, z, cfg, tag, star)
 
 
 @memo(maxsize=400_000)
 def _li_cached(key: CacheKey) -> EvalResult:
-    k, z, cfg, route = key.args
+    k, z, cfg, route, star = key.args
     if route == "auto":   # li_series also takes a zero entry and the empty index
         inside = 0 in z.entries or max(map(abs, z.tails), default=0.0) <= SERIES_RADIUS
         route = "series" if inside else "panels"
-    return li_series(k, z, cfg) if route == "series" else li_panels(k, z, cfg)
+    return li_series(k, z, cfg, star) if route == "series" else li_panels(k, z, cfg, star)
 
 
 def li(k: Index, z: ArgVector, cfg: EvalConfig = DEFAULT_CONFIG, route: str = "auto") -> EvalResult:
@@ -709,7 +778,11 @@ def enum_contractions(k: Index, z: ArgVector) -> list[tuple[Index, ArgVector]]:
     """All 2^(d-1) ways of fusing adjacent places: exponents add, arguments
     multiply in slot order.  Deterministic order; the identity contraction
     comes first.  Contraction number m fuses the gaps whose bit is set in m,
-    so it cuts the gaps of the complement: enum_compositions in reverse."""
+    so it cuts the gaps of the complement: enum_compositions in reverse.
+
+    A regularized star value is the sum over these; a plain one is a single
+    value (li_star), and the contraction sum serves only as its test
+    reference."""
     if k.depth != z.depth:
         raise ValueError("index and argument depth differ")
     out: list[tuple[Index, ArgVector]] = []
@@ -769,9 +842,19 @@ def _value(k: Index, z: ArgVector, cfg: EvalConfig, mode: str) -> complex:
     raise ValueError(f"unknown mode {mode!r}")
 
 
+def _star(k: Index, z: ArgVector, cfg: EvalConfig) -> EvalResult:
+    """The plain star value, routed as li routes and cached with its values;
+    at depth 1 or less it is the plain value itself."""
+    return _li_cached(value_key(k, z, cfg, "auto", k.depth > 1))
+
+
 def li_star(k: Index, z: ArgVector, cfg: EvalConfig = DEFAULT_CONFIG, mode: str = "plain") -> complex:
-    """Star variant: sum of the plain (or regularized) values over all
-    contractions of adjacent places."""
+    """Star variant: the sum over m_1 <= ... <= m_d, which is the sum of the
+    values over all contractions of adjacent places.  A plain star is one
+    value, a star series or one star word of the panel route; a regularized
+    star is the contraction sum of regularized values."""
+    if mode == "plain":
+        return _star(k, z, cfg).value
     acc = 0j
     for kc, zc in enum_contractions(k, z):
         acc += _value(kc, zc, cfg, mode)
@@ -779,16 +862,9 @@ def li_star(k: Index, z: ArgVector, cfg: EvalConfig = DEFAULT_CONFIG, mode: str 
 
 
 def li_star_detail(k: Index, z: ArgVector, cfg: EvalConfig = DEFAULT_CONFIG):
-    """Plain star value together with per-contraction routes and error sum."""
-    acc = 0j
-    est = 0.0
-    methods = []
-    for kc, zc in enum_contractions(k, z):
-        r = li(kc, zc, cfg)
-        acc += r.value
-        est += r.est_error
-        methods.append(r.method)
-    return acc, est, tuple(methods)
+    """Plain star value, its error estimate and a one-tuple of its route."""
+    r = _star(k, z, cfg)
+    return r.value, r.est_error, (r.method,)
 
 
 def _shifted_indices(a: int, k: Index):

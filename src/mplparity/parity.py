@@ -50,8 +50,10 @@ class ParityReport:
     inv_method: str = ""
 
     def to_record(self) -> dict:
-        """Canonical record; deterministic, so no wall-clock fields."""
-        return {
+        """Canonical record; deterministic, so no wall-clock fields.  A main
+        record also says whether the star at z and the value at 1/z came by
+        different routes."""
+        rec = {
             "theorem": self.theorem,
             "mode": self.mode,
             "branch": self.branch,
@@ -63,6 +65,9 @@ class ParityReport:
             "star_methods": list(self.star_methods),
             "inv_method": self.inv_method,
         }
+        if self.theorem == "main":
+            rec["routes_independent"] = self.inv_method not in self.star_methods
+        return rec
 
 
 def all_ones_delta(k: Index, z: ArgVector, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
@@ -166,7 +171,8 @@ def _delta_terms(k: Index, z: ArgVector, cfg: EvalConfig, mode: str, delta_of) -
 
 
 def main_sides(k: Index, z: ArgVector, cfg: EvalConfig = DEFAULT_CONFIG) -> ParityReport:
-    """Plain-value identity: star at z against the value at 1/z."""
+    """Plain-value identity: star at z against the value at 1/z.  The star
+    is one cached value, and star_methods names its one route."""
     star_val, _star_est, star_methods = li_star_detail(k, z, cfg)
     inv = li(k, z.reciprocal(), cfg)
     lhs = (-1) ** k.depth * star_val - (-1) ** k.weight * inv.value

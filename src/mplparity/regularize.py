@@ -264,7 +264,7 @@ def reg_poly(k: Index, z: ArgVector, mode: str, cfg: EvalConfig = DEFAULT_CONFIG
 
 @memo(maxsize=200_000)
 def _reg_value_cached(key: CacheKey) -> complex:
-    k, z, cfg, mode = key.args
+    k, z, cfg, mode, _star = key.args
     if k.depth != z.depth:
         raise ValueError("index and argument depth differ")
     if k.depth == 0:

@@ -44,6 +44,17 @@ def mp_polylog(s: int, z: complex, dps: int = 30) -> complex:
 def mp_nested_li(parts, args, n_terms: int, dps: int = 30) -> complex:
     """brute_li's running prefixes in mpmath at dps digits, powers by
     repeated multiplication; no float rounding until the result."""
+    return _mp_nested(parts, args, n_terms, dps, 1)
+
+
+def mp_nested_li_star(parts, args, n_terms: int, dps: int = 30) -> complex:
+    """The star sum over m_1 <= ... <= m_d the same way: each running prefix
+    takes in the level below at the same m, not only at the m before."""
+    return _mp_nested(parts, args, n_terms, dps, 0)
+
+
+def _mp_nested(parts, args, n_terms: int, dps: int, lag: int) -> complex:
+    """Nested sum with m_{i-1} <= m_i - lag, every m_i <= n_terms."""
     with mpmath.workdps(dps):
         zs = [mpmath.mpc(a) for a in args]
         prefix = [mpmath.mpc(0)] * (n_terms + 1)
@@ -55,7 +66,7 @@ def mp_nested_li(parts, args, n_terms: int, dps: int = 30) -> complex:
             running, power = mpmath.mpc(0), mpmath.mpc(1)
             nxt = [mpmath.mpc(0)] * (n_terms + 1)
             for m in range(1, n_terms + 1):
-                running += prefix[m - 1]
+                running += prefix[m - lag]
                 power *= zs[i]
                 nxt[m] = running * power / mpmath.mpf(m) ** parts[i]
             prefix = nxt

@@ -173,6 +173,17 @@ def test_check_main_passes(capsys):
     assert payload["summary"]["max_residual"] < 1e-8
 
 
+def test_check_main_star_is_one_route(capsys):
+    # the star at z is one value by one route; here panels, and the value at
+    # 1/z, inside the unit polydisk, comes by series
+    payload = run_json(["check", "--theorem", "main", "-k", "1,2,1",
+                        "--args=-1.3+0.7j,0.9-1.1j,-0.6-1.7j"], capsys)
+    rec = payload["record"]
+    assert rec["status"] == "pass"
+    assert rec["star_methods"] == ["panels"] and rec["inv_method"] == "series"
+    assert rec["routes_independent"] is True
+
+
 def test_check_fails_at_tiny_tol(capsys):
     code, out, _ = run_cli(
         ["check", "--theorem", "hirose", "-k", "1,2", "--tol", "1e-30"], capsys)

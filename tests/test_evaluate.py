@@ -35,7 +35,8 @@ from mplparity.evaluate import (
 from mplparity.parity import reg_sides
 from mplparity.selftest import run_selftest
 from mplparity.words import word_from_index
-from oracles import brute_li, closed_li1, mp_nested_li, mp_polylog, quad_iint_depth2
+from oracles import (brute_li, closed_li1, mp_nested_li, mp_nested_li_star, mp_polylog,
+                     quad_iint_depth2)
 
 K = Index
 V = ArgVector.of
@@ -809,8 +810,94 @@ def test_star_empty():
 def test_star_detail_reports_methods():
     z = V((2j, 1.5j))  # tail products -3 and 1.5j, both off (1, inf)
     val, est, methods = li_star_detail(K((1, 1)), z)
-    assert methods == ("panels", "panels")
+    assert methods == ("panels",)
     assert est >= 0 and val == pytest.approx(li_star(K((1, 1)), z))
+
+
+# A plain star value is one star series or one star word, never the sum over
+# contractions; that sum, of plain values each routed on its own, is the
+# reference here.
+
+
+def _contraction_sum(k, z):
+    """(value, summed est_error) of the plain values over all contractions."""
+    results = [li(kc, zc) for kc, zc in enum_contractions(k, z)]
+    return sum(r.value for r in results), sum(r.est_error for r in results)
+
+
+def test_panel_star_matches_contraction_sum():
+    # panel estimates count no rounding and sit far below it, about 1e-21, so
+    # the gap, the rounding of two sums, is held to a rounding floor instead
+    rng = random.Random("panel-star")
+    for d in range(2, 7):
+        for _ in range(10):
+            k = K(tuple(rng.randint(1, 3) for _ in range(d)))
+            z = V(_outside_args(rng, d))
+            val, est, methods = li_star_detail(k, z)
+            ref, ref_est = _contraction_sum(k, z)
+            assert methods == ("panels",)
+            assert abs(val - ref) <= 1e-14 * max(1.0, abs(ref)), (k, z, est, ref_est)
+
+
+def test_series_star_est_error_covers_mpmath_nested_sum():
+    rng = random.Random("series-star-est")
+    for _ in range(30):
+        d = rng.randint(2, 4)
+        parts = tuple(rng.randint(1, 3) for _ in range(d))
+        args = sample_in_disk(rng, d, 0.8, 0.95)
+        r = max(map(abs, V(args).tails))
+        n = 64   # oracle terms: C(n+d-1, d-1) r^n below 1e-24 (1 - 0.95)
+        while math.comb(n + d - 1, d - 1) * r ** n > 5e-26:
+            n += 64
+        val, est, methods = li_star_detail(K(parts), V(args))
+        assert methods == ("series",)
+        assert abs(val - mp_nested_li_star(parts, args, n)) <= est, (parts, args)
+
+
+@pytest.mark.parametrize("parts,args", [((1, 2), (-1, 1)), ((2, 1, 2), (1j, -1j, 1))])
+def test_star_letters_at_form_one(parts, args):
+    # tail products equal to 1 put a form at 1 inside a form difference; the
+    # second case also starts the word at 1
+    k, z = K(parts), V(args)
+    ref = _contraction_sum(k, z)[0]
+    assert abs(li_star(k, z) - ref) <= 1e-14 * max(1.0, abs(ref))
+
+
+def test_star_with_a_zero_entry_is_zero():
+    for parts, args in (((1, 2), (0, 3)), ((1, 2, 1), (2j, 0, 3)), ((2, 1), (0.5, 0))):
+        assert li_star(K(parts), V(args)) == 0
+
+
+def test_star_march_is_history_independent():
+    # the identity contraction has the star word's forms, the form at 0
+    # included, so both march under one plan and share the leading prefix
+    k, z = K((2, 1, 2)), V(WITNESS)
+    clear_caches()
+    cold = li_star_detail(k, z)
+    clear_caches()
+    kc, zc = enum_contractions(k, z)[0]
+    li(kc, zc)
+    warm = li_star_detail(k, z)
+    assert evaluate._plan.cache_info().hits == 1
+    assert repr(warm) == repr(cold)
+
+
+def test_star_march_errors_are_typed(monkeypatch):
+    # a star word that runs out of panels names its flat forms, not its letters
+    k, z = K((1, 2, 1)), V(WITNESS)
+    monkeypatch.setattr(evaluate, "MAX_PANELS", 100)
+    clear_caches()
+    with pytest.raises(EvaluationError, match="panel budget exhausted") as info:
+        li_star(k, z, EvalConfig(panel_safety=0.001))
+    g = z.tails
+    assert info.value.forms == (1 / g[0], 1 / g[1], 0j, 1 / g[2])
+    assert all(type(f) is complex for f in info.value.forms)
+    # a last place (1, 1) diverges, as the identity contraction does
+    for parts, args in (((2, 1), (-1.5j, 1)), ((1, 2, 1), (2j, -1, 1))):
+        with pytest.raises(DomainError):
+            li(K(parts), V(args))
+        with pytest.raises(DomainError):
+            li_star(K(parts), V(args))
 
 
 def test_shift_zero_is_plain():
