@@ -17,6 +17,7 @@ from .evaluate import (
     li_series,
     li_shift,
     li_shift_blocks,
+    li_shift_jet,
     li_star,
     li_word,
 )
@@ -36,7 +37,7 @@ __all__ = [
     "EvalResult", "EvaluationError", "Index", "InvariantResult", "LinComb", "ParityReport", "TPoly",
     "Word", "bernoulli_factor", "check_derivative", "decompose_shuffle",
     "decompose_stuffle", "li", "li_panels", "li_series", "li_shift",
-    "li_shift_blocks", "li_star", "li_word", "limit_probe", "log_minus",
+    "li_shift_blocks", "li_shift_jet", "li_star", "li_word", "limit_probe", "log_minus",
     "main_sides", "mzv_sides", "reg_poly", "reg_sides", "reg_value", "rho",
     "rho_inv", "run_selftest", "shuffle", "stuffle", "zeta",
 ]

@@ -50,11 +50,22 @@ dispatcher picks series strictly inside the polydisk and panels otherwise, and
 every result reports which route produced it together with an error estimate
 that is meant to be trusted (over-, never under-stated).
 
+The weight-shifted family li_shift(a, k, z), a = 0..A, is one t-jet
+(li_shift_jet): entry a is the coefficient of t^a in the sum of
+prod z_i^{m_i} (m_i + t)^-k_i.  A plain jet is computed in one pass, routed as
+the value at (k, z) is.  On the series route every level carries a t-axis of
+A + 1 rows.  On the panel route one march under the plan of the forms 1/g_i
+and the form at 0 carries A + 1 columns, and after each block the columns take
+in up to A further zero steps, weighted by C(k_i+l-1, l)(-1)^l.  A regularized
+jet is the per-a sum over cached regularized values.  Jets return values
+without error estimates.
+
 Value caches key on what the computation reads, never on provenance or on
 branch_at_one.  A value at (k, z) reads k.parts, z.entries, z.tails and the
 numeric knobs series_truncation, panel_order and panel_safety, so those (plus
 the route or regularization mode, and whether it is the star value) are its
-key; a word value reads the forms of its integral and the same knobs.  Both
+key; a jet's key is the same numbers with its mode and its length A; a word
+value reads the forms of its integral and the same knobs.  Both
 branches of a regularized check and every ArgVector that carries the same
 numbers share one computed value.  The
 tails are part of the key because equal entries do not imply equal tail
@@ -141,37 +152,51 @@ def _m_powers(n: int, k: int) -> np.ndarray:
 
 
 def _next_level(prev: np.ndarray, pw: np.ndarray, block: int, out: np.ndarray) -> np.ndarray:
-    """Prefix sums in powers of one ratio g per row, written to out and
-    returned: out[:, t] = g (out[:, t-1] + prev[:, t]) with out[:, -1] = 0, for
-    t below out's width.  pw[:, j] = g^j for j = 0..block; one row of pw may
-    serve every row of prev.
+    """Prefix sums in powers of one ratio g per row along the last axis,
+    written to out and returned: out[..., t] = g (out[..., t-1] + prev[..., t])
+    with out[..., -1] = 0, for t below out's width.  pw[..., j] = g^j for
+    j = 0..block; pw broadcasts against prev, so one row of pw may serve every
+    row of prev, or one panel's powers every column of a jet.
 
-    Unrolled, out[:, t] = g^(t+1) sum_{s<=t} g^-s prev[:, s]: one cumsum of
+    Unrolled, out[..., t] = g^(t+1) sum_{s<=t} g^-s prev[..., s]: one cumsum of
     prev scaled by inverse powers, rescaled by powers.  The sum restarts every
     `block` terms from the carried out value, so no power beyond g^block nor
     its inverse is formed; the caller picks block to keep those in range."""
-    size = out.shape[1]
+    size = out.shape[-1]
     if block >= size:   # the loop's slicing costs a 1-3-form word about 2.5%
-        return np.multiply(pw[:, 1:size + 1], (prev[:, :size] / pw[:, :size]).cumsum(1), out=out)
+        return np.multiply(pw[..., 1:size + 1], (prev[..., :size] / pw[..., :size]).cumsum(-1),
+                           out=out)
     for p0 in range(0, size, block):
         q = min(block, size - p0)
-        s = (prev[:, p0:p0 + q] / pw[:, :q]).cumsum(1)
+        s = (prev[..., p0:p0 + q] / pw[..., :q]).cumsum(-1)
         if p0:
-            s += out[:, p0 - 1:p0]
-        np.multiply(pw[:, 1:q + 1], s, out=out[:, p0:p0 + q])
+            s += out[..., p0 - 1:p0]
+        np.multiply(pw[..., 1:q + 1], s, out=out[..., p0:p0 + q])
     return out
 
 
 def _series_level(prev: np.ndarray, g: complex) -> np.ndarray:
-    """The series level above prev, one entry shorter (prev[0] sits at m = i,
-    the result's first entry at m = i + 1), in blocks short enough that
-    |g|^block and |g|^-block stay within e^SCALE_LIMIT; a tiny tail takes many
-    short blocks."""
-    size = max(len(prev) - 1, 0)
+    """The series level above prev, one entry shorter along the last axis
+    (prev[..., 0] sits at m = i, the result's first entry at m = i + 1), in
+    blocks short enough that |g|^block and |g|^-block stay within
+    e^SCALE_LIMIT; a tiny tail takes many short blocks.  prev is one row or
+    a 2-D array of rows, which all sum in the same powers."""
+    size = max(prev.shape[-1] - 1, 0)
     block = max(1, min(size, int(SCALE_LIMIT / -math.log(abs(g)))))
     pw = np.full((1, block + 1), g)
     pw[0, 0] = 1
-    return _next_level(prev[None], pw.cumprod(1), block, np.empty((1, size), complex))[0]
+    rows = prev if prev.ndim == 2 else prev[None]
+    out = _next_level(rows, pw.cumprod(1), block, np.empty((len(rows), size), complex))
+    return out if prev.ndim == 2 else out[0]
+
+
+def _series_terms(r: float, d: int, cfg: EvalConfig, star: bool = False) -> int:
+    """Terms a series of depth d with largest tail modulus r sums: the fewest
+    that reach SERIES_GOAL, from 32 up in steps of 40%, within the cap."""
+    n = min(32, cfg.series_truncation)
+    while _series_tail_bound(r, d, n, star) > SERIES_GOAL and n < cfg.series_truncation:
+        n = min(cfg.series_truncation, max(n + 8, int(n * 1.4)))
+    return n
 
 
 def li_series(k: Index, z: ArgVector, cfg: EvalConfig = DEFAULT_CONFIG,
@@ -190,9 +215,7 @@ def li_series(k: Index, z: ArgVector, cfg: EvalConfig = DEFAULT_CONFIG,
     r = max(abs(gi) for gi in g)
     if r > SERIES_RADIUS:
         raise DomainError(f"tail product of modulus {r:.4f} outside series radius")
-    n = min(32, cfg.series_truncation)
-    while _series_tail_bound(r, d, n, star) > SERIES_GOAL and n < cfg.series_truncation:
-        n = min(cfg.series_truncation, max(n + 8, int(n * 1.4)))
+    n = _series_terms(r, d, cfg, star)
     bound = _series_tail_bound(r, d, n, star)
 
     # level recursion in tail products, one array per level over m = i..n:
@@ -210,6 +233,41 @@ def li_series(k: Index, z: ArgVector, cfg: EvalConfig = DEFAULT_CONFIG,
             cur = _series_level(cur, g[i]) / _m_powers(n, k.parts[i])[i:]
     rounding = 8e-16 * float(abs(cur).sum())
     return EvalResult(complex(cur.sum()), bound + rounding, "series", n_terms=n)
+
+
+def _shift_weight(k: int, l: int) -> int:
+    """Coefficient of t^l in (m + t)^-k, over m^(-k-l): C(k+l-1, l) (-1)^l."""
+    return (-1) ** l * math.comb(k + l - 1, l)
+
+
+def _shift_mix(rows: np.ndarray, k: int, A: int, n: int, i: int) -> np.ndarray:
+    """Rows c = 0..A of the t-jet of rows times (m + t)^-k, m = i+1..n along
+    the last axis: row c + l takes rows[c] / m^(k+l) times _shift_weight(k, l).
+    Row 0 is rows[0] / m^k, as li_series divides."""
+    out = np.zeros((A + 1, rows.shape[1]), complex)
+    for l in range(A + 1):
+        live = rows[:A + 1 - l]
+        term = live / _m_powers(n, k + l)[i:]
+        w = _shift_weight(k, l)
+        if w != 1:
+            term *= w
+        out[l:l + len(live)] += term
+    return out
+
+
+def _jet_series(A: int, k: Index, z: ArgVector, cfg: EvalConfig) -> np.ndarray:
+    """The t-jet of li_series: entry a is the coefficient of t^a in the sum
+    over m_1 < ... < m_d of prod z_i^{m_i} (m_i + t)^-k_i.  Every level carries
+    a leading t-axis of A + 1 rows; level 1 builds its rows from the one cumprod
+    of g_1, and each later level is one _series_level over all rows, since its
+    powers of g_i serve every row.  The truncation is li_series' for (r, d),
+    the one every shifted index gets on its own."""
+    g = z.tails
+    n = _series_terms(max(abs(gi) for gi in g), k.depth, cfg)
+    cur = _shift_mix(np.full(n, g[0]).cumprod()[None], k.parts[0], A, n, 0)
+    for i in range(1, k.depth):
+        cur = _shift_mix(_series_level(cur, g[i]), k.parts[i], A, n, i)
+    return cur.sum(1)
 
 
 # --- panel route ------------------------------------------------------------
@@ -244,12 +302,13 @@ def _log_int_table(order: int, P: int) -> np.ndarray:
 
 
 def _log_integrate(dst, src, K, add=np.add):
-    """dst[m, q] += sum_p src[m, p] K[p, m, q], or -= with add=np.subtract.  The
-    sum runs in ascending p, the order of the term-by-term loop kept in the
-    tests; one einsum or matmul would be free to reorder it."""
+    """dst[..., m, q] += sum_p src[..., m, p] K[p, m, q], or -= with
+    add=np.subtract.  The sum runs in ascending p, the order of the
+    term-by-term loop kept in the tests; one einsum or matmul would be free to
+    reorder it."""
     for p in range(K.shape[0]):
-        d = dst[:, : p + 1]
-        add(d, src[:, p : p + 1] * K[p, :, : p + 1], out=d)
+        d = dst[..., : p + 1]
+        add(d, src[..., p : p + 1] * K[p, :, : p + 1], out=d)
 
 
 def _layout(sing, order: int, safety: float):
@@ -421,48 +480,56 @@ class _Plan:
     def _interior(self, prev, a, j: int, coef, kern):
         """Coefficients of level j of a on every interior panel, written to
         coef, from those of level j - 1 in prev; returns the value of level j
-        at the end of the last interior panel.
+        at the end of the last interior panel."""
+        return self._interior_step(prev, a[j - 1], coef, kern)[-1]
+
+    def _interior_step(self, prev, letter, coef, kern):
+        """The integral of prev times the form letter on every interior panel:
+        its coefficients written to coef, its values at the panels' ends
+        returned.  prev and coef may carry leading axes, the columns of a jet,
+        which every step treats alike.
 
         With the form's kernel -g^(n+1) (see _kernels), coefficient n + 1 is
         -g^(n+1)/(n+1) times the prefix sum of prev[i] g^-i, i <= n: one
         _next_level over all panels at once.  A pair letter (s, 0) is the
         form s minus the form at 0: two such sums, the second subtracted.  A
         form at 0 on the t0 = 0 panel sits at the panel's center and is
-        integrated by exponent shift there instead, which requires the
-        previous level to vanish there.  Each panel's row summed against its
-        step powers is the change of the level across the panel; one cumsum
-        chains them into the values at the panels' ends, and each panel's
-        constant term is the value at the end of the panel before it.
+        integrated by exponent shift there instead, coefficient n being
+        prev[n] / n, which requires the previous level to vanish there.  Each
+        panel's row summed against its step powers is the change of the level
+        across the panel; one cumsum chains them into the values at the
+        panels' ends, and each panel's constant term is the value at the end
+        of the panel before it.
         """
         M = self.order
         pw, blocks, index, zero = kern
-        letter = a[j - 1]
         pair = type(letter) is tuple
         k = index[letter[0] if pair else letter]
-        out = coef[:, 1:]
+        out = coef[..., 1:]
         _next_level(prev, pw[k, :-1], blocks[k], out)
         if pair:
             k = index[letter[1]]
             minus = _next_level(prev, pw[k, :-1], blocks[k], np.empty(out.shape, complex))
             if k == zero:
-                minus[0] = 0.0   # shifted below
+                minus[..., 0, :] = 0.0   # shifted below
             out -= minus
         out /= _ramps(M)[2]
         if k == zero:
-            scale = max(1.0, float(np.abs(prev[0]).max()))
-            if abs(prev[0, 0]) > 1e-12 * scale:   # iterated_integral adds the forms
+            first = prev[..., 0, :]
+            mags = np.abs(first)
+            if mags[..., 0].max() > 1e-12 * max(1.0, float(mags.max())):   # the caller adds the forms
                 raise EvaluationError("nonvanishing integrand at singular panel center", 0, ())
-            shift = prev[0, 1:] / _ramps(M)[1]
+            shift = first[..., 1:] / _ramps(M)[1]
             if pair:
-                coef[0, 1:] -= shift
+                coef[..., 0, 1:] -= shift
             else:
-                coef[0, 1:] = shift
-        ends = (out * pw[-1, :-1, 1:]).sum(1)
-        coef[0, 0] = 0.0
-        if len(ends) > 1:
-            ends = ends.cumsum()
-            coef[1:, 0] = ends[:-1]
-        return ends[-1]
+                coef[..., 0, 1:] = shift
+        ends = (out * pw[-1, :-1, 1:]).sum(-1)
+        coef[..., 0, 0] = 0.0
+        if ends.shape[-1] > 1:
+            ends = ends.cumsum(-1)
+            coef[..., 1:, 0] = ends[..., :-1]
+        return ends
 
     def _extend(self, level, a, i: int, n: int, kern):
         """Levels i + 1..n of a from level i, each kept; returns level n.
@@ -516,20 +583,33 @@ class _Plan:
         return cur, 0.0, 0.0
 
     def _final(self, level, s: complex, F, interior_est, fc, kern):
-        """Level j of the final panel from level j - 1, in u = 1 - t.
+        """Level j of the final panel from level j - 1 (_final_step), with its
+        error terms.
 
         A level is (cur, est, interior_est): cur[m, p] the coefficient of
         u^m log^p u; est the error terms summed over levels 1..j; interior_est
-        the estimate of the interior panels of the word forms[:j].  Forms at 1
-        divide by u and raise the log degree; any other form convolves every
-        log power at once with its kernel -g^(n+1) (see _kernels), one
-        _next_level along u, before the log integration.  A pair letter
-        (s, 0) does the first for s and subtracts the second for its form at
-        0.  F is level j's value at the end of the last interior panel.
+        the estimate of the interior panels of the word forms[:j].
         """
-        prev = level[0]
         M = self.order
-        K, upow, logf, upow_c, lpow_c = fc
+        upow, logf = fc[1], fc[2]
+        cur = self._final_step(level[0], s, F, fc, kern)
+        below, top = np.maximum.reduce(np.abs(cur[M - 1:]), axis=1)
+        tail = max(top * upow[M], below * upow[M - 1])
+        return cur, level[1] + tail * logf * self.safety / (1.0 - self.safety), interior_est
+
+    def _final_step(self, prev, s: complex, F, fc, kern):
+        """The final panel's coefficients of u^m log^p u, u = 1 - t, after the
+        letter s, from those in prev; prev may carry leading axes, as in
+        _interior_step, and F then holds one end value per column.
+
+        Forms at 1 divide by u and raise the log degree; any other form
+        convolves every log power at once with its kernel -g^(n+1) (see
+        _kernels), one _next_level along u, before the log integration.  A
+        pair letter (s, 0) does the first for s and subtracts the second for
+        its form at 0.  F is the new level's value at the end of the last
+        interior panel, which fixes the constant term.
+        """
+        K, upow_c, lpow_c = fc[0], fc[3], fc[4]
         P = len(lpow_c) - 1
         cur = np.zeros(prev.shape, complex)
         minus = None
@@ -539,28 +619,25 @@ class _Plan:
         if s == 1:
             # integrand prev[m, p] u^{m-1} log^p u
             for p in range(P):
-                cur[0, p + 1] += prev[0, p] / (p + 1)
-            _log_integrate(cur[1:], prev[1:], K)
+                cur[..., 0, p + 1] += prev[..., 0, p] / (p + 1)
+            _log_integrate(cur[..., 1:, :], prev[..., 1:, :], K)
             if minus is not None:
-                _log_integrate(cur[1:], minus.T, K)
+                _log_integrate(cur[..., 1:, :], minus.swapaxes(-1, -2), K)
         else:
             prod = self._along_u(prev, s, kern)
             if minus is not None:
                 prod -= minus
-            _log_integrate(cur[1:], prod.T, K, np.subtract)
-        partial = complex(cur.dot(lpow_c).dot(upow_c))
-        cur[0, 0] = F - partial
-        below, top = np.maximum.reduce(np.abs(cur[M - 1:]), axis=1)
-        tail = max(top * upow[M], below * upow[M - 1])
-        return cur, level[1] + tail * logf * self.safety / (1.0 - self.safety), interior_est
+            _log_integrate(cur[..., 1:, :], prod.swapaxes(-1, -2), K, np.subtract)
+        cur[..., 0, 0] = F - cur.dot(lpow_c).dot(upow_c)
+        return cur
 
     def _along_u(self, prev, s: complex, kern):
         """prev, coefficients of u^m log^p u, convolved along u with the kernel
         of the form s on the final panel: one _next_level over every log power."""
         pw, blocks, index, _ = kern
         k = index[s]
-        out = np.empty((prev.shape[1], self.order), complex)
-        return _next_level(prev.T, pw[k, -1:], blocks[k], out)
+        out = np.empty(prev.shape[:-2] + (prev.shape[-1], self.order), complex)
+        return _next_level(prev.swapaxes(-1, -2), pw[k, -1:], blocks[k], out)
 
     def _close(self, level):
         """(value, est) of the final panel: the value of the last level at u = 0
@@ -595,11 +672,75 @@ class _Plan:
         value, est = self._close(final)
         return value, (final[2] + est) * 4.0
 
+    # --- one t-jet ---
+
+    def jet(self, blocks, A: int, P: int) -> np.ndarray:
+        """Columns c = 0..A of the t-jet of the word whose blocks (s_i, k_i)
+        are each the form s_i then k_i - 1 forms at 0: column c sums the words
+        with c more zeros, l_i more after block i, weighted by
+        prod _shift_weight(k_i, l_i).  P counts the forms s_i at 1.
+
+        A state is, per column, the interior coefficients on every panel and
+        the final panel's coefficients.  A letter is one _interior_step and one
+        _final_step over all columns, in the plan's one kernel table.  Every
+        step is linear, so after block i's own letters, l = 1..A further zero
+        steps of columns 0..A - l are added into columns l..A with weight
+        _shift_weight(k_i, l).  Shifts add only forms at 0, so every column
+        has the same P.  A jet neither reads nor keeps levels; its value is
+        the same whatever was marched under the plan before it."""
+        kern = self._kernels()
+        fc = self._final_consts(P, kern)
+        M = self.order
+
+        def step(state, s):
+            coef, fin = state
+            new = np.empty(coef.shape, complex)
+            ends = self._interior_step(coef, s, new, kern)
+            return new, self._final_step(fin, s, ends[:, -1], fc, kern)
+
+        coef = np.zeros((1, len(self.steps), M + 1), complex)
+        coef[:, :, 0] = 1.0
+        fin = np.zeros((1, M + 1, P + 1), complex)
+        fin[0, 0, 0] = 1.0
+        state = (coef, fin)
+        for s, k in blocks:
+            state = step(state, s)
+            for _ in range(k - 1):
+                state = step(state, 0j)
+            mixed = tuple(np.zeros((A + 1,) + x.shape[1:], complex) for x in state)
+            for x, y in zip(mixed, state):
+                x[:len(y)] = y
+            shifted = state
+            for l in range(1, A + 1):
+                shifted = step(tuple(x[:A + 1 - l] for x in shifted), 0j)
+                w = _shift_weight(k, l)
+                for x, y in zip(mixed, shifted):
+                    x[l:l + len(y)] += w * y
+            state = mixed
+        return state[1][:, 0, 0]
+
 
 @memo(maxsize=PLANS)
 def _plan(sing: tuple, order: int, safety: float) -> _Plan:
     """Plan of the sorted singularities sing at (panel_order, panel_safety)."""
     return _Plan(sing, *_layout(sing, order, safety), order, safety)
+
+
+def _on_plan(sing, forms: tuple, cfg: EvalConfig, march):
+    """(plan, march(plan)) for the plan of the singularities sing.  A
+    singularity on the path other than 0 and 1 is a DomainError; a failed
+    layout or march is an EvaluationError whose witness is forms."""
+    sing = tuple(sorted(sing, key=lambda s: (s.real, s.imag)))
+    for s in sing:
+        if s not in (0, 1) and _seg_dist(s) < PATH_CLEARANCE:
+            raise DomainError(f"form singularity {s} lies on the integration path")
+    try:
+        plan = _plan(sing, cfg.panel_order, cfg.panel_safety)
+        # a march that overflows next to a form is reported by the caller, not warned about
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return plan, march(plan)
+    except EvaluationError as e:
+        raise EvaluationError(e.args[0], e.panels, forms) from None
 
 
 def iterated_integral(forms, cfg: EvalConfig = DEFAULT_CONFIG, star: bool = False):
@@ -622,17 +763,7 @@ def iterated_integral(forms, cfg: EvalConfig = DEFAULT_CONFIG, star: bool = Fals
         letters = a[:1] + tuple(s if s == 0 else (s, 0j) for s in a[1:])
         if letters != a:
             sing.add(0j)
-    sing = tuple(sorted(sing, key=lambda s: (s.real, s.imag)))
-    for s in sing:
-        if s not in (0, 1) and _seg_dist(s) < PATH_CLEARANCE:
-            raise DomainError(f"form singularity {s} lies on the integration path")
-    try:   # the witness of a failed layout or march is this word's forms
-        plan = _plan(sing, cfg.panel_order, cfg.panel_safety)
-        # a march that overflows next to a form is reported below, not warned about
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            value, est = plan.integrate(letters, a.count(1))
-    except EvaluationError as e:
-        raise EvaluationError(e.args[0], e.panels, a) from None
+    plan, (value, est) = _on_plan(sing, a, cfg, lambda plan: plan.integrate(letters, a.count(1)))
     if not (cmath.isfinite(value) and math.isfinite(est)):
         raise EvaluationError("non-finite panel value", len(plan.public.steps), a)
     return value, est, plan.public
@@ -660,18 +791,39 @@ def li_panels(k: Index, z: ArgVector, cfg: EvalConfig = DEFAULT_CONFIG,
         raise ValueError("index and argument depth differ")
     if d == 0:
         return EvalResult(1 + 0j, 0.0, "panels")
+    val, err, plan = iterated_integral(_panel_word(k, z), cfg, star=star)
+    sign = -1.0 if d % 2 else 1.0
+    return EvalResult(sign * val, err, "panels", n_panels=len(plan.steps))
+
+
+def _panel_word(k: Index, z: ArgVector) -> tuple[complex, ...]:
+    """The forms [1/g_1, 0^(k_1-1), 1/g_2, 0^(k_2-1), ...] of the value at
+    (k, z); DomainError where the panel route cannot take (k, z)."""
     if any(e == 0 for e in z.entries):
         raise DomainError("panel route needs nonzero arguments")
     g = check_tails(z)
     if k.parts[-1] == 1 and z.symbols[-1].value == 1:
         raise DomainError("terminal pair (k_d, z_d) = (1, 1) diverges")
     forms: list[complex] = []
-    for i in range(1, d + 1):
-        forms.append(1 / g[i - 1])
-        forms.extend([0j] * (k.parts[i - 1] - 1))
-    val, err, plan = iterated_integral(forms, cfg, star=star)
-    sign = -1.0 if d % 2 else 1.0
-    return EvalResult(sign * val, err, "panels", n_panels=len(plan.steps))
+    for gi, ki in zip(g, k.parts):
+        forms.append(1 / gi)
+        forms.extend([0j] * (ki - 1))
+    return tuple(forms)
+
+
+def _jet_panels(A: int, k: Index, z: ArgVector, cfg: EvalConfig) -> np.ndarray:
+    """The t-jet of li_panels, one march (_Plan.jet) under the plan of the
+    forms 1/g_i and the form at 0.  It fails as the value at (k, z) fails, and
+    a failed march names that value's forms."""
+    forms = _panel_word(k, z)
+    sing = set(forms)
+    if A:
+        sing.add(0j)
+    blocks = list(zip((1 / gi for gi in z.tails), k.parts))
+    plan, cols = _on_plan(sing, forms, cfg, lambda plan: plan.jet(blocks, A, forms.count(1)))
+    if not np.isfinite(cols).all():
+        raise EvaluationError("non-finite panel value", len(plan.public.steps), forms)
+    return -cols if k.depth % 2 else cols
 
 
 # --- dispatch and caching ---------------------------------------------------
@@ -877,19 +1029,54 @@ def _shifted_indices(a: int, k: Index):
         yield coef, Index(tuple(ki + li_ for ki, li_ in zip(k.parts, l)))
 
 
+@memo(maxsize=100_000)
+def _jet_cached(key: CacheKey) -> tuple[complex, ...]:
+    A, k, z, cfg, mode = key.args
+    if mode != "plain":   # per-a sums over cached values, in _shifted_indices order
+        jet = []
+        for a in range(A + 1):
+            acc = 0j
+            for coef, shifted in _shifted_indices(a, k):
+                acc += coef * _value(shifted, z, cfg, mode)
+            jet.append((-1) ** a * acc)
+        return tuple(jet)
+    if 0 in z.entries:
+        return (0j,) * (A + 1)
+    if max(map(abs, z.tails)) <= SERIES_RADIUS:
+        return tuple(_jet_series(A, k, z, cfg).tolist())
+    return tuple(_jet_panels(A, k, z, cfg).tolist())
+
+
+def li_shift_jet(A: int, k: Index, z: ArgVector, cfg: EvalConfig = DEFAULT_CONFIG,
+                 mode: str = "plain") -> tuple[complex, ...]:
+    """(li_shift(a, k, z, cfg, mode) for a = 0..A), computed together and
+    cached as one.
+
+    The shifted family is the t-jet of prod (m_i + t)^-k_i: since
+    (m + t)^-k = sum_l C(k+l-1, l) (-t)^l m^(-k-l), entry a is the coefficient
+    of t^a in the sum over m_1 < ... < m_d of prod z_i^{m_i} (m_i + t)^-k_i.  A
+    plain jet is one series with a t-axis of A + 1 rows (_jet_series) or one
+    panel march with A + 1 columns (_Plan.jet), routed as li routes.  A
+    regularized jet is the per-a sums over cached regularized values.  A jet
+    raises what computing its entries one by one would raise."""
+    if mode not in ("plain", "stuffle", "shuffle"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if k.depth != z.depth:
+        raise ValueError("index and argument depth differ")
+    if k.depth == 0:
+        return (1 + 0j,) + (0j,) * A
+    key = ("jet", mode, A, k.parts, z.entries, z.tails) + _knobs(cfg)
+    return _jet_cached(CacheKey(key, A, k, z, cfg, mode))
+
+
 def li_shift(a: int, k: Index, z: ArgVector, cfg: EvalConfig = DEFAULT_CONFIG,
              mode: str = "plain") -> complex:
     """Weight-raised alternating sum: (-1)^a times the binomial-weighted sum of
-    values at indices k + l over compositions l of a.  Returns 0 for a < 0."""
+    values at indices k + l over compositions l of a, entry a of li_shift_jet.
+    Returns 0 for a < 0."""
     if a < 0:
         return 0j
-    d = k.depth
-    if d == 0:
-        return (1 + 0j) if a == 0 else 0j
-    acc = 0j
-    for coef, shifted in _shifted_indices(a, k):
-        acc += coef * _value(shifted, z, cfg, mode)
-    return (-1) ** a * acc
+    return li_shift_jet(a, k, z, cfg, mode)[a]
 
 
 def li_shift_blocks(a: int, k: Index, z: ArgVector, cfg: EvalConfig = DEFAULT_CONFIG,

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .evaluate import _value, li, li_shift, li_shift_blocks, li_star, li_star_detail
+from .evaluate import _value, li, li_shift_blocks, li_shift_jet, li_star, li_star_detail
 from .numcore import (
     DEFAULT_CONFIG,
     EvalConfig,
@@ -103,14 +103,15 @@ def r_factor(n: int, k: Index, z: ArgVector, cfg: EvalConfig = DEFAULT_CONFIG,
     sum over a + b + l = k_n of
       (-1)^b B-factor_l(z_1...z_d) * blocks-shifted_a(front) * shifted_b(1/back)
 
-    The block-alternating front factor is the quasi-shuffle antipode, so in
-    plain and stuffle mode it is computed as li_shift at the reversed front
-    index and arguments: one shifted value per composition of a instead of
-    2^(d-1) block splittings of star sums.  Reversal keeps every consecutive
-    product and its symbols, so the theorem domains are unchanged.  Shuffle
-    mode keeps li_shift_blocks: under the shuffle regularization the antipode
-    is not the reversed value at divergent all-ones words (k = (1, 1),
-    z = (1, 1), a = 0 differ by zeta(2)).
+    Each shifted family is read as one jet (li_shift_jet), all of a = 0..k_n
+    or b = 0..k_n at once.  The block-alternating front factor is the
+    quasi-shuffle antipode, so in plain and stuffle mode it is the jet at the
+    reversed front index and arguments, instead of 2^(d-1) block splittings of
+    star sums per shifted index.  Reversal keeps every consecutive product and
+    its symbols, so the theorem domains are unchanged.  Shuffle mode keeps
+    li_shift_blocks: under the shuffle regularization the antipode is not the
+    reversed value at divergent all-ones words (k = (1, 1), z = (1, 1), a = 0
+    differ by zeta(2)).
     """
     d = k.depth
     if not 1 <= n <= d:
@@ -118,20 +119,18 @@ def r_factor(n: int, k: Index, z: ArgVector, cfg: EvalConfig = DEFAULT_CONFIG,
     kn = k.parts[n - 1]
     front_k, front_z = k.cut(1, n - 1), z.cut(1, n - 1)
     if mode == "shuffle":
-        front_shift = li_shift_blocks
+        fronts = [li_shift_blocks(a, front_k, front_z, cfg, mode) for a in range(kn + 1)]
     else:
-        front_k, front_z, front_shift = front_k.reversed(), front_z.reversed(), li_shift
-    back_k = k.cut(n + 1, d)
-    back_z_inv = z.cut(n + 1, d).reciprocal()
+        fronts = li_shift_jet(kn, front_k.reversed(), front_z.reversed(), cfg, mode)
+    backs = li_shift_jet(kn, k.cut(n + 1, d), z.cut(n + 1, d).reciprocal(), cfg, mode)
     full_prod = z.tails[0]
     acc = 0j
-    for a in range(kn + 1):
-        front = front_shift(a, front_k, front_z, cfg, mode)
+    for a, front in enumerate(fronts):
         if front == 0:
             continue
         for b in range(kn - a + 1):
             l = kn - a - b
-            back = li_shift(b, back_k, back_z_inv, cfg, mode)
+            back = backs[b]
             if back == 0:
                 continue
             term = (-1) ** b * bernoulli_factor(l, full_prod, cfg) * front * back
@@ -211,16 +210,15 @@ def mzv_sides(k: Index, cfg: EvalConfig = DEFAULT_CONFIG) -> ParityReport:
             mid_k = k.cut(m + 1, n - 1).reversed()
             mid_z = ones.cut(m + 1, n - 1)
             back_k = k.cut(n + 1, d)
-            back_z = ones.cut(n + 1, d)
-            for a in range(kn + 1):
-                mid = li_shift(a, mid_k, mid_z, cfg, "stuffle")
+            backs = li_shift_jet(kn, back_k, ones.cut(n + 1, d), cfg, "stuffle")
+            for a, mid in enumerate(li_shift_jet(kn, mid_k, mid_z, cfg, "stuffle")):
                 if mid == 0:
                     continue
                 for b in range(kn - a + 1):
                     if (kn - a - b) % 2:
                         continue
                     l = (kn - a - b) // 2
-                    back = li_shift(b, back_k, back_z, cfg, "stuffle")
+                    back = backs[b]
                     if back == 0:
                         continue
                     coef = (2 * math.pi) ** (2 * l) * float(bernoulli_number(2 * l)) \
@@ -316,14 +314,13 @@ def limit_probe(k: Index, z_rest: ArgVector, theta: float, ts,
     t in ts (callers check decrease)."""
     d = z_rest.depth + 1
     k1 = k.parts[0]
-    rest_k = k.cut(2, d)
+    shifts = li_shift_jet(k1, k.cut(2, d), z_rest.reciprocal(), cfg, "plain")
     out = []
     for t in ts:
         z = ArgVector.of((t * complex(math.cos(theta), math.sin(theta)),) + z_rest.entries)
         val = li(k, z.reciprocal(), cfg).value
         for b in range(k1 + 1):
             l = k1 - b
-            val += (-1) ** (k1 + b) * bernoulli_factor(l, z.tails[0], cfg) \
-                * li_shift(b, rest_k, z_rest.reciprocal(), cfg, "plain")
+            val += (-1) ** (k1 + b) * bernoulli_factor(l, z.tails[0], cfg) * shifts[b]
         out.append(abs(val))
     return out

@@ -10,6 +10,7 @@ and the library is the substance of the numeric tests.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 
 import mpmath
@@ -34,6 +35,27 @@ def brute_li(parts, args, n_terms=2000) -> complex:
             nxt[m] = running * args[i] ** m / m ** parts[i]
         prefix = nxt
     return sum(prefix)
+
+
+def shift_reference(a, parts, value) -> complex:
+    """The weight-shifted family entry by entry: (-1)^a times the sum, over the
+    weak compositions l of a into len(parts) parts in lexicographic order, of
+    the integer prod C(k_i + l_i - 1, l_i) times value(k + l), value a
+    function of an exponent tuple.  This is the loop the library ran per a
+    before its shifted families became one jet; in regularized modes the jet
+    sums in the same order."""
+    if a < 0:
+        return 0j
+    d = len(parts)
+    if d == 0:
+        return (1 + 0j) if a == 0 else 0j
+    acc = 0j
+    for l in sorted(c for c in itertools.product(range(a + 1), repeat=d) if sum(c) == a):
+        coef = 1
+        for ki, li_ in zip(parts, l):
+            coef *= math.comb(ki + li_ - 1, li_)
+        acc += coef * value(tuple(ki + li_ for ki, li_ in zip(parts, l)))
+    return (-1) ** a * acc
 
 
 def mp_polylog(s: int, z: complex, dps: int = 30) -> complex:

@@ -27,6 +27,7 @@ from mplparity.evaluate import (
     li_series,
     li_shift,
     li_shift_blocks,
+    li_shift_jet,
     li_star,
     li_star_detail,
     li_word,
@@ -36,7 +37,7 @@ from mplparity.parity import reg_sides
 from mplparity.selftest import run_selftest
 from mplparity.words import word_from_index
 from oracles import (brute_li, closed_li1, mp_nested_li, mp_nested_li_star, mp_polylog,
-                     quad_iint_depth2)
+                     quad_iint_depth2, shift_reference)
 
 K = Index
 V = ArgVector.of
@@ -925,10 +926,125 @@ def test_shift_depth2_composition_sum():
 
 
 def test_shifted_indices_order_and_coefficients():
-    # li_shift and li_shift_blocks both sum in this order with these exact ints
+    # regularized jets and li_shift_blocks both sum in this order with these exact ints
     got = list(evaluate._shifted_indices(2, K((1, 2))))
     assert got == [(3, K((1, 4))), (2, K((2, 3))), (1, K((3, 2)))]
     assert all(type(coef) is int for coef, _ in got)
+
+
+# A shifted family is one jet: one t-series or one panel march for a plain
+# value, the per-a sums over cached values for a regularized one.  The per-a
+# loop over plain or regularized values is the reference.
+
+
+def _shift_ref(a, k, z, cfg=DEFAULT_CONFIG, mode="plain"):
+    return shift_reference(a, k.parts, lambda parts: evaluate._value(K(parts), z, cfg, mode))
+
+
+def _assert_jet_near_ref(k, z, A, method):
+    jet = li_shift_jet(A, k, z)
+    assert len(jet) == A + 1 and all(type(v) is complex for v in jet)
+    for a, got in enumerate(jet):
+        ref = _shift_ref(a, k, z)
+        assert abs(got - ref) <= 1e-14 * max(1.0, abs(ref)), (k, z, A, a, got, ref)
+        assert li_shift(a, k, z) == li_shift_jet(a, k, z)[a]
+    assert li(k, z).method == method
+
+
+@pytest.mark.parametrize("band,method", [((0.2, 0.6), "series"), ((0.8, 0.95), "series"),
+                                         ((1.3, 3.0), "panels")])
+def test_plain_jet_matches_per_a_reference(band, method):
+    rng = random.Random(f"jet-{band}")
+    for _ in range(25):
+        d = rng.randint(1, 4)
+        k = K(tuple(rng.randint(1, 3) for _ in range(d)))
+        args = sample_in_disk(rng, d, *band) if method == "series" else _outside_args(rng, d)
+        _assert_jet_near_ref(k, V(args), rng.randint(0, 4), method)
+
+
+@pytest.mark.parametrize("parts,args", [((2, 1), (-1, -1)), ((1, 2), (-1, 1))])
+def test_plain_jet_at_forms_at_one(parts, args):
+    # tail products equal to 1 put a form at 1 in every column's word; the
+    # second case starts its last block at 1
+    _assert_jet_near_ref(K(parts), V(args), 3, "panels")
+
+
+def test_regularized_jets_equal_per_a_reference_exactly():
+    cases = [((1, 1, 1), (-1, 1j, 1)), ((2, 1), (1j, 1)), ((1, 2, 1), REG_POINT[1]),
+             ((1, 1), (1, 1)), ((2, 1, 1), (1, 1, 1))]
+    for parts, args in cases:
+        k, z = K(parts), V(args)
+        for mode in ("stuffle", "shuffle"):
+            for cfg in (DEFAULT_CONFIG, EvalConfig(branch_at_one=-1)):
+                jet = li_shift_jet(3, k, z, cfg, mode)
+                assert jet == tuple(_shift_ref(a, k, z, cfg, mode) for a in range(4)), (k, z, mode)
+
+
+def test_jet_depth_zero_and_zero_entries():
+    for mode in ("plain", "stuffle", "shuffle"):
+        assert li_shift_jet(3, K(()), V(()), DEFAULT_CONFIG, mode) == (1, 0, 0, 0)
+    for parts, args in (((1, 2), (0, 3)), ((2, 1, 1), (2j, 0, 3)), ((1,), (0,))):
+        jet = li_shift_jet(2, K(parts), V(args))
+        assert jet == (0j, 0j, 0j)
+        assert all(_shift_ref(a, K(parts), V(args)) == 0 for a in range(3))
+    with pytest.raises(ValueError):
+        li_shift_jet(1, K((1,)), V((0.5,)), DEFAULT_CONFIG, "bogus")
+
+
+def test_jet_march_is_history_independent():
+    # the jet's plan is that of the forms 1/g_i and 0, the plan of the value
+    # itself here; its levels and kernel table change nothing in the jet
+    k, z = K((2, 1, 2)), V(WITNESS)
+    clear_caches()
+    cold = li_shift_jet(3, k, z)
+    clear_caches()
+    li(k, z)
+    li_star(k, z)
+    li(K((3, 2, 2)), z)
+    warm = li_shift_jet(3, k, z)
+    assert evaluate._plan.cache_info().hits >= 2
+    assert repr(warm) == repr(cold)
+
+
+def _raised(fn):
+    try:
+        fn()
+    except (DomainError, EvaluationError) as e:
+        return e
+    raise AssertionError("no error raised")
+
+
+@pytest.mark.parametrize("parts,args", [
+    ((1, 2), (0.5j, 2)),                      # tail product 2 in (1, inf)
+    ((2,), (1 / (0.5 + 1e-10j),)),            # form within PATH_CLEARANCE of the path
+    ((2, 1), (-1.5j, 1)),                     # terminal place (1, 1)
+    ((1, 2, 1), (2j, -1, 1)),
+])
+def test_jet_domain_errors_are_the_per_a_errors(parts, args):
+    k, z = K(parts), V(args)
+    want = _raised(lambda: [_shift_ref(a, k, z) for a in range(3)])
+    got = _raised(lambda: li_shift_jet(2, k, z))
+    assert type(got) is type(want) is DomainError
+    assert str(got) == str(want)
+
+
+@pytest.mark.parametrize("case", ["budget", "nonfinite"])
+def test_jet_march_errors_are_typed(monkeypatch, case):
+    # a jet that runs out of panels or marches to a non-finite value names the
+    # flat forms of the value at (k, z), as the per-a loop's first value does
+    if case == "budget":
+        monkeypatch.setattr(evaluate, "MAX_PANELS", 100)
+        k, z, cfg, reason = K((1, 2, 1)), V(WITNESS), EvalConfig(panel_safety=0.001), "budget"
+    else:
+        k, z, cfg, reason = K((2,)), V((1 / (0.5 + 1e-7j),)), DEFAULT_CONFIG, "non-finite"
+    clear_caches()
+    want = _raised(lambda: [_shift_ref(a, k, z, cfg) for a in range(3)])
+    clear_caches()
+    got = _raised(lambda: li_shift_jet(2, k, z, cfg))
+    assert type(got) is type(want) is EvaluationError
+    assert reason in str(got)
+    assert got.forms == want.forms == evaluate._panel_word(k, z)
+    assert all(type(f) is complex for f in got.forms)
 
 
 def test_blocks_depth1_is_star():

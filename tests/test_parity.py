@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from mplparity import evaluate
 from mplparity.numcore import (
     DEFAULT_CONFIG,
     EvalConfig,
@@ -16,7 +17,8 @@ from mplparity.numcore import (
     zeta,
 )
 from mplparity.words import ArgVector, Index
-from mplparity.evaluate import li, li_shift, li_shift_blocks, li_star
+from mplparity.evaluate import _value, li, li_shift_blocks, li_star
+from oracles import shift_reference
 from mplparity.parity import (
     all_ones_delta,
     all_ones_delta_mzv,
@@ -104,8 +106,9 @@ def test_r_factor_split_range():
 
 
 def _ref_r_factor(n, k, z, cfg=DEFAULT_CONFIG, mode="plain"):
-    """The inner factor with its front term in block form in every mode: the
-    reference for the antipode collapse in r_factor."""
+    """The inner factor with its front term in block form in every mode and its
+    back term summed per b: the reference for the antipode collapse and the
+    jets in r_factor."""
     d = k.depth
     kn = k.parts[n - 1]
     front_k, front_z = k.cut(1, n - 1), z.cut(1, n - 1)
@@ -119,7 +122,8 @@ def _ref_r_factor(n, k, z, cfg=DEFAULT_CONFIG, mode="plain"):
             continue
         for b in range(kn - a + 1):
             l = kn - a - b
-            back = li_shift(b, back_k, back_z_inv, cfg, mode)
+            back = shift_reference(b, back_k.parts,
+                                   lambda parts: _value(K(parts), back_z_inv, cfg, mode))
             if back == 0:
                 continue
             acc += (-1) ** b * bernoulli_factor(l, full_prod, cfg) * front * back
@@ -163,6 +167,20 @@ def test_r_factor_matches_block_reference_regularized():
                     assert residual(got, want) < 1e-12, (n, kk, zz, cfg, got, want)
                     assert r_factor(n, kk, zz, cfg, "shuffle") \
                         == _ref_r_factor(n, kk, zz, cfg, "shuffle"), (n, kk, zz, cfg)
+
+
+def test_wrong_jet_weight_trips_the_main_identity(monkeypatch):
+    # negative control: shifted families weighted C(k+l, l) instead of
+    # C(k+l-1, l) must break the identity, on the panel front and the series back
+    k, z = K((2, 1)), V((-1.2 + 1.4j, 0.8 - 1.9j))
+    evaluate.clear_caches()
+    assert main_sides(k, z).residual < 1e-12
+    monkeypatch.setattr(evaluate, "_shift_weight", lambda kk, l: (-1) ** l * math.comb(kk + l, l))
+    evaluate.clear_caches()
+    try:
+        assert main_sides(k, z).residual > 1e-8
+    finally:
+        evaluate.clear_caches()
 
 
 def test_check_derivative_r_cases():
