@@ -93,7 +93,7 @@ from operator import add, mul
 import numpy as np
 
 from .numcore import DEFAULT_CONFIG, DomainError, EvalConfig, EvaluationError, clear_caches, memo
-from .words import ONE_SYMBOL, ArgVector, Index, LinComb, Word, index_of_word
+from .words import _LETTERS, ONE_SYMBOL, ArgVector, Index, LinComb, Word, index_of_word
 
 SERIES_RADIUS = 0.95
 SERIES_GOAL = 1e-11 * 1e-2   # series tail bound to reach, cap permitting
@@ -883,19 +883,19 @@ def _li_word_cached(key: CacheKey) -> complex:
 
 
 def _word_value(w: Word, cfg: EvalConfig) -> complex:
-    if not w.letters:
+    if not w:
         return 1 + 0j
     if not w.in_h0:
         raise DomainError(f"word {w!r} is not evaluable (leading x or trailing y1)")
-    last = w.letters[-1]
-    if last is not None and last.value == 1:
+    if w[-1] and _LETTERS[w[-1]].value == 1:
         raise DomainError(f"word {w!r} ends in an argument equal to 1; integral diverges")
     forms: list[complex] = []
-    for l in w.letters:
-        if l is not None:
-            if l.value == 0:
+    for c in w:
+        if c:
+            value = _LETTERS[c].value
+            if value == 0:
                 raise DomainError("zero argument letter")
-            forms.append(1 / l.value)
+            forms.append(1 / value)
         else:
             forms.append(0j)
     forms = tuple(forms)
@@ -916,7 +916,7 @@ def li_word(w: Word | LinComb, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
 def li_word_series_encoding(w: Word, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
     """Evaluate a word read in the series encoding: y_c x^{k-1} blocks give the
     exponent tuple directly and the y-arguments are the z_i themselves."""
-    if not w.letters:
+    if not w:
         return 1 + 0j
     k, syms = index_of_word(w)
     z = ArgVector(syms)

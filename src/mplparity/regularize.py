@@ -102,16 +102,15 @@ def decompose_shuffle(w: Word) -> Decomposition:
     if not w.in_h1:
         raise ValueError("shuffle decomposition needs a word without leading x")
     h = w.trailing_ones()
-    core = Word(w.letters[: len(w.letters) - h])
+    core = w[: len(w) - h]
     parts: list[LinComb] = [LinComb.zero() for _ in range(h + 1)]
-    if not core.letters:
+    if not core:
         # pure y_1 power
         if h == 0:
             return Decomposition("shuffle", (LinComb.of(EMPTY_WORD),))
         parts[h] = LinComb.of(EMPTY_WORD, Fraction(1, math.factorial(h)))
         return Decomposition("shuffle", tuple(parts))
-    v = Word(core.letters[:-1])
-    u = Word(core.letters[-1:])
+    v, u = Word.of_codes(core[:-1]), core[-1:]
     for i in range(h + 1):
         combo = shuffle(v, y_one_power(h - i))
         terms = {word * u: c for word, c in combo.terms.items()}
@@ -125,7 +124,7 @@ def _decompose_stuffle_word(w: Word) -> tuple[tuple[int, LinComb], ...]:
     h = w.trailing_ones()
     if h == 0:
         return ((0, LinComb.of(w)),)
-    v = Word(w.letters[:-1])
+    v = Word.of_codes(w[:-1])
     sv = stuffle(v, Y_ONE_WORD)
     # sv contains w itself with multiplicity h; everything else has a shorter
     # trailing run, so recursion proceeds on (length, trailing count)

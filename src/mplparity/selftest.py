@@ -161,7 +161,7 @@ def _check_wordalg_shuffle(rng, cfg, zeta_fn):
 def _trailing_word(rng) -> Word:
     (w,) = _random_index_words(rng, 1)
     h = rng.randint(0, 2)
-    return Word(w.letters + y_one_power(h).letters)
+    return w * y_one_power(h)
 
 
 def _check_decomposition_reexpand(rng, cfg, zeta_fn):

@@ -1,22 +1,27 @@
 """Word algebra over the alphabet {x, y_c}: the bookkeeping layer every
 identity check is assembled from.
 
-A letter is stored bare: None for the differential-form letter x, and the
-ArgSymbol c itself for an argument letter y_c, so a word is a tuple of
-symbols and Nones.  The subscript c is not stored as a raw complex number: two
-letters must compare equal exactly when they denote the same argument
-product, and floating multiplication is not associative.  Instead each symbol
-is a sorted multiset of slot indices into one base tuple of complex entries;
-the numeric value is recomputed from the base in sorted slot order whenever
-symbols are multiplied, so equal multisets always carry bit-identical values.
-The empty multiset is the literal argument 1 (the letter created by
-regularization), and base entries exactly equal to 1 canonicalize to it.
+A letter is None for the differential-form letter x, and an ArgSymbol c for
+an argument letter y_c.  The subscript c is not stored as a raw complex
+number: two letters must compare equal exactly when they denote the same
+argument product, and floating multiplication is not associative.  Instead
+each symbol is a sorted multiset of slot indices into one base tuple of
+complex entries; the numeric value is recomputed from the base in sorted slot
+order whenever symbols are multiplied, so equal multisets always carry
+bit-identical values.  The empty multiset is the literal argument 1 (the
+letter created by regularization), and base entries exactly equal to 1
+canonicalize to it.  Symbols compute their hash once, at construction; a
+symbol over a base tuple equal to another one compares and hashes alike.
 
-Symbols and words compute their hash once, at construction, and return it
-from ``__hash__``; equality is still by value, so a symbol over a base tuple
-equal to another one compares and hashes alike.  Pickling rebuilds them from
-their fields, so the stored hash is recomputed in the receiving process (the
-hash of None, the x letter, is not stable across processes).
+A word is the tuple of its letter codes: a Word is a tuple of small ints, so
+its hash and equality are those of an int tuple.  One process-wide table
+gives each letter its code, x first as 0 and each symbol, by ArgSymbol
+equality, the next free code when a word first meets it.  The table only
+grows and survives clear_caches, so a code keeps its letter for the life of
+the process, and the two products recurse on code tuples.  Codes follow the
+order letters were first seen in, which differs between processes and runs,
+so no order is ever taken from them: ``LinComb.items()`` sorts by
+``Word.sort_key`` (slots and values), and pickling goes through the letters.
 
 Coefficients are exact rationals throughout, stored as ``int`` where they are
 integers (stuffle and shuffle multiplicities) and as ``Fraction`` otherwise;
@@ -28,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache, partial
 from typing import Iterable, Iterator, Mapping
 
 from .numcore import memo
@@ -92,6 +97,33 @@ ONE_SYMBOL = ArgSymbol((), ())
 X = None          # the letter x; y_c is the ArgSymbol c itself
 Y_ONE = ONE_SYMBOL
 
+# The code table: _LETTERS[code] is the letter and _KEYS[code] its sort key.
+_LETTERS: list[ArgSymbol | None] = [X]
+_KEYS: list[tuple] = [(0, (), 0.0, 0.0)]
+_CODES: dict[ArgSymbol, int] = {}
+
+
+def _code(letter: ArgSymbol | None) -> int:
+    """The letter's code, appended to the table the first time it is seen."""
+    if letter is None:
+        return 0
+    code = _CODES.get(letter)
+    if code is None:
+        key = (1, letter.slots, letter.value.real, letter.value.imag)
+        code = _CODES[letter] = len(_LETTERS)
+        _LETTERS.append(letter)
+        _KEYS.append(key)
+    return code
+
+
+ONE = _code(Y_ONE)
+
+
+@lru_cache(maxsize=None)
+def _code_product(a: int, b: int) -> int:
+    """Code of the product of two argument letters, given by their codes."""
+    return _code(_LETTERS[a] * _LETTERS[b])
+
 
 def _letter_repr(l: ArgSymbol | None) -> str:
     if l is None:
@@ -101,66 +133,63 @@ def _letter_repr(l: ArgSymbol | None) -> str:
     return f"y[{l.value:.6g}]"
 
 
-@dataclass(frozen=True, slots=True)
-class Word:
-    letters: tuple[ArgSymbol | None, ...] = ()
-    _hash: int = field(init=False, repr=False, compare=False)
+class Word(tuple):
+    """A word over {x, y_c}, stored as the tuple of its letter codes; built
+    from letters, and ``letters`` decodes it."""
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.letters,)))
+    __slots__ = ()
+    # codes are process-local, so words have no order of their own: sort_key
+    __lt__ = __le__ = __gt__ = __ge__ = None
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __new__(cls, letters: Iterable[ArgSymbol | None] = ()) -> "Word":
+        return tuple.__new__(cls, map(_code, letters))
 
     def __reduce__(self):
         return Word, (self.letters,)
 
     @property
+    def letters(self) -> tuple[ArgSymbol | None, ...]:
+        return tuple(map(_LETTERS.__getitem__, self))
+
+    @property
     def weight(self) -> int:
-        return len(self.letters)
+        return len(self)
 
     @property
     def depth(self) -> int:
-        return sum(1 for l in self.letters if l is not None)
+        return len(self) - self.count(0)
 
     @property
     def in_h1(self) -> bool:
         """No leading x (admits a series interpretation)."""
-        return not self.letters or self.letters[0] is not None
+        return not self or self[0] != 0
 
     @property
     def in_h0(self) -> bool:
         """in_h1 and no trailing y_1 (admits a convergent value)."""
-        if not self.in_h1:
-            return False
-        return not self.letters or self.letters[-1] != Y_ONE
+        return not self or (self[0] != 0 and self[-1] != ONE)
 
     def trailing_ones(self) -> int:
-        n = 0
-        for l in reversed(self.letters):
-            if l != Y_ONE:
-                break
-            n += 1
-        return n
+        n = len(self)
+        while n and self[n - 1] == ONE:
+            n -= 1
+        return len(self) - n
 
-    def __mul__(self, other: "Word") -> "Word":
-        return Word(self.letters + other.letters)
+    def __mul__(self, other: tuple) -> "Word":
+        """Concatenation with a word or a tuple of codes."""
+        return tuple.__new__(Word, tuple.__add__(self, other))
 
     def sort_key(self):
-        key = []
-        for l in self.letters:
-            if l is None:
-                key.append((0, (), 0.0, 0.0))
-            else:
-                key.append((1, l.slots, l.value.real, l.value.imag))
-        return (len(self.letters), tuple(key))
+        return (len(self), tuple(map(_KEYS.__getitem__, self)))
 
     def __repr__(self) -> str:
-        if not self.letters:
+        if not self:
             return "Word()"
         return "".join(map(_letter_repr, self.letters))
 
 
+# Word.of_codes(codes) is the word with those codes, taken as they are.
+Word.of_codes = staticmethod(partial(tuple.__new__, Word))
 EMPTY_WORD = Word()
 
 
@@ -230,14 +259,6 @@ class LinComb:
 
     def items(self) -> Iterator[tuple[Word, int | Fraction]]:
         return iter(sorted(self.terms.items(), key=lambda t: t[0].sort_key()))
-
-    def map_bilinear(self, other: "LinComb", word_op) -> "LinComb":
-        acc: dict[Word, int | Fraction] = {}
-        vs = list(other.items())
-        for u, cu in self.items():
-            for v, cv in vs:
-                _add_into(acc, word_op(u, v).terms.items(), cu * cv)
-        return LinComb(acc)
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -365,10 +386,10 @@ def index_of_word(w: Word) -> tuple[Index, tuple[ArgSymbol, ...]]:
         raise ValueError("word has a leading x")
     parts: list[int] = []
     syms: list[ArgSymbol] = []
-    for l in w.letters:
-        if l is not None:
+    for c in w:
+        if c:
             parts.append(1)
-            syms.append(l)
+            syms.append(_LETTERS[c])
         else:
             parts[-1] += 1
     return Index(tuple(parts)), tuple(syms)
@@ -380,81 +401,99 @@ def integral_word(w: Word) -> Word:
     iterated integral)."""
     if not w.in_h1:
         raise ValueError("word has a leading x")
-    letters = list(w.letters)
-    suffix = ONE_SYMBOL
-    for i in range(len(letters) - 1, -1, -1):
-        l = letters[i]
-        if l is not None:
-            suffix = l * suffix
-            letters[i] = suffix
-    return Word(tuple(letters))
+    codes = list(w)
+    suffix = ONE
+    for i in range(len(codes) - 1, -1, -1):
+        if codes[i]:
+            suffix = codes[i] = _code_product(codes[i], suffix)
+    return Word.of_codes(codes)
 
 
-def _split_head_block(w: Word) -> tuple[ArgSymbol, int, Word]:
-    # w = y_s x^n rest, for w in H1 and nonempty
-    sym = w.letters[0]
-    assert sym is not None
-    n = 0
+# The product kernels take code tuples and return their product as two
+# tuples, its words (as code tuples, each once) and their multiplicities.
+
+
+def _prepend(pairs, disjoint: bool) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """Sum over (head, tail) of head concatenated with each word of tail;
+    disjoint says that no two heads start a common word."""
+    if disjoint:
+        return (tuple([head + w for head, (ws, _) in pairs for w in ws]),
+                sum((cs for _, (_, cs) in pairs), ()))
+    acc: dict[tuple[int, ...], int] = {}
+    get = acc.get
+    for head, (ws, cs) in pairs:
+        for w, c in zip(ws, cs):
+            w = head + w
+            acc[w] = get(w, 0) + c
+    return tuple(acc), tuple(acc.values())
+
+
+def _block_end(w: tuple[int, ...]) -> int:
+    """Length of the head block y_c x^n of w."""
     i = 1
-    while i < len(w.letters) and w.letters[i] is None:
-        n += 1
+    while i < len(w) and not w[i]:
         i += 1
-    return sym, n, Word(w.letters[i:])
+    return i
 
 
 @memo(maxsize=200_000)
-def _stuffle_words(u: Word, v: Word) -> LinComb:
-    if not u.letters:
-        return LinComb.of(v)
-    if not v.letters:
-        return LinComb.of(u)
-    if not (u.in_h1 and v.in_h1):
-        raise ValueError("stuffle needs words without leading x")
-    s1, n1, w1 = _split_head_block(u)
-    s2, n2, w2 = _split_head_block(v)
-    head1 = u.letters[: n1 + 1]
-    head2 = v.letters[: n2 + 1]
-    headm = (s1 * s2,) + (X,) * (n1 + n2 + 1)
-    acc: dict[Word, int] = {}
-    for head, tail in ((head1, _stuffle_words(w1, v)),
-                       (head2, _stuffle_words(u, w2)),
-                       (headm, _stuffle_words(w1, w2))):
-        _add_into(acc, ((Word(head + w.letters), c) for w, c in tail.terms.items()))
-    return LinComb(acc)
+def _stuffle_words(u: tuple[int, ...], v: tuple[int, ...]) -> tuple:
+    if not u:
+        return (v,), (1,)
+    if not v:
+        return (u,), (1,)
+    i, j = _block_end(u), _block_end(v)
+    hu, hv = u[:i], v[:j]
+    # the merged head block is longer than either other head, so only those
+    # two can start a common word, and only when they are equal
+    headm = (_code_product(u[0], v[0]),) + (0,) * (i + j - 1)
+    return _prepend(((hu, _stuffle_words(u[i:], v)),
+                     (hv, _stuffle_words(u, v[j:])),
+                     (headm, _stuffle_words(u[i:], v[j:]))), hu != hv)
 
 
 @memo(maxsize=200_000)
-def _shuffle_words(u: Word, v: Word) -> LinComb:
-    if not u.letters:
-        return LinComb.of(v)
-    if not v.letters:
-        return LinComb.of(u)
-    a, urest = u.letters[0], Word(u.letters[1:])
-    b, vrest = v.letters[0], Word(v.letters[1:])
-    acc: dict[Word, int] = {}
-    for head, tail in ((a, _shuffle_words(urest, v)), (b, _shuffle_words(u, vrest))):
-        _add_into(acc, ((Word((head,) + w.letters), c) for w, c in tail.terms.items()))
-    return LinComb(acc)
+def _shuffle_words(u: tuple[int, ...], v: tuple[int, ...]) -> tuple:
+    if not u:
+        return (v,), (1,)
+    if not v:
+        return (u,), (1,)
+    return _prepend(((u[:1], _shuffle_words(u[1:], v)),
+                     (v[:1], _shuffle_words(u, v[1:]))), u[0] != v[0])
+
+
+def _terms(x: Word | LinComb) -> list[tuple[Word, int | Fraction]]:
+    return list(x.items()) if isinstance(x, LinComb) else [(x, 1)]
+
+
+def _product(kernel, us: list, vs: list) -> LinComb:
+    acc: dict[tuple[int, ...], int | Fraction] = {}
+    for u, cu in us:
+        for v, cv in vs:
+            # plain tuples as memo keys: the collector never untracks a Word
+            _add_into(acc, zip(*kernel(tuple(u), tuple(v))), cu * cv)
+    out = LinComb()  # the coefficients are exact already; drop the zeros
+    out.terms = {w: c for w, c in zip(map(Word.of_codes, acc), acc.values()) if c}
+    return out
 
 
 def stuffle(u: Word | LinComb, v: Word | LinComb) -> LinComb:
     """Quasi-shuffle product: interleave argument blocks, plus merge terms
     that multiply arguments and fuse exponents."""
-    U = u if isinstance(u, LinComb) else LinComb.of(u)
-    V = v if isinstance(v, LinComb) else LinComb.of(v)
-    return U.map_bilinear(V, _stuffle_words)
+    us, vs = _terms(u), _terms(v)
+    if not all(w.in_h1 for w, _ in us + vs):
+        raise ValueError("stuffle needs words without leading x")
+    return _product(_stuffle_words, us, vs)
 
 
 def shuffle(u: Word | LinComb, v: Word | LinComb) -> LinComb:
     """Plain shuffle product: interleave letters."""
-    U = u if isinstance(u, LinComb) else LinComb.of(u)
-    V = v if isinstance(v, LinComb) else LinComb.of(v)
-    return U.map_bilinear(V, _shuffle_words)
+    return _product(_shuffle_words, _terms(u), _terms(v))
 
 
 def y_one_power(n: int) -> Word:
     """The concatenation word y_1^n."""
-    return Word((Y_ONE,) * n)
+    return Word.of_codes((ONE,) * n)
 
 
 def product_power(w: Word, n: int, op) -> LinComb:

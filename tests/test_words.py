@@ -1,5 +1,6 @@
 """Word algebra: symbols, words, the two products, and their exact laws."""
 
+import collections
 import copy
 import functools
 import os
@@ -15,10 +16,10 @@ from hypothesis import given, settings, strategies as st
 
 import mplparity
 from mplparity import regularize, words
+from mplparity.numcore import clear_caches
 from mplparity.regularize import Decomposition, Y_ONE_WORD, decompose_shuffle, decompose_stuffle
 from mplparity.selftest import _trailing_word, run_selftest
 from mplparity.words import (
-    _split_head_block,
     ArgSymbol,
     ArgVector,
     EMPTY_WORD,
@@ -232,6 +233,16 @@ def test_product_power():
     assert product_power(w, 2, shuffle) == shuffle(w, w)
 
 
+def test_stuffle_rejects_a_leading_x_factor_whatever_the_other_factor():
+    ya, yb = ArgVector.of((0.5 + 0j, -2 + 0j)).symbols
+    bad = Word((X, ya))
+    for other in (EMPTY_WORD, Word((yb,)), LinComb.of(Word((yb,))) + LinComb.of(EMPTY_WORD)):
+        with pytest.raises(ValueError, match="leading x"):
+            stuffle(bad, other)
+        with pytest.raises(ValueError, match="leading x"):
+            stuffle(other, LinComb.of(bad))
+
+
 # --- LinComb -----------------------------------------------------------------
 
 
@@ -365,14 +376,23 @@ def _ref_map_bilinear(a: LinComb, b: LinComb, word_op) -> LinComb:
     return out
 
 
+def _ref_split_head_block(w: Word) -> tuple[ArgSymbol, int, Word]:
+    # w = y_s x^n rest, for w in H1 and nonempty
+    letters = w.letters
+    i = 1
+    while i < len(letters) and letters[i] is None:
+        i += 1
+    return letters[0], i - 1, Word(letters[i:])
+
+
 @functools.lru_cache(maxsize=None)
 def _ref_stuffle_words(u: Word, v: Word) -> LinComb:
     if not u.letters:
         return LinComb({v: Fraction(1)})
     if not v.letters:
         return LinComb({u: Fraction(1)})
-    s1, n1, w1 = _split_head_block(u)
-    s2, n2, w2 = _split_head_block(v)
+    s1, n1, w1 = _ref_split_head_block(u)
+    s2, n2, w2 = _ref_split_head_block(v)
     head1 = Word((s1,) + (X,) * n1)
     head2 = Word((s2,) + (X,) * n2)
     headm = Word((s1 * s2,) + (X,) * (n1 + n2 + 1))
@@ -586,6 +606,81 @@ def test_unpickled_hash_is_recomputed_in_the_receiving_process():
     assert {here: 1}[w] == 1 and combo.terms[here] == Fraction(1, 2)
 
 
+# --- letter codes --------------------------------------------------------------
+
+
+def test_codes_follow_symbol_equality():
+    # equal symbols over equal but distinct base tuples share a code
+    z1, z2 = ArgVector.of((0.5 + 0j, 2 + 1j)), ArgVector.of((0.5 + 0j, 2 + 1j))
+    assert z1.symbols[0].base is not z2.symbols[0].base
+    w1, w2 = (word_from_index(Index((1, 2)), z) for z in (z1, z2))
+    assert tuple(w1) == tuple(w2) and w1 == w2 and hash(w1) == hash(w2)
+    assert w2.letters == z1.symbols + (X,)
+    # equal values in different slots are different letters
+    a, b = ArgVector.of((2 + 0j, 2 + 0j)).symbols
+    assert a.value == b.value and a != b
+    assert Word((a,)) != Word((b,)) and tuple(Word((a, b))) == tuple(Word((a,)) * Word((b,)))
+    # a merged letter whose slots make it the literal one is y_1
+    one = Word((Y_ONE,))[0]
+    assert words._code_product(one, one) == one == Word((ONE_SYMBOL * ONE_SYMBOL,))[0]
+    assert words._code_product(Word((a,))[0], one) == Word((a,))[0]
+    merged = [w for w, _ in stuffle(y_one_power(1), y_one_power(1)).items() if w.depth == 1]
+    assert merged == [Word((Y_ONE, X))] and merged[0].letters[0] is Y_ONE
+
+
+def test_words_outlive_clear_caches():
+    def build():
+        z = ArgVector.of((0.5 - 0.25j, 3j, 1 + 0j))
+        return integral_word(word_from_index(Index((2, 1, 1)), z))
+
+    w = build()
+    product = stuffle(w, y_one_power(1))
+    clear_caches()
+    assert words._stuffle_words.cache_info().currsize == 0
+    assert words._shuffle_words.cache_info().currsize == 0
+    again = build()
+    assert w == again and hash(w) == hash(again)
+    assert [l if l is None else (l.slots, l.value) for l in w.letters] == \
+        [((0, 1), 0.75 + 1.5j), None, ((1,), 3j), ((), 1 + 0j)]
+    assert stuffle(again, y_one_power(1)) == product
+
+
+_ORDER_IN_CHILD = """
+import sys
+from mplparity.evaluate import li_word
+from mplparity.regularize import decompose_shuffle
+from mplparity.words import (ArgVector, Index, LinComb, Word, integral_word, shuffle, stuffle,
+                             word_from_index)
+z = ArgVector.of((0.5 + 0.25j, -0.75 + 0.5j, 0.3 - 0.6j, 1))
+if sys.argv[1] == "reversed":
+    Word(z.symbols[::-1])  # the same letters, first seen in the other order
+u = word_from_index(Index((2, 1)), z.cut(1, 2))
+v = word_from_index(Index((1, 1)), z.cut(3, 4))
+combo = stuffle(LinComb.of(u) + LinComb.of(v), v) + shuffle(u, v)
+part = decompose_shuffle(integral_word(word_from_index(Index((1, 2, 1, 1)), z))).parts[0]
+value = li_word(part)
+print(tuple(u), tuple(v))
+print(repr(list(combo.items())))
+print(repr(combo))
+print(repr(list(part.items())), value.real.hex(), value.imag.hex())
+"""
+
+
+def test_order_never_comes_from_codes():
+    src = str(Path(mplparity.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = {}
+    for order in ("forward", "reversed"):
+        proc = subprocess.run([sys.executable, "-c", _ORDER_IN_CHILD, order], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        out[order] = proc.stdout.splitlines()
+    assert out["forward"][0] != out["reversed"][0]  # the codes did differ
+    assert out["forward"][1:] == out["reversed"][1:]
+    with pytest.raises(TypeError):
+        sorted([Word((X,)), EMPTY_WORD])
+
+
 def test_lincomb_int_and_fraction_coefficients_agree():
     w = Word((X,))
     a, b = LinComb({w: 3}), LinComb({w: Fraction(3)})
@@ -598,29 +693,34 @@ def test_lincomb_int_and_fraction_coefficients_agree():
 # --- negative controls for the wordalg selftest group -----------------------------
 
 
-def _stuffle_words_no_second_branch(u: Word, v: Word) -> LinComb:
+# The kernels take code tuples and return (words, multiplicities) as tuples.
+
+
+def _stuffle_words_no_second_branch(u: tuple, v: tuple) -> tuple:
     # head block of u first, or the merged head; never the head block of v
-    if not u.letters:
-        return LinComb.of(v)
-    if not v.letters:
-        return LinComb.of(u)
-    s1, n1, w1 = _split_head_block(u)
-    s2, n2, w2 = _split_head_block(v)
-    headm = Word((s1 * s2,) + (X,) * (n1 + n2 + 1))
-    return (LinComb({Word(u.letters[: n1 + 1]) * w: c
-                     for w, c in _stuffle_words_no_second_branch(w1, v).terms.items()})
-            + LinComb({headm * w: c
-                       for w, c in _stuffle_words_no_second_branch(w1, w2).terms.items()}))
+    if not u:
+        return (v,), (1,)
+    if not v:
+        return (u,), (1,)
+    i = next((n for n in range(1, len(u)) if u[n]), len(u))
+    j = next((n for n in range(1, len(v)) if v[n]), len(v))
+    headm = (words._code_product(u[0], v[0]),) + (0,) * (i + j - 1)
+    acc = collections.Counter()
+    for head, tail in ((u[:i], _stuffle_words_no_second_branch(u[i:], v)),
+                       (headm, _stuffle_words_no_second_branch(u[i:], v[j:]))):
+        for w, c in zip(*tail):
+            acc[head + w] += c
+    return tuple(acc), tuple(acc.values())
 
 
-def _shuffle_words_no_second_branch(u: Word, v: Word) -> LinComb:
+def _shuffle_words_no_second_branch(u: tuple, v: tuple) -> tuple:
     # first letter of u first; never the first letter of v
-    if not u.letters:
-        return LinComb.of(v)
-    if not v.letters:
-        return LinComb.of(u)
-    rest = _shuffle_words_no_second_branch(Word(u.letters[1:]), v)
-    return LinComb({Word(u.letters[:1]) * w: c for w, c in rest.terms.items()})
+    if not u:
+        return (v,), (1,)
+    if not v:
+        return (u,), (1,)
+    ws, cs = _shuffle_words_no_second_branch(u[1:], v)
+    return tuple(u[:1] + w for w in ws), cs
 
 
 @pytest.mark.parametrize("attr,invariant,corrupt", [
