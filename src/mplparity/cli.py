@@ -89,18 +89,21 @@ def root_of_unity(n: int, j: int) -> complex:
     return cmath.exp(2j * math.pi * j / n)
 
 
+def _root_token(tok: str, parts: list[str], want: str) -> complex:
+    """The root of unity named by the two integers of a ru:N:j or (N,j) token."""
+    try:
+        n, j = map(int, parts)
+    except ValueError:
+        raise CliError(f"bad root-of-unity token {tok!r}, want {want}")
+    return root_of_unity(n, j)
+
+
 def parse_complex_token(tok: str) -> complex:
     s = tok.strip().replace("−", "-")
     if s.startswith("ru:"):
-        parts = s.split(":")
-        if len(parts) != 3:
-            raise CliError(f"bad root-of-unity token {tok!r}, want ru:N:j")
-        return root_of_unity(int(parts[1]), int(parts[2]))
+        return _root_token(tok, s.split(":")[1:], "ru:N:j")
     if s.startswith("(") and s.endswith(")"):
-        inner = s[1:-1].split(",")
-        if len(inner) != 2:
-            raise CliError(f"bad root-of-unity token {tok!r}, want (N,j)")
-        return root_of_unity(int(inner[0]), int(inner[1]))
+        return _root_token(tok, s[1:-1].split(","), "(N,j)")
     for cand in (s, s.replace("i", "j")):
         try:
             return complex(cand)
@@ -148,12 +151,11 @@ def parse_args_spec(v) -> tuple[complex, ...]:
 
 
 def parse_index_spec(v) -> tuple[int, ...]:
-    if isinstance(v, str):
-        toks = [t for t in (x.strip() for x in v.split(",")) if t]
-        parts = tuple(int(t) for t in toks)
-    else:
-        parts = tuple(int(x) for x in v)
-    if not parts or any(p < 1 for p in parts):
+    """Index parts from a -k string or a config-file list; each part is an int
+    or a decimal token, never a float or a bool."""
+    items = [t for t in (x.strip() for x in v.split(",")) if t] if isinstance(v, str) else v
+    parts = tuple(int(p) if isinstance(p, str) and p.strip().isdecimal() else p for p in items)
+    if not parts or any(type(p) is not int or p < 1 for p in parts):
         raise CliError(f"index must be a nonempty list of positive integers, got {v!r}")
     return parts
 

@@ -65,12 +65,15 @@ branch_at_one.  A value at (k, z) reads k.parts, z.entries, z.tails and the
 numeric knobs series_truncation, panel_order and panel_safety, so those (plus
 the route or regularization mode, and whether it is the star value) are its
 key; a jet's key is the same numbers with its mode and its length A; a word
-value reads the forms of its integral and the same knobs.  Both
-branches of a regularized check and every ArgVector that carries the same
-numbers share one computed value.  The
+value reads the forms of its integral and the same knobs.  A plain star is
+cached with the plain values, a regularized star (the contraction sum) with
+the regularized values.  Both branches of a regularized check and every
+ArgVector that carries the same numbers share one computed value.  The
 tails are part of the key because equal entries do not imply equal tail
 products: a contraction multiplies its base entries in slot order, which can
-differ in the last bit from multiplying the fused entries.
+differ in the last bit from multiplying the fused entries.  A vector's
+entries and tails themselves come from a memo keyed on its symbols
+(words._numbers), so a cut or a rebuilt vector computes none of them again.
 
 Panel plans live in a memo of PLANS entries keyed on (sorted singularities,
 panel_order, panel_safety).  From its first word on, a plan keeps its kernel
@@ -854,7 +857,7 @@ def _knobs(cfg: EvalConfig) -> tuple:
 def value_key(k: Index, z: ArgVector, cfg: EvalConfig, tag: str, star: bool = False) -> CacheKey:
     """Key of the value at (k, z) by route or regularization mode `tag`, of
     the star value with star; its args are (k, z, cfg, tag, star)."""
-    return CacheKey((tag, star, k.parts, z.entries, z.tails) + _knobs(cfg), k, z, cfg, tag, star)
+    return CacheKey((tag, star, k.parts) + z.numbers + _knobs(cfg), k, z, cfg, tag, star)
 
 
 @memo(maxsize=400_000)
@@ -1004,13 +1007,14 @@ def li_star(k: Index, z: ArgVector, cfg: EvalConfig = DEFAULT_CONFIG, mode: str 
     """Star variant: the sum over m_1 <= ... <= m_d, which is the sum of the
     values over all contractions of adjacent places.  A plain star is one
     value, a star series or one star word of the panel route; a regularized
-    star is the contraction sum of regularized values."""
+    star is the contraction sum of regularized values, cached with them."""
     if mode == "plain":
         return _star(k, z, cfg).value
-    acc = 0j
-    for kc, zc in enum_contractions(k, z):
-        acc += _value(kc, zc, cfg, mode)
-    return acc
+    if mode not in ("stuffle", "shuffle"):
+        raise ValueError(f"unknown mode {mode!r}")
+    from .regularize import _reg_value_cached
+
+    return _reg_value_cached(value_key(k, z, cfg, mode, True))
 
 
 def li_star_detail(k: Index, z: ArgVector, cfg: EvalConfig = DEFAULT_CONFIG):
@@ -1065,7 +1069,7 @@ def li_shift_jet(A: int, k: Index, z: ArgVector, cfg: EvalConfig = DEFAULT_CONFI
         raise ValueError("index and argument depth differ")
     if k.depth == 0:
         return (1 + 0j,) + (0j,) * A
-    key = ("jet", mode, A, k.parts, z.entries, z.tails) + _knobs(cfg)
+    key = ("jet", mode, A, k.parts) + z.numbers + _knobs(cfg)
     return _jet_cached(CacheKey(key, A, k, z, cfg, mode))
 
 

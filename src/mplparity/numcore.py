@@ -2,10 +2,10 @@
 data, zeta constants, and argument-domain checks.
 
 Everything here is double precision by design.  The only extended-precision
-objects are Bernoulli numbers, which are exact rationals; they are converted
-to float at the last moment.  zeta values are produced by Euler-Maclaurin
-summation whose truncation error is far below double rounding, and are cached
-on first use.
+objects are Bernoulli numbers, which are exact rationals; each Bernoulli
+polynomial's coefficients are rounded to float once, into a cached table.
+zeta values are produced by Euler-Maclaurin summation whose truncation error
+is far below double rounding, and are cached on first use.
 """
 from __future__ import annotations
 
@@ -118,16 +118,18 @@ def bernoulli_number(n: int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _bernoulli_poly_coeffs(l: int) -> tuple[Fraction, ...]:
-    # B_l(x) = sum_j C(l, j) B_j x^(l-j); coefficients by descending power
-    return tuple(math.comb(l, j) * bernoulli_number(j) for j in range(l + 1))
+def _bernoulli_poly_coeffs(l: int) -> tuple[complex, ...]:
+    # B_l(x) = sum_j C(l, j) B_j x^(l-j); coefficients by descending power,
+    # each exact coefficient rounded once
+    return tuple(complex(math.comb(l, j) * bernoulli_number(j)) for j in range(l + 1))
 
 
 def bernoulli_poly(l: int, x: complex) -> complex:
-    """Bernoulli polynomial B_l(x) at a complex point, Horner on exact coefficients."""
+    """Bernoulli polynomial B_l(x) at a complex point, Horner on the rounded
+    exact coefficients."""
     acc = 0j
     for c in _bernoulli_poly_coeffs(l):
-        acc = acc * x + complex(c)
+        acc = acc * x + c
     return acc
 
 

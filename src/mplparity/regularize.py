@@ -20,7 +20,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .evaluate import CacheKey, check_tails, li, li_word, li_word_series_encoding, value_key
+from .evaluate import (
+    CacheKey,
+    check_tails,
+    enum_contractions,
+    li,
+    li_word,
+    li_word_series_encoding,
+    value_key,
+)
 from .numcore import DEFAULT_CONFIG, EvalConfig, memo, zeta
 from .words import (
     EMPTY_WORD,
@@ -263,9 +271,14 @@ def reg_poly(k: Index, z: ArgVector, mode: str, cfg: EvalConfig = DEFAULT_CONFIG
 
 @memo(maxsize=200_000)
 def _reg_value_cached(key: CacheKey) -> complex:
-    k, z, cfg, mode, _star = key.args
+    k, z, cfg, mode, star = key.args
     if k.depth != z.depth:
         raise ValueError("index and argument depth differ")
+    if star:   # the contraction sum of regularized values, in enum_contractions order
+        acc = 0j
+        for kc, zc in enum_contractions(k, z):
+            acc += reg_value(kc, zc, mode, cfg)
+        return acc
     if k.depth == 0:
         return 1 + 0j
     if trailing_one_pairs(k, z) == 0:

@@ -23,6 +23,13 @@ order letters were first seen in, which differs between processes and runs,
 so no order is ever taken from them: ``LinComb.items()`` sorts by
 ``Word.sort_key`` (slots and values), and pickling goes through the letters.
 
+An index is validated once, when it is built from parts; the indices derived
+from it (cut, reversed, dec_head) are not checked again.  An argument vector
+is its tuple of symbols; its entries and tail products are computed by
+suffix products of the symbols once per symbol tuple, in a bounded memo that
+clear_caches empties, so equal symbol tuples always read bit-identical
+numbers.
+
 Coefficients are exact rationals throughout, stored as ``int`` where they are
 integers (stuffle and shuffle multiplicities) and as ``Fraction`` otherwise;
 nothing in this module rounds.  Every linear combination is accumulated into
@@ -33,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 from typing import Iterable, Iterator, Mapping
 
 from .numcore import memo
@@ -276,8 +283,15 @@ class Index:
     parts: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if any((not isinstance(p, int)) or p < 1 for p in self.parts):
+        if any(type(p) is not int or p < 1 for p in self.parts):
             raise ValueError(f"index parts must be positive integers: {self.parts}")
+
+    @staticmethod
+    def _derived(parts: tuple[int, ...]) -> "Index":
+        """The index of parts derived from a valid index, not checked again."""
+        out = object.__new__(Index)
+        object.__setattr__(out, "parts", parts)
+        return out
 
     @property
     def depth(self) -> int:
@@ -289,18 +303,16 @@ class Index:
 
     def cut(self, i: int, j: int) -> "Index":
         """1-based inclusive slice; empty when i > j."""
-        if i > j:
-            return Index(())
-        return Index(self.parts[i - 1 : j])
+        return Index._derived(self.parts[i - 1 : j] if i <= j else ())
 
     def reversed(self) -> "Index":
-        return Index(self.parts[::-1])
+        return Index._derived(self.parts[::-1])
 
     def dec_head(self) -> "Index":
         """(k_1 - 1, k_2, ..., k_d); requires k_1 >= 2."""
         if not self.parts or self.parts[0] < 2:
             raise ValueError("dec_head needs k_1 >= 2")
-        return Index((self.parts[0] - 1,) + self.parts[1:])
+        return Index._derived((self.parts[0] - 1,) + self.parts[1:])
 
     def __iter__(self):
         return iter(self.parts)
@@ -327,20 +339,20 @@ class ArgVector:
     def depth(self) -> int:
         return len(self.symbols)
 
-    @cached_property
-    def entries(self) -> tuple[complex, ...]:
-        return tuple(s.value for s in self.symbols)
+    @property
+    def numbers(self) -> tuple[tuple[complex, ...], tuple[complex, ...]]:
+        """(entries, tails), computed once per symbol tuple."""
+        return _numbers(self.symbols)
 
-    @cached_property
+    @property
+    def entries(self) -> tuple[complex, ...]:
+        return _numbers(self.symbols)[0]
+
+    @property
     def tails(self) -> tuple[complex, ...]:
         """Tail products (z_1...z_d, z_2...z_d, ..., z_d): the values of the
         symbol products, so each depends only on the slots it multiplies."""
-        out = []
-        suffix = ONE_SYMBOL
-        for sym in reversed(self.symbols):
-            suffix = sym * suffix
-            out.append(suffix.value)
-        return tuple(reversed(out))
+        return _numbers(self.symbols)[1]
 
     def cut(self, i: int, j: int) -> "ArgVector":
         if i > j:
@@ -367,6 +379,17 @@ class ArgVector:
 
     def __repr__(self) -> str:
         return f"ArgVector{self.entries}"
+
+
+@memo(maxsize=100_000)
+def _numbers(symbols: tuple[ArgSymbol, ...]) -> tuple[tuple[complex, ...], tuple[complex, ...]]:
+    """An argument vector's entries and tails, the tails by suffix products."""
+    tails = []
+    suffix = ONE_SYMBOL
+    for sym in reversed(symbols):
+        suffix = sym * suffix
+        tails.append(suffix.value)
+    return tuple(s.value for s in symbols), tuple(reversed(tails))
 
 
 def word_from_index(k: Index, z: ArgVector) -> Word:

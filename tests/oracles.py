@@ -58,6 +58,28 @@ def shift_reference(a, parts, value) -> complex:
     return (-1) ** a * acc
 
 
+def suffix_numbers(symbols) -> tuple[tuple[complex, ...], tuple[complex, ...]]:
+    """An argument vector's entries and tail products the way the library
+    computed them before it memoized them: each tail is the product of the
+    symbols from its place to the end, multiplied from the last place forward.
+    Only the symbols' ``*`` and ``value`` are used."""
+    tails, suffix = [], None
+    for sym in reversed(symbols):
+        suffix = sym if suffix is None else sym * suffix
+        tails.append(suffix.value)
+    return tuple(s.value for s in symbols), tuple(reversed(tails))
+
+
+def contraction_sum(contractions, value) -> complex:
+    """A star value as the sum of value(k, z) over its contractions (k, z), in
+    the order given, starting from 0j: the loop a regularized star ran on
+    every call before it was cached."""
+    acc = 0j
+    for k, z in contractions:
+        acc += value(k, z)
+    return acc
+
+
 def mp_polylog(s: int, z: complex, dps: int = 30) -> complex:
     with mpmath.workdps(dps):
         return complex(mpmath.polylog(s, z))

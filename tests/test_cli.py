@@ -160,6 +160,39 @@ def test_bad_argument_entries_rejected_before_evaluation(argv, want, tmp_path, m
     assert err.startswith(f"error: {want}")
 
 
+BAD_INDEX = "error: index must be a nonempty list of positive integers"
+
+
+@pytest.mark.parametrize("argv,want", [
+    (["eval", "k=x", "z=0.5"], BAD_INDEX),
+    (["eval", "k=1.5", "z=0.5"], BAD_INDEX),
+    (["eval", "k=true", "z=0.5"], BAD_INDEX),
+    (["eval", "k=1", "z=ru:x:1"], "error: bad root-of-unity token 'ru:x:1', want ru:N:j"),
+    (["eval", "k=1", "z=(3,x)"], "error: bad root-of-unity token '(3,x)', want (N,j)"),
+    (["eval", "--config", '{"index": "1,x", "args": [0.5]}'], BAD_INDEX),
+    (["eval", "--config", '{"index": [1.5], "args": [0.5]}'], BAD_INDEX),
+    (["eval", "--config", '{"index": [true, 2], "args": [0.5, 0.5]}'], BAD_INDEX),
+], ids=["k-letter", "k-float", "k-bool-word", "ru-letter", "pair-letter",
+        "config-string-letter", "config-float", "config-bool"])
+def test_malformed_index_or_root_literal_exits_2(argv, want, tmp_path, capsys):
+    # int() would take 1.5 and True as 1, and raise a bare ValueError on 'x'
+    if argv[1] == "--config":
+        path = tmp_path / "run.json"
+        path.write_text(argv[2])
+        argv = argv[:2] + [str(path)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(want)
+
+
+def test_index_spec_takes_ints_and_decimal_tokens_only():
+    assert cli.parse_index_spec(["2", 1]) == (2, 1)
+    assert all(type(p) is int for p in cli.parse_index_spec(" 2 , 1"))
+    for bad in ([1.0], [True], [2, False], "2,+1", "1e1", [[1]]):
+        with pytest.raises(cli.CliError):
+            cli.parse_index_spec(bad)
+
+
 # --- check ------------------------------------------------------------------------
 
 

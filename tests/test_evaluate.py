@@ -36,8 +36,8 @@ from mplparity.evaluate import (
 from mplparity.parity import reg_sides
 from mplparity.selftest import run_selftest
 from mplparity.words import word_from_index
-from oracles import (brute_li, closed_li1, mp_nested_li, mp_nested_li_star, mp_polylog,
-                     quad_iint_depth2, shift_reference)
+from oracles import (brute_li, closed_li1, contraction_sum, mp_nested_li, mp_nested_li_star,
+                     mp_polylog, quad_iint_depth2, shift_reference)
 
 K = Index
 V = ArgVector.of
@@ -1151,6 +1151,67 @@ def test_reg_second_branch_adds_no_misses():
     assert rep.branch == -1 and rep.residual < 1e-7
 
 
+REG_STAR_POINTS = (REG_POINT, (K((1, 1)), (1, 1)), (K((2, 1, 1)), (-1, 1j, 1)),
+                   (K((1, 1, 1, 1)), (-1j, 1, 1, 1)), (K((2, 1)), (-1.3 + 0.7j, 0.9 - 1.1j)))
+
+
+@pytest.mark.parametrize("mode", ["stuffle", "shuffle"])
+def test_regularized_star_is_the_contraction_sum(mode):
+    for k, args in REG_STAR_POINTS:
+        clear_caches()
+        want = contraction_sum(enum_contractions(k, V(args)),
+                               lambda kc, zc: regularize.reg_value(kc, zc, mode))
+        clear_caches()
+        got = li_star(k, V(args), DEFAULT_CONFIG, mode)
+        assert repr(got) == repr(want), (k, args)
+        assert li_star(k, V(args), DEFAULT_CONFIG, mode) is got
+
+
+def test_regularized_star_branches_share_one_entry():
+    k, args = REG_POINT
+    clear_caches()
+    plus = li_star(k, V(args), replace(DEFAULT_CONFIG, branch_at_one=1), "stuffle")
+    before = regularize._reg_value_cached.cache_info()
+    minus = li_star(k, V(args), replace(DEFAULT_CONFIG, branch_at_one=-1), "stuffle")
+    after = regularize._reg_value_cached.cache_info()
+    assert minus is plus
+    assert (after.currsize, after.misses, after.hits) == \
+        (before.currsize, before.misses, before.hits + 1)
+
+
+def test_unknown_star_mode_raises_before_the_caches():
+    clear_caches()
+    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+        li_star(K((1, 1)), V((0.5, 1)), DEFAULT_CONFIG, "bogus")
+    for cached in (regularize._reg_value_cached, evaluate._li_cached, words._numbers):
+        assert cached.cache_info().misses == 0
+
+
+@pytest.mark.parametrize("mode", ["stuffle", "shuffle"])
+def test_second_reg_sides_enumerates_no_contractions(mode, monkeypatch):
+    # the deterministic guard on the regularized assembly: once a point is
+    # computed, either branch rebuilds no contraction and no vector's numbers
+    calls = []
+
+    def counting(k, z):
+        calls.append(k)
+        return enum_contractions(k, z)
+
+    monkeypatch.setattr(evaluate, "enum_contractions", counting)
+    monkeypatch.setattr(regularize, "enum_contractions", counting)
+    k, args = REG_POINT
+    clear_caches()
+    reg_sides(k, V(args), mode, replace(DEFAULT_CONFIG, branch_at_one=1))
+    assert calls
+    calls.clear()
+    misses = words._numbers.cache_info().misses
+    for branch in (1, -1):
+        rep = reg_sides(k, V(args), mode, replace(DEFAULT_CONFIG, branch_at_one=branch))
+        assert rep.residual < 1e-7
+    assert calls == []
+    assert words._numbers.cache_info().misses == misses
+
+
 def test_branch_minus_values_match_a_fresh_computation():
     k, args = REG_POINT
     clear_caches()
@@ -1213,7 +1274,7 @@ def test_tails_equal_prod():
 def test_clear_caches_empties_every_value_memo():
     memos = (evaluate._li_cached, evaluate._li_word_cached, evaluate._plan,
              regularize._reg_value_cached, regularize._decompose_stuffle_word,
-             words._stuffle_words, words._shuffle_words)
+             words._stuffle_words, words._shuffle_words, words._numbers)
     k, args = REG_POINT
     reg_sides(k, V(args), "stuffle")
     run_selftest(only=("rho",), seed=0)

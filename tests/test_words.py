@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import mplparity
 from mplparity import regularize, words
+from mplparity.evaluate import enum_contractions
 from mplparity.numcore import clear_caches
 from mplparity.regularize import Decomposition, Y_ONE_WORD, decompose_shuffle, decompose_stuffle
 from mplparity.selftest import _trailing_word, run_selftest
@@ -37,6 +38,7 @@ from mplparity.words import (
     word_from_index,
     y_one_power,
 )
+from oracles import suffix_numbers
 
 
 # --- symbols ---------------------------------------------------------------
@@ -132,6 +134,56 @@ def test_index_basics():
 def test_index_dec_head_requires_room():
     with pytest.raises(ValueError):
         Index((1, 2)).dec_head()
+
+
+def test_index_rejects_bool_and_non_int_parts():
+    # True == 1 and hash(True) == hash(1): an index of bools would pass for (1, 2)
+    for bad in ((True, 2), (2, False), (1.0,), (2, 1.5)):
+        with pytest.raises(ValueError):
+            Index(bad)
+
+
+def _seeded_views(seed: int):
+    """A seeded (k, z) of depth <= 5, with its contractions and, from depth 2,
+    the merged head.  Entries are exact ones and roots, whose products are
+    exact, or inexact draws, whose products round by association order."""
+    rng = random.Random(f"views:{seed}")
+    pool = (1, -1, 1j, -1j, 2 + 0j, 0.5 + 0j)
+    d = rng.randint(1, 5)
+    k = Index(tuple(rng.randint(1, 3) for _ in range(d)))
+    z = ArgVector.of(tuple(rng.choice(pool) if rng.random() < 0.4 else
+                           complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(d)))
+    views = [(k, z)] + enum_contractions(k, z)
+    if d >= 2:
+        views.append((k.cut(2, d), z.merged_head()))
+    return views
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_derived_views_equal_validated_ones(seed):
+    for k, z in _seeded_views(seed):
+        d = k.depth
+        spans = [(i, j) for i in range(1, d + 2) for j in range(i - 1, d + 1)]
+        derived = [(k.reversed(), k.parts[::-1])]
+        derived += [(k.cut(i, j), k.parts[i - 1:j]) for i, j in spans]
+        if k.parts[0] >= 2:
+            derived.append((k.dec_head(), (k.parts[0] - 1,) + k.parts[1:]))
+        for view, parts in derived:
+            fresh = Index(parts)
+            assert type(view) is Index and view == fresh and hash(view) == hash(fresh)
+        for v in [z, z.reversed()] + [z.cut(i, j) for i, j in spans]:
+            # bit for bit: repr tells -0.0 from 0.0
+            assert repr(v.numbers) == repr(suffix_numbers(v.symbols))
+            assert (v.entries, v.tails) == v.numbers
+
+
+def test_vector_numbers_outlive_clear_caches():
+    views = [(z, z.cut(2, z.depth), z.reversed()) for _, z in _seeded_views(3)]
+    before = [[repr(v.numbers) for v in vs] for vs in views]
+    clear_caches()
+    assert words._numbers.cache_info().currsize == 0
+    assert words._numbers.cache_info().maxsize is not None   # bounded, like every memo
+    assert [[repr(v.numbers) for v in vs] for vs in views] == before
 
 
 # --- words -------------------------------------------------------------------
