@@ -25,7 +25,10 @@ Two independent routes produce values:
           that integrable endpoint singularities (forms at 0 and at 1) are
           exact rather than approached geometrically.  Log integration in
           the final panel applies a table of u^m log^q u coefficients that
-          is built once per (order, number of forms at 1) and cached.
+          is built once per (order, number of forms at 1) and cached.  For a
+          word that ends in forms at 1, the u^0 row of its last final-panel
+          level is its regularized value at the tangential base point at 1,
+          the coefficients of log^p u read as those of (-T)^p (_reg_row).
 
           A letter of a word is a form or a form minus the form at 0,
           dt/(t - s) - dt/t.  Contracting places i - 1 and i of a star value
@@ -654,11 +657,11 @@ class _Plan:
 
     # --- one word ---
 
-    def integrate(self, a: tuple, P: int) -> tuple[complex, float]:
-        """(value, est) of the integral of the letters a, resuming from the
-        longest prefix of a already marched under this plan.  A letter is a
-        form or a pair (s, 0) read as the form s minus the form at 0; P counts
-        the letters whose form, or first form, is 1."""
+    def march(self, a: tuple, P: int):
+        """The last final-panel level of the letters a (see _final), resuming
+        from the longest prefix of a already marched under this plan.  A
+        letter is a form or a pair (s, 0) read as the form s minus the form at
+        0; P counts the letters whose form, or first form, is 1."""
         n = len(a)
         f, final = self._deepest(P, a, n)
         if f < n:
@@ -672,6 +675,11 @@ class _Plan:
             for j in range(f + 1, n + 1):
                 final = self._final(final, a[j - 1], ends[j - 1], ests[j - 1], fc, kern)
                 self._keep((P, a[:j]), final, final[0].nbytes)
+        return final
+
+    def integrate(self, a: tuple, P: int) -> tuple[complex, float]:
+        """(value, est) of the integral of the letters a (march, _close)."""
+        final = self.march(a, P)
         value, est = self._close(final)
         return value, (final[2] + est) * 4.0
 
@@ -827,6 +835,24 @@ def _jet_panels(A: int, k: Index, z: ArgVector, cfg: EvalConfig) -> np.ndarray:
     if not np.isfinite(cols).all():
         raise EvaluationError("non-finite panel value", len(plan.public.steps), forms)
     return -cols if k.depth % 2 else cols
+
+
+def _reg_row(k: Index, z: ArgVector, h: int, cfg: EvalConfig) -> tuple[complex, ...]:
+    """Coefficients of T^0..T^h of the shuffle-regularized polynomial at
+    (k, z), whose last h < depth places are (1, 1): one march (_Plan.march)
+    of the panel word with its trailing forms at 1.  Near u = 1 - t = 0 the
+    last final-panel level is sum cur[m, p] u^m log^p u, and its u^0 row is
+    the regularization at the tangential base point at 1, log u read as -T:
+    coefficient p is (-1)^(d+p) cur[0, p].  It fails as the value of the
+    first d - h places fails, and a failed march names the whole word."""
+    d = k.depth
+    forms = _panel_word(k.cut(1, d - h), z.cut(1, d - h)) + (1 + 0j,) * h
+    plan, level = _on_plan(set(forms), forms, cfg,
+                           lambda plan: plan.march(forms, forms.count(1)))
+    row = level[0][0, :h + 1]
+    if not np.isfinite(row).all():
+        raise EvaluationError("non-finite panel value", len(plan.public.steps), forms)
+    return tuple((-1) ** (d + p) * c for p, c in enumerate(row.tolist()))
 
 
 # --- dispatch and caching ---------------------------------------------------
@@ -1007,14 +1033,15 @@ def li_star(k: Index, z: ArgVector, cfg: EvalConfig = DEFAULT_CONFIG, mode: str 
     """Star variant: the sum over m_1 <= ... <= m_d, which is the sum of the
     values over all contractions of adjacent places.  A plain star is one
     value, a star series or one star word of the panel route; a regularized
-    star is the contraction sum of regularized values, cached with them."""
+    star is the contraction sum of regularized values, cached with them.  At
+    depth 1 or less either star is the value itself, cached as the value."""
     if mode == "plain":
         return _star(k, z, cfg).value
     if mode not in ("stuffle", "shuffle"):
         raise ValueError(f"unknown mode {mode!r}")
     from .regularize import _reg_value_cached
 
-    return _reg_value_cached(value_key(k, z, cfg, mode, True))
+    return _reg_value_cached(value_key(k, z, cfg, mode, k.depth > 1))
 
 
 def li_star_detail(k: Index, z: ArgVector, cfg: EvalConfig = DEFAULT_CONFIG):

@@ -10,9 +10,15 @@ the divergence isolated in powers of y_1:
 Sending y_1 to an indeterminate T turns either side into a polynomial whose
 constant term is the regularized value.  The two polynomials are related by
 the linear automorphism rho with rho(exp(Tu)) = Gamma(1+u) exp((T+gamma)u);
-its matrix only involves zeta values, and the package's primary stuffle route
-is rho^{-1} applied to the shuffle polynomial, with the direct stuffle
-decomposition kept as an independent cross-check.
+its matrix only involves zeta values.
+
+The runtime reads the shuffle polynomial off one panel march of the divergent
+word itself, trailing forms at 1 included: the u^0 row of the final panel,
+u = 1 - t, is the regularization at the tangential base point at 1 (Panzer,
+Feynman integrals and hyperlogarithms, 2015, section 2.3).  The stuffle
+polynomial is rho^{-1} of it.  The two decompositions above are not on the
+runtime path: shuffle_poly (integral side) and stuffle_poly_direct (series
+side) evaluate them as independent cross-checks of the march.
 """
 from __future__ import annotations
 
@@ -22,6 +28,7 @@ from fractions import Fraction
 
 from .evaluate import (
     CacheKey,
+    _reg_row,
     check_tails,
     enum_contractions,
     li,
@@ -232,8 +239,9 @@ def trailing_one_pairs(k: Index, z: ArgVector) -> int:
 
 
 def shuffle_poly(k: Index, z: ArgVector, cfg: EvalConfig = DEFAULT_CONFIG) -> TPoly:
-    """Shuffle-regularized polynomial: decompose the integral encoding and
-    evaluate the convergent parts as iterated integrals."""
+    """Shuffle-regularized polynomial via the integral-side decomposition:
+    decompose the integral encoding and evaluate the convergent parts as
+    iterated integrals; kept as a cross-check of reg_poly's march."""
     check_tails(z)
     w = integral_word(word_from_index(k, z))
     dec = decompose_shuffle(w)
@@ -242,7 +250,7 @@ def shuffle_poly(k: Index, z: ArgVector, cfg: EvalConfig = DEFAULT_CONFIG) -> TP
 
 def stuffle_poly_direct(k: Index, z: ArgVector, cfg: EvalConfig = DEFAULT_CONFIG) -> TPoly:
     """Stuffle-regularized polynomial via the direct series-side decomposition;
-    kept as the independent cross-check of the rho route."""
+    kept as the independent cross-check of reg_poly in stuffle mode."""
     check_tails(z)
     w = word_from_index(k, z)
     dec = decompose_stuffle(w)
@@ -258,15 +266,22 @@ def stuffle_poly_direct(k: Index, z: ArgVector, cfg: EvalConfig = DEFAULT_CONFIG
 def reg_poly(k: Index, z: ArgVector, mode: str, cfg: EvalConfig = DEFAULT_CONFIG) -> TPoly:
     """Regularized polynomial in T for the requested product structure.
 
-    mode 'shuffle' is the integral-side decomposition; mode 'stuffle' is
-    rho^{-1} of the shuffle polynomial.  stuffle_poly_direct computes the
-    stuffle polynomial from the series-side decomposition instead, as a
-    cross-check."""
-    if mode == "shuffle":
-        return shuffle_poly(k, z, cfg)
-    if mode == "stuffle":
-        return rho_inv(shuffle_poly(k, z, cfg))
-    raise ValueError(f"unknown mode {mode!r}")
+    mode 'shuffle' reads the polynomial off one panel march of the value's
+    word, its h trailing forms at 1 included (evaluate._reg_row); the pure
+    power y_1^h is T^h/h! exactly, without a march.  mode 'stuffle' is
+    rho^{-1} of the shuffle polynomial.  shuffle_poly and stuffle_poly_direct
+    compute the two polynomials from the integral- and series-side
+    decompositions instead, as cross-checks."""
+    if mode not in ("stuffle", "shuffle"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if k.depth != z.depth:
+        raise ValueError("index and argument depth differ")
+    h = trailing_one_pairs(k, z)
+    if h == k.depth:
+        poly = TPoly((0j,) * h + (1 / math.factorial(h) + 0j,))
+    else:
+        poly = TPoly(_reg_row(k, z, h, cfg))
+    return rho_inv(poly) if mode == "stuffle" else poly
 
 
 @memo(maxsize=200_000)

@@ -3,7 +3,8 @@
 Every check here re-derives a structural fact independently of the code path
 it exercises: word-algebra laws are tested by exact rational arithmetic,
 the T-polynomial transport map is compared against hand-expanded low-degree
-images and against the decomposition route it must intertwine, numeric
+images, and the regularized polynomials the sweeps read off the panel march
+are compared, through it, with the series-side decomposition; numeric
 evaluation is cross-checked between its two routes, and the derivative and
 small-argument probes replay the analytic facts the identity assembly relies
 on.  A hostile ``zeta_fn`` can be injected to verify the suite actually
@@ -40,9 +41,9 @@ from .regularize import (
     TPoly,
     decompose_shuffle,
     decompose_stuffle,
+    reg_poly,
     rho,
     rho_inv,
-    shuffle_poly,
     stuffle_poly_direct,
 )
 from .parity import check_derivative, check_derivative_r, limit_probe
@@ -224,12 +225,13 @@ _INTERTWINE_CASES = (
 
 
 def _check_rho_intertwine(rng, cfg, zeta_fn):
-    # the integral-route polynomial must be the transported series-route one
+    # the shuffle polynomial the sweeps read off the panel march must be the
+    # transported series-side one
     n, witnesses = 0, []
     for parts, args in _INTERTWINE_CASES:
         k, z = Index(parts), ArgVector.of(args)
         n += 1
-        sh = shuffle_poly(k, z, cfg)
+        sh = reg_poly(k, z, "shuffle", cfg)
         st = stuffle_poly_direct(k, z, cfg)
         gap = _poly_gap(sh, rho(st, zeta_fn))
         if gap > 1e-9:
@@ -238,13 +240,13 @@ def _check_rho_intertwine(rng, cfg, zeta_fn):
 
 
 def _check_rho_route_agreement(rng, cfg, zeta_fn):
-    # primary series-route polynomial (inverse transport of the integral
-    # route) against the direct decomposition; independent of zeta_fn
+    # the sweeps' stuffle polynomial (inverse transport of the march) against
+    # the direct series-side decomposition; independent of zeta_fn
     n, witnesses = 0, []
     for parts, args in _INTERTWINE_CASES:
         k, z = Index(parts), ArgVector.of(args)
         n += 1
-        gap = _poly_gap(rho_inv(shuffle_poly(k, z, cfg)), stuffle_poly_direct(k, z, cfg))
+        gap = _poly_gap(reg_poly(k, z, "stuffle", cfg), stuffle_poly_direct(k, z, cfg))
         if gap > 1e-9:
             witnesses.append(f"k={parts} z={args}: primary/direct gap {gap:.3e}")
     return n, witnesses

@@ -28,7 +28,8 @@ from it (cut, reversed, dec_head) are not checked again.  An argument vector
 is its tuple of symbols; its entries and tail products are computed by
 suffix products of the symbols once per symbol tuple, in a bounded memo that
 clear_caches empties, so equal symbol tuples always read bit-identical
-numbers.
+numbers.  Its reciprocal vector is built once per symbol tuple in a second
+such memo.
 
 Coefficients are exact rationals throughout, stored as ``int`` where they are
 integers (stuffle and shuffle multiplicities) and as ``Fraction`` otherwise;
@@ -363,10 +364,9 @@ class ArgVector:
         return ArgVector(self.symbols[::-1])
 
     def reciprocal(self) -> "ArgVector":
-        """Entrywise 1/z_i, as a fresh vector (new provenance base)."""
-        if any(s.value == 0 for s in self.symbols):
-            raise ZeroDivisionError("reciprocal of a zero entry")
-        return ArgVector.of(tuple(1 / s.value for s in self.symbols))
+        """Entrywise 1/z_i, as a fresh vector (new provenance base), built
+        once per symbol tuple."""
+        return _reciprocal(self.symbols)
 
     def merged_head(self) -> "ArgVector":
         """(z_1 z_2, z_3, ..., z_d); requires depth >= 2."""
@@ -390,6 +390,14 @@ def _numbers(symbols: tuple[ArgSymbol, ...]) -> tuple[tuple[complex, ...], tuple
         suffix = sym * suffix
         tails.append(suffix.value)
     return tuple(s.value for s in symbols), tuple(reversed(tails))
+
+
+@memo(maxsize=100_000)
+def _reciprocal(symbols: tuple[ArgSymbol, ...]) -> ArgVector:
+    """The vector of the entries 1/z_i over a base of its own."""
+    if any(s.value == 0 for s in symbols):
+        raise ZeroDivisionError("reciprocal of a zero entry")
+    return ArgVector.of(tuple(1 / s.value for s in symbols))
 
 
 def word_from_index(k: Index, z: ArgVector) -> Word:

@@ -1167,6 +1167,20 @@ def test_regularized_star_is_the_contraction_sum(mode):
         assert li_star(k, V(args), DEFAULT_CONFIG, mode) is got
 
 
+@pytest.mark.parametrize("mode", ["stuffle", "shuffle"])
+def test_shallow_regularized_star_is_the_value_entry(mode):
+    # at depth 1 or less a regularized star is keyed as the value itself:
+    # no second memo entry, no contraction enumeration
+    for k, args in ((K((1,)), (1,)), (K((2,)), (-1,)), (K(()), ())):
+        clear_caches()
+        value = regularize.reg_value(k, V(args), mode)
+        before = regularize._reg_value_cached.cache_info()
+        assert li_star(k, V(args), DEFAULT_CONFIG, mode) is value
+        after = regularize._reg_value_cached.cache_info()
+        assert (after.currsize, after.misses, after.hits) == \
+            (before.currsize, before.misses, before.hits + 1)
+
+
 def test_regularized_star_branches_share_one_entry():
     k, args = REG_POINT
     clear_caches()
@@ -1274,10 +1288,11 @@ def test_tails_equal_prod():
 def test_clear_caches_empties_every_value_memo():
     memos = (evaluate._li_cached, evaluate._li_word_cached, evaluate._plan,
              regularize._reg_value_cached, regularize._decompose_stuffle_word,
-             words._stuffle_words, words._shuffle_words, words._numbers)
+             words._stuffle_words, words._shuffle_words, words._numbers, words._reciprocal)
     k, args = REG_POINT
     reg_sides(k, V(args), "stuffle")
     run_selftest(only=("rho",), seed=0)
+    regularize.shuffle_poly(K((1, 1)), V((-1, 1)))   # word values are a cross-check only
     assert all(m.cache_info().currsize > 0 for m in memos)
     clear_caches()
     assert [m.cache_info().currsize for m in memos] == [0] * len(memos)

@@ -1,12 +1,14 @@
 """Regularization: decompositions, the rho transport, regularized values."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from mplparity.numcore import DEFAULT_CONFIG, DomainError, zeta
+from mplparity import evaluate, regularize
+from mplparity.numcore import DEFAULT_CONFIG, DomainError, clear_caches, zeta
 from mplparity.words import (
     ArgSymbol,
     ArgVector,
@@ -18,7 +20,7 @@ from mplparity.words import (
     word_from_index,
     y_one_power,
 )
-from mplparity.evaluate import li
+from mplparity.evaluate import li, li_shift_jet, li_star
 from mplparity.regularize import (
     TPoly,
     decompose_shuffle,
@@ -214,6 +216,98 @@ def test_rho_intertwines_the_polys():
         sh = shuffle_poly(k, z)
         st = stuffle_poly_direct(k, z)
         assert coeff_gap(sh, rho(st)) < 1e-9, (k, z)
+
+
+def rel_gap(a: TPoly, b: TPoly) -> float:
+    n = max(len(a.coeffs), len(b.coeffs)) - 1
+    pa, pb = a.padded(n), b.padded(n)
+    return max(abs(x - y) for x, y in zip(pa, pb)) / max(1.0, *map(abs, pa + pb))
+
+
+def divergent_cases():
+    """The divergent points of the reg and hirose sweeps: roots of unity of
+    order 2 and 4 at depth <= 3 and weight <= 4, and all ones at depth <= 5
+    and weight <= 8."""
+    pool = (1, -1, 1j, -1j)
+    for d in range(1, 4):
+        for parts in itertools.product(range(1, 5), repeat=d):
+            if sum(parts) <= 4:
+                for args in itertools.product(pool, repeat=d):
+                    yield K(parts), V(args)
+    for d in range(1, 6):
+        for parts in itertools.product(range(1, 9), repeat=d):
+            if sum(parts) <= 8:
+                yield K(parts), V((1,) * d)
+
+
+def test_march_poly_matches_the_decompositions():
+    # the polynomial read off the final panel against the integral-side
+    # decomposition, and its rho^-1 against the series-side one, coefficient
+    # by coefficient
+    n = 0
+    for k, z in divergent_cases():
+        h = trailing_one_pairs(k, z)
+        if not h:
+            continue
+        n += 1
+        sh = reg_poly(k, z, "shuffle")
+        assert len(sh.coeffs) == h + 1
+        assert rel_gap(sh, shuffle_poly(k, z)) < 5e-14, (k, z)
+        st = reg_poly(k, z, "stuffle")
+        assert st == rho_inv(sh)
+        assert rel_gap(st, stuffle_poly_direct(k, z)) < 5e-14, (k, z)
+    assert n == 160
+
+
+def test_march_poly_with_a_form_at_one_inside():
+    # z = (-1, -1, 1): the tails are (1, -1, 1), so the word has a form at 1
+    # in its first place as well as the trailing one
+    k, z = K((1, 1, 1)), V((-1, -1, 1))
+    assert z.tails == (1, -1, 1) and trailing_one_pairs(k, z) == 1
+    for kk in (k, K((2, 1, 1)), K((1, 2, 1))):
+        assert rel_gap(reg_poly(kk, z, "shuffle"), shuffle_poly(kk, z)) < 5e-14, kk
+        assert rel_gap(reg_poly(kk, z, "stuffle"), stuffle_poly_direct(kk, z)) < 5e-14, kk
+
+
+def test_pure_one_power_is_exact_without_a_march(monkeypatch):
+    def no_march(*args):
+        raise AssertionError("the pure y_1 power needs no march")
+
+    monkeypatch.setattr(regularize, "_reg_row", no_march)
+    for h in range(6):
+        k, z = K((1,) * h), V((1,) * h)
+        want = TPoly((0j,) * h + (1 / math.factorial(h) + 0j,))
+        assert reg_poly(k, z, "shuffle") == want == shuffle_poly(k, z)
+        assert reg_poly(k, z, "stuffle") == rho_inv(want)
+
+
+@pytest.mark.parametrize("args", [(0, 1), (3, 1), (2 + 1e-12j, 1)],
+                         ids=["zero-entry", "tail-above-one", "form-on-path"])
+def test_march_poly_domain_errors(args):
+    # a zero entry, a tail in (1, inf) and a form on the path stay DomainErrors,
+    # as they are on the decomposition route
+    k, z = K((1, 1)), V(args)
+    with pytest.raises(DomainError):
+        shuffle_poly(k, z)
+    for mode in ("shuffle", "stuffle"):
+        with pytest.raises(DomainError):
+            reg_poly(k, z, mode)
+
+
+def test_divergent_values_run_no_word_decomposition(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("decomposition route on the runtime path")
+
+    for mod in (regularize, evaluate):
+        for name in ("decompose_shuffle", "li_word"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, forbidden)
+    clear_caches()
+    k, z = K((2, 1, 1)), V((-1, 1j, 1))
+    for mode in ("stuffle", "shuffle"):
+        assert reg_value(k, z, mode) == reg_poly(k, z, mode).constant()
+        li_star(k, z, DEFAULT_CONFIG, mode)
+        li_shift_jet(2, k, z, DEFAULT_CONFIG, mode)
 
 
 # --- regularized values ---------------------------------------------------------

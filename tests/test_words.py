@@ -120,6 +120,20 @@ def test_argvector_reciprocal():
     assert z.reciprocal().entries == (-0.5j, -0.25 + 0j)
 
 
+def test_argvector_reciprocal_built_once_per_symbol_tuple():
+    clear_caches()
+    z = ArgVector.of((2j, -4 + 0j, 1))
+    inv = z.reciprocal()
+    assert ArgVector(z.symbols).reciprocal() is inv
+    assert inv.symbols[2] is ONE_SYMBOL
+    assert inv.numbers == ArgVector.of(tuple(1 / e for e in z.entries)).numbers
+    clear_caches()
+    again = z.reciprocal()
+    assert again is not inv and again == inv
+    with pytest.raises(ZeroDivisionError):
+        ArgVector.of((2, 0)).reciprocal()
+
+
 def test_index_basics():
     k = Index((2, 1, 3))
     assert k.weight == 6 and k.depth == 3
