@@ -1,0 +1,119 @@
+#!/usr/bin/env python3
+"""Count the panel-plan traffic of one benchmark batch.
+
+    PYTHONPATH=src python3 scripts/plan_traffic.py reg
+    PYTHONPATH=src python3 scripts/plan_traffic.py main --seed 0 --batch 3
+
+Runs the items of one batch of a bench/workloads.py workload in this
+interpreter, from empty caches, as a benchmark worker runs them, and prints how
+many panel plans were built, how many kernel tables, and how many interior and
+final-panel levels were marched, each against the number of distinct keys among
+them.  A count above its distinct keys is work done again: a plan, table or
+level built anew after the plan store dropped it.
+
+Like bench/spans.py, the counts come from outside the program: five methods of
+evaluate._Plan are wrapped for the run and restored after it, and
+bench/workloads.py is only imported.
+"""
+
+import argparse
+import importlib.util
+import sys
+from contextlib import contextmanager
+from pathlib import Path
+
+from mplparity import evaluate
+
+_WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+ROWS = ("plans", "kernel tables", "interior levels", "final levels")
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location("bench_workloads", _WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@contextmanager
+def counting():
+    """Yield {row: [key, ...]}, one key per plan, table or level built while
+    the block runs: a plan's key, or a level's (plan key, P, prefix), P None
+    for an interior level."""
+    built = {row: [] for row in ROWS}
+    plan_cls = evaluate._Plan
+    init, kernels, extend, march, final = (plan_cls.__init__, plan_cls._kernels,
+                                           plan_cls._extend, plan_cls.march, plan_cls._final)
+    finals = 0   # _final calls so far
+
+    def counted_init(self, *args):
+        init(self, *args)
+        built["plans"].append(self.key)
+
+    def counted_kernels(self):
+        if (self.key, "kernels") not in evaluate._STORE:
+            built["kernel tables"].append(self.key)
+        return kernels(self)
+
+    def counted_extend(self, level, a, i, n, kern):
+        built["interior levels"] += [(self.key, None, a[:j]) for j in range(i + 1, n + 1)]
+        return extend(self, level, a, i, n, kern)
+
+    def counted_march(self, a, P):
+        # a march's final-panel levels are the last ones of its word
+        start = finals
+        out = march(self, a, P)
+        n = len(a)
+        built["final levels"] += [(self.key, P, a[:j]) for j in range(n - finals + start + 1, n + 1)]
+        return out
+
+    def counted_final(self, *args):
+        nonlocal finals
+        finals += 1
+        return final(self, *args)
+
+    wrapped = {"__init__": counted_init, "_kernels": counted_kernels, "_extend": counted_extend,
+               "march": counted_march, "_final": counted_final}
+    saved = {name: plan_cls.__dict__[name] for name in wrapped}
+    for name, fn in wrapped.items():
+        setattr(plan_cls, name, fn)
+    try:
+        yield built
+    finally:
+        for name, fn in saved.items():
+            setattr(plan_cls, name, fn)
+
+
+def traffic(workload: str, seed: int, batch: int, sizes: dict | None = None):
+    """(items, failed items, {row: (built, distinct keys)}) of one batch, at
+    the benchmark's sizes unless sizes is given."""
+    wl = _workloads()
+    items = wl.make_batch(workload, seed, batch, sizes or wl.FULL[workload])
+    failed = 0
+    evaluate.clear_caches()
+    with counting() as built:
+        for item in items:
+            try:
+                wl.run_item(workload, item)
+            except Exception:   # a failed item is counted, as a benchmark worker counts it
+                failed += 1
+    evaluate.clear_caches()
+    return len(items), failed, {row: (len(keys), len(set(keys))) for row, keys in built.items()}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("workload", choices=_workloads().WORKLOADS)
+    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--batch", type=int, default=0)
+    args = ap.parse_args(argv)
+    n, failed, rows = traffic(args.workload, args.seed, args.batch)
+    print(f"{args.workload} seed {args.seed} batch {args.batch}: {n} items, {failed} failed")
+    print(f"{'':<16} {'built':>7} {'distinct':>9}")
+    for row, (count, distinct) in rows.items():
+        print(f"{row:<16} {count:>7} {distinct:>9}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -78,13 +78,14 @@ differ in the last bit from multiplying the fused entries.  A vector's
 entries and tails themselves come from a memo keyed on its symbols
 (words._numbers), so a cut or a rebuilt vector computes none of them again.
 
-Panel plans live in a memo of PLANS entries keyed on (sorted singularities,
-panel_order, panel_safety).  From its first word on, a plan keeps its kernel
-table (which holds its step powers) and the levels it marches (interior levels
-under (None, prefix); final-panel levels under (P, prefix), P the number of
-letters at 1 in the word, differences included; a prefix holds the letters,
-so a star word shares its leading plain prefix with plain words) in one
-store, dropping the least recently used once they exceed PLAN_BYTES.  clear_caches() empties it with the value memos.
+Panel plans keep their layouts, kernel tables (step powers included) and
+levels in one least-recently-used store, _STORE, under one byte budget for all
+plans, STORE_BYTES.  An entry keys on what its plan reads, (sorted
+singularities, panel_order, panel_safety), then on "layout", "kernels",
+(None, prefix) for an interior level or (P, prefix) for a final-panel level, P
+the number of letters at 1 in the word, differences included.  A prefix holds
+the letters, so a star word shares its leading plain prefix with plain words.
+clear_caches() empties the store with the value memos.
 """
 from __future__ import annotations
 
@@ -98,7 +99,7 @@ from operator import add, mul
 
 import numpy as np
 
-from .numcore import DEFAULT_CONFIG, DomainError, EvalConfig, EvaluationError, clear_caches, memo
+from .numcore import _MEMOS, DEFAULT_CONFIG, DomainError, EvalConfig, EvaluationError, clear_caches, memo
 from .words import _LETTERS, ONE_SYMBOL, ArgVector, Index, LinComb, Word, index_of_word
 
 SERIES_RADIUS = 0.95
@@ -106,8 +107,7 @@ SERIES_GOAL = 1e-11 * 1e-2   # series tail bound to reach, cap permitting
 PATH_CLEARANCE = 1e-9   # singularities this close to (0,1) make panels meaningless
 MAX_PANELS = 4000
 SCALE_LIMIT = 150 * math.log(10)   # ln 1e150: largest |g|^-j a series block forms
-PLANS = 8               # singularity sets whose panel plans are kept
-PLAN_BYTES = 1 << 16    # arrays one plan keeps: marched levels, kernel table
+STORE_BYTES = 1 << 19   # all panel plans keep: layouts, kernel tables, levels
 
 
 @dataclass(frozen=True)
@@ -365,6 +365,35 @@ def _blocks(lg: np.ndarray, M: int) -> list[int]:
     return np.clip(b.min(1), 1, M).astype(int).tolist()
 
 
+class _Store(OrderedDict):
+    """What the panel plans keep, least recently used first: key -> (value,
+    nbytes), nbytes > 0, the nbytes summing to self.nbytes <= STORE_BYTES.  An
+    entry larger than STORE_BYTES is not kept."""
+
+    nbytes = 0
+
+    def find(self, key):
+        hit = self.get(key)
+        if hit:
+            self.move_to_end(key)
+            return hit[0]
+
+    def keep(self, key, value, nbytes: int) -> None:
+        if nbytes <= STORE_BYTES:
+            self[key] = value, nbytes
+            self.nbytes += nbytes
+            while self.nbytes > STORE_BYTES:
+                self.nbytes -= self.popitem(last=False)[1][1]
+
+    def cache_clear(self) -> None:
+        self.clear()
+        self.nbytes = 0
+
+
+_STORE = _Store()
+_MEMOS.append(_STORE)
+
+
 class _Plan:
     """The panels of one singularity set at one (panel_order, panel_safety),
     and the levels marched under them.
@@ -372,51 +401,29 @@ class _Plan:
     Level j of a word is the partial integral of its prefix forms[:j], so words
     that share a prefix share its levels.  An interior level holds, for every
     interior panel, the Taylor coefficients of the prefix integral around the
-    panel's left edge; it is kept under the key (None, prefix).  A final-panel
-    level also depends on P, the number of forms at 1 in the whole word, which
-    sets its shape and log table; it is kept under (P, prefix).  Every form's
-    kernel is geometric on every panel, so a level is one blocked prefix sum
-    (_next_level) over all panels at once, in powers that the plan builds for
-    all its singularities in one cumprod (_kernels).  Everything a plan holds,
-    its kernel table and its levels, is one entry of _kept from the first word
-    on; entries are dropped least recently used first once they exceed
-    PLAN_BYTES, and an array larger than that is not kept, so a plan retains a
-    fixed amount of memory.
+    panel's left edge.  A final-panel level also depends on P, the number of
+    forms at 1 in the whole word, which sets its shape and log table.  Every
+    form's kernel is geometric on every panel, so a level is one blocked prefix
+    sum (_next_level) over all panels at once, in powers that the plan builds
+    for all its singularities in one cumprod (_kernels).
+
+    A plan holds nothing itself: its layout, kernel table and levels are
+    entries of _STORE under its key (see the module docstring), so a plan
+    built again after its layout was dropped finds its levels still kept.
     """
 
     def __init__(self, sing, centers, steps, t, order: int, safety: float) -> None:
-        self.sing = sing
+        self.key = (sing, order, safety)
+        self.sing, self.order, self.safety = self.key
         self.centers = centers
         self.steps = steps
         self.t = t
-        self.order = order
-        self.safety = safety
         self.public = PanelPlan(tuple(centers) + (1.0,), tuple(steps) + (1.0 - t,), order)
-        self._kept: OrderedDict = OrderedDict()
-        self._nbytes = 0
-
-    # --- kept arrays ---
-
-    def _get(self, key):
-        hit = self._kept.get(key)
-        if hit is not None:
-            self._kept.move_to_end(key)
-            return hit[0]
-        return None
-
-    def _keep(self, key, value, nbytes: int) -> None:
-        if nbytes > PLAN_BYTES:
-            return
-        self._kept[key] = (value, nbytes)
-        self._nbytes += nbytes
-        while self._nbytes > PLAN_BYTES:
-            _, (_, dropped) = self._kept.popitem(last=False)
-            self._nbytes -= dropped
 
     def _deepest(self, P, a, top: int):
         """(j, level) for the longest prefix a[:j], j <= top, kept under P."""
         for j in range(top, 0, -1):
-            level = self._get((P, a[:j]))
+            level = _STORE.find((self.key, P, a[:j]))
             if level is not None:
                 return j, level
         return 0, None
@@ -438,7 +445,7 @@ class _Plan:
         by exponent shift there; like a form at 1 on the final panel, its
         entry is a placeholder.
         """
-        kern = self._get("kernels")
+        kern = _STORE.find((self.key, "kernels"))
         if kern is not None:
             return kern
         M, sing, n = self.order, self.sing, len(self.steps)
@@ -472,7 +479,7 @@ class _Plan:
                 blocks = _blocks(-np.log(dist), M)
                 pw.cumprod(2, out=pw)
         kern = (pw, blocks, index, zero)
-        self._keep("kernels", kern, pw.nbytes)
+        _STORE.keep((self.key, "kernels"), kern, pw.nbytes)
         return kern
 
     # --- interior panels ---
@@ -482,12 +489,6 @@ class _Plan:
         coef = np.zeros((len(self.steps), self.order + 1), complex)
         coef[:, 0] = 1.0
         return coef, [0.0] * len(self.steps), (), ()
-
-    def _interior(self, prev, a, j: int, coef, kern):
-        """Coefficients of level j of a on every interior panel, written to
-        coef, from those of level j - 1 in prev; returns the value of level j
-        at the end of the last interior panel."""
-        return self._interior_step(prev, a[j - 1], coef, kern)[-1]
 
     def _interior_step(self, prev, letter, coef, kern):
         """The integral of prev times the form letter on every interior panel:
@@ -539,7 +540,7 @@ class _Plan:
 
     def _extend(self, level, a, i: int, n: int, kern):
         """Levels i + 1..n of a from level i, each kept; returns level n.
-        Each level is one _interior step over all panels, in the powers of
+        Each level is one _interior_step over all panels, in the powers of
         kern, the plan's _kernels.
 
         A level is (coef, cum, ends, ests): coef[p] the coefficients on panel
@@ -554,7 +555,7 @@ class _Plan:
         coefs = np.empty((n - i,) + level[0].shape, complex)
         prev, ends = level[0], level[2]
         for j, coef in zip(range(i + 1, n + 1), coefs):
-            ends += (self._interior(prev, a, j, coef, kern),)
+            ends += (self._interior_step(prev, a[j - 1], coef, kern)[-1],)
             prev = coef
         # |c_{M-1}| h^{M-1} and |c_M| h^M per level and panel.  np.abs of a
         # complex array may differ in the last bit from abs() of one entry;
@@ -568,7 +569,7 @@ class _Plan:
                    for c, (t_below, t_top) in zip(cum, panels)]
             ests += (reduce(add, cum),)
             level = (coef, cum, ends[:j], ests)
-            self._keep((None, a[:j]), level, coef.nbytes + 8 * len(cum))
+            _STORE.keep((self.key, None, a[:j]), level, coef.nbytes + 8 * len(cum))
         return level
 
     # --- final panel ---
@@ -674,7 +675,7 @@ class _Plan:
             final = final or self._final_root(P)
             for j in range(f + 1, n + 1):
                 final = self._final(final, a[j - 1], ends[j - 1], ests[j - 1], fc, kern)
-                self._keep((P, a[:j]), final, final[0].nbytes)
+                _STORE.keep((self.key, P, a[:j]), final, final[0].nbytes)
         return final
 
     def integrate(self, a: tuple, P: int) -> tuple[complex, float]:
@@ -701,7 +702,6 @@ class _Plan:
         the same whatever was marched under the plan before it."""
         kern = self._kernels()
         fc = self._final_consts(P, kern)
-        M = self.order
 
         def step(state, s):
             coef, fin = state
@@ -709,11 +709,7 @@ class _Plan:
             ends = self._interior_step(coef, s, new, kern)
             return new, self._final_step(fin, s, ends[:, -1], fc, kern)
 
-        coef = np.zeros((1, len(self.steps), M + 1), complex)
-        coef[:, :, 0] = 1.0
-        fin = np.zeros((1, M + 1, P + 1), complex)
-        fin[0, 0, 0] = 1.0
-        state = (coef, fin)
+        state = (self._interior_root()[0][None], self._final_root(P)[0][None])
         for s, k in blocks:
             state = step(state, s)
             for _ in range(k - 1):
@@ -731,27 +727,36 @@ class _Plan:
         return state[1][:, 0, 0]
 
 
-@memo(maxsize=PLANS)
 def _plan(sing: tuple, order: int, safety: float) -> _Plan:
-    """Plan of the sorted singularities sing at (panel_order, panel_safety)."""
-    return _Plan(sing, *_layout(sing, order, safety), order, safety)
+    """Plan of the sorted singularities sing at (panel_order, panel_safety),
+    its layout kept in _STORE at 8 bytes per center and per step, each twice."""
+    key = ((sing, order, safety), "layout")
+    plan = _STORE.find(key)
+    if plan is None:
+        plan = _Plan(sing, *_layout(sing, order, safety), order, safety)
+        _STORE.keep(key, plan, 32 * len(plan.steps))
+    return plan
 
 
 def _on_plan(sing, forms: tuple, cfg: EvalConfig, march):
-    """(plan, march(plan)) for the plan of the singularities sing.  A
-    singularity on the path other than 0 and 1 is a DomainError; a failed
-    layout or march is an EvaluationError whose witness is forms."""
+    """(plan, march(plan)), a row of numbers, for the plan of the singularities
+    sing.  A singularity on the path other than 0 and 1 is a DomainError; a
+    failed layout or march, or a non-finite row, is an EvaluationError whose
+    witness is forms."""
     sing = tuple(sorted(sing, key=lambda s: (s.real, s.imag)))
     for s in sing:
         if s not in (0, 1) and _seg_dist(s) < PATH_CLEARANCE:
             raise DomainError(f"form singularity {s} lies on the integration path")
     try:
         plan = _plan(sing, cfg.panel_order, cfg.panel_safety)
-        # a march that overflows next to a form is reported by the caller, not warned about
+        # a march that overflows next to a form is reported below, not warned about
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return plan, march(plan)
+            row = march(plan)
     except EvaluationError as e:
         raise EvaluationError(e.args[0], e.panels, forms) from None
+    if not all(map(cmath.isfinite, row)):
+        raise EvaluationError("non-finite panel value", len(plan.public.steps), forms)
+    return plan, row
 
 
 def iterated_integral(forms, cfg: EvalConfig = DEFAULT_CONFIG, star: bool = False):
@@ -775,8 +780,6 @@ def iterated_integral(forms, cfg: EvalConfig = DEFAULT_CONFIG, star: bool = Fals
         if letters != a:
             sing.add(0j)
     plan, (value, est) = _on_plan(sing, a, cfg, lambda plan: plan.integrate(letters, a.count(1)))
-    if not (cmath.isfinite(value) and math.isfinite(est)):
-        raise EvaluationError("non-finite panel value", len(plan.public.steps), a)
     return value, est, plan.public
 
 
@@ -831,9 +834,7 @@ def _jet_panels(A: int, k: Index, z: ArgVector, cfg: EvalConfig) -> np.ndarray:
     if A:
         sing.add(0j)
     blocks = list(zip((1 / gi for gi in z.tails), k.parts))
-    plan, cols = _on_plan(sing, forms, cfg, lambda plan: plan.jet(blocks, A, forms.count(1)))
-    if not np.isfinite(cols).all():
-        raise EvaluationError("non-finite panel value", len(plan.public.steps), forms)
+    _, cols = _on_plan(sing, forms, cfg, lambda plan: plan.jet(blocks, A, forms.count(1)))
     return -cols if k.depth % 2 else cols
 
 
@@ -847,11 +848,8 @@ def _reg_row(k: Index, z: ArgVector, h: int, cfg: EvalConfig) -> tuple[complex, 
     first d - h places fails, and a failed march names the whole word."""
     d = k.depth
     forms = _panel_word(k.cut(1, d - h), z.cut(1, d - h)) + (1 + 0j,) * h
-    plan, level = _on_plan(set(forms), forms, cfg,
-                           lambda plan: plan.march(forms, forms.count(1)))
-    row = level[0][0, :h + 1]
-    if not np.isfinite(row).all():
-        raise EvaluationError("non-finite panel value", len(plan.public.steps), forms)
+    _, row = _on_plan(set(forms), forms, cfg,
+                      lambda plan: plan.march(forms, forms.count(1))[0][0, :h + 1])
     return tuple((-1) ** (d + p) * c for p, c in enumerate(row.tolist()))
 
 

@@ -6,12 +6,13 @@ import itertools
 import math
 import operator
 import random
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from mplparity import evaluate, regularize, words
+from mplparity import evaluate, numcore, regularize, words
 from mplparity.numcore import DEFAULT_CONFIG, DomainError, EvalConfig, EvaluationError, log_minus, zeta
 from mplparity.words import ArgSymbol, ArgVector, EMPTY_WORD, Index, ONE_SYMBOL, Word, X
 from mplparity.evaluate import (
@@ -441,7 +442,7 @@ def test_final_panel_matches_loop_reference(order):
             forms = _kernel_forms(rng, P, rng.randint(0, 2), rng.randint(1, 3))
             F = _kernel_F(rng, len(forms))
             t = rng.uniform(0.3, 0.95)
-            plan = _Plan(_sorted_set(forms), [], [], t, order, 0.5)
+            plan = _own_plan(forms, [], [], t, order)
             kern = plan._kernels()
             fc = plan._final_consts(P, kern)
             level = plan._final_root(P)
@@ -454,6 +455,14 @@ def test_final_panel_matches_loop_reference(order):
 
 def _sorted_set(forms):
     return tuple(sorted(set(map(complex, forms)), key=lambda s: (s.real, s.imag)))
+
+
+def _own_plan(forms, centers, steps, t, order):
+    """A plan on a layout of the test's own, whose kept arrays go under a key
+    that holds the layout, so no plan of _layout's ever reads them."""
+    plan = _Plan(_sorted_set(forms), centers, steps, t, order, 0.5)
+    plan.key = (plan.key, tuple(centers), tuple(steps), t)
+    return plan
 
 
 def _march_interior(plan, forms):
@@ -492,7 +501,7 @@ def test_interior_panel_matches_loop_reference(order):
         centers = [rng.uniform(0.05, 0.6)]
         for h in steps[:-1]:
             centers.append(centers[-1] + h)
-        plan = _Plan(_sorted_set(forms), centers, steps, centers[-1] + steps[-1], order, 0.5)
+        plan = _own_plan(forms, centers, steps, centers[-1] + steps[-1], order)
         _assert_interior_near_ref(_march_interior(plan, forms),
                                   _ref_interior_chain(centers, steps, forms, order), forms)
     # the t0 = 0 panel: F vanishes above level 0 and forms at 0 integrate by
@@ -502,7 +511,7 @@ def test_interior_panel_matches_loop_reference(order):
         forms = [first] + _kernel_forms(rng, rng.randint(0, 1), rng.randint(1, 3), 1)
         h = 0.5 * min(abs(s) for s in forms if s != 0)
         centers, steps = [0.0, h], [h, 0.5 * h]
-        plan = _Plan(_sorted_set(forms), centers, steps, 1.5 * h, order, 0.5)
+        plan = _own_plan(forms, centers, steps, 1.5 * h, order)
         _assert_interior_near_ref(_march_interior(plan, forms),
                                   _ref_interior_chain(centers, steps, forms, order), forms)
 
@@ -590,9 +599,43 @@ def _prefix_family(rng):
 FAMILIES = {"compositions": _composition_family, "prefixes": _prefix_family}
 
 
+@pytest.fixture
+def built(monkeypatch):
+    """The singularity sets whose plans _plan builds from here on, one entry
+    per build."""
+    sets = []
+    layout = evaluate._layout
+
+    def counted(sing, order, safety):
+        sets.append(sing)
+        return layout(sing, order, safety)
+
+    monkeypatch.setattr(evaluate, "_layout", counted)
+    return sets
+
+
+def _interior_levels(monkeypatch):
+    """The levels j that _Plan._extend marches from here on, in order."""
+    marched = []
+    step = evaluate._Plan._interior_step
+
+    def counted(self, prev, letter, coef, kern):
+        marched.append(sys._getframe(1).f_locals["j"])   # the level _extend is at
+        return step(self, prev, letter, coef, kern)
+
+    monkeypatch.setattr(evaluate._Plan, "_interior_step", counted)
+    return marched
+
+
+def _assert_store_within_budget():
+    store = evaluate._STORE
+    assert 0 < store.nbytes <= evaluate.STORE_BYTES
+    assert store.nbytes == sum(b for _, b in store.values())
+
+
 @pytest.mark.parametrize("order", [8, 48])
 @pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_shared_march_matches_panel_by_panel_reference(family, order):
+def test_shared_march_matches_panel_by_panel_reference(family, order, built):
     rng = random.Random(f"{family}-{order}")
     words = FAMILIES[family](rng)
     cfg = replace(DEFAULT_CONFIG, panel_order=order)
@@ -613,7 +656,8 @@ def test_shared_march_matches_panel_by_panel_reference(family, order):
             assert got == ref and repr(got[:2]) == repr(ref[:2]), (run, w)
             _assert_near_ref(got[:2], want[w][:2], (run, w))
             assert got[2] == want[w][2], (run, w)
-    assert evaluate._plan.cache_info().hits > 0
+    assert len(built) < 4 * len(words)   # some plan was reused
+    _assert_store_within_budget()
 
 
 def _plan_of(forms, cfg=DEFAULT_CONFIG):
@@ -622,57 +666,101 @@ def _plan_of(forms, cfg=DEFAULT_CONFIG):
     return evaluate._plan(sing, cfg.panel_order, cfg.panel_safety)
 
 
-def test_words_sharing_a_plan_reuse_its_levels():
+def test_words_sharing_a_plan_reuse_its_levels(built):
     words = _prefix_family(random.Random("reuse"))
     clear_caches()
     for w in words:
         iterated_integral(w)
-    info = evaluate._plan.cache_info()
-    assert info.misses < len(words) and info.currsize <= evaluate.PLANS
+    assert len(built) < len(words)
     plan = _plan_of(words[-1])
     assert plan.public == iterated_integral(words[-1])[2]
-    assert any(key[0] is None for key in plan._kept)      # interior levels
-    assert any(type(key[0]) is int for key in plan._kept)  # final-panel levels
-    assert 0 < plan._nbytes <= evaluate.PLAN_BYTES
-    assert plan._nbytes == sum(b for _, b in plan._kept.values())
+    levels = [key[1] for key in evaluate._STORE if key[0] == plan.key and len(key) == 3]
+    assert None in levels                             # interior levels
+    assert any(type(P) is int for P in levels)        # final-panel levels
+    _assert_store_within_budget()
 
 
 def test_a_plan_keeps_from_its_first_word(monkeypatch):
-    # everything a plan holds is in its byte-bounded store from the first word
-    # on: a word sharing a prefix reuses the kernel table and marches only the
-    # interior levels past that prefix
+    # everything a plan holds is in the store from the first word on: a word
+    # sharing a prefix reuses the kernel table and marches only the interior
+    # levels past that prefix
     clear_caches()
     first = (-0.5 + 2j, 0j, 0.4 + 0.7j, 0j)
     second = first[:2] + (-0.5 + 2j, 0.4 + 0.7j)   # same forms, shares first[:2]
     iterated_integral(first)
     plan = _plan_of(first)
-    kern = plan._get("kernels")
+    kern = evaluate._STORE.find((plan.key, "kernels"))
     assert kern is not None
-    assert all(plan._get((P, first[:j])) is not None for P in (None, 0) for j in (1, 2, 3, 4))
-    assert 0 < plan._nbytes <= evaluate.PLAN_BYTES
-    assert plan._nbytes == sum(b for _, b in plan._kept.values())
-    marched = []
-    interior = evaluate._Plan._interior
-
-    def counted(self, prev, a, j, coef, kern):
-        marched.append(j)
-        return interior(self, prev, a, j, coef, kern)
-
-    monkeypatch.setattr(evaluate._Plan, "_interior", counted)
+    assert all(evaluate._STORE.find((plan.key, P, first[:j])) is not None
+               for P in (None, 0) for j in (1, 2, 3, 4))
+    _assert_store_within_budget()
+    marched = _interior_levels(monkeypatch)
     iterated_integral(second)
-    assert _plan_of(second) is plan and plan._get("kernels") is kern
+    assert _plan_of(second) is plan and evaluate._STORE.find((plan.key, "kernels")) is kern
     assert marched == [3, 4]
 
 
+def test_a_plan_whose_layout_was_dropped_resumes_from_its_levels(monkeypatch, built):
+    # the store keys on the plan's numbers, so a plan built again finds the
+    # kernel table and levels its dropped predecessor kept
+    first = (-0.5 + 2j, 0j, 0.4 + 0.7j, 0j)
+    second = first[:2] + (-0.5 + 2j, 0.4 + 0.7j)
+    clear_caches()
+    want = iterated_integral(second)
+    clear_caches()
+    iterated_integral(first)
+    # drop the least recently used entry, as the budget would: the layout
+    key, (plan, nbytes) = evaluate._STORE.popitem(last=False)
+    evaluate._STORE.nbytes -= nbytes
+    assert key == (plan.key, "layout") and plan.sing == _sorted_set(first)
+    kern = evaluate._STORE.find((plan.key, "kernels"))
+    assert kern is not None
+    built.clear()
+    marched = _interior_levels(monkeypatch)
+    assert iterated_integral(second) == want
+    assert built == [plan.sing] and _plan_of(second) is not plan
+    assert evaluate._STORE.find((plan.key, "kernels")) is kern
+    assert marched == [3, 4]
+    _assert_store_within_budget()
+
+
+def test_words_over_twelve_plans_fit_in_one_budget(monkeypatch, built):
+    # twelve singularity sets visited round-robin, more than a count of eight
+    # kept plans would hold: all their arrays fit in STORE_BYTES, so the second
+    # pass builds no plan and marches no level, and reads the same values
+    rng = random.Random("round-robin")
+    sets = [cmath.rect(rng.uniform(1.5, 3.0), 2 * math.pi * (i + 0.5) / 12) for i in range(12)]
+    words = [w for s in sets for w in ((s, 0j, -s), (s, -s, 0j))]
+    words = words[::2] + words[1::2]
+    clear_caches()
+    first = [iterated_integral(w) for w in words]
+    assert len(set(built)) == 12
+    _assert_store_within_budget()
+    marched = []
+
+    def counting(step):
+        def counted(*args):
+            marched.append(step.__name__)
+            return step(*args)
+        return counted
+
+    for name in ("_interior_step", "_final_step"):
+        monkeypatch.setattr(evaluate._Plan, name, counting(getattr(evaluate._Plan, name)))
+    built.clear()
+    assert [iterated_integral(w) for w in words] == first
+    assert not marched and not built
+    _assert_store_within_budget()
+
+
 def test_plan_keeps_no_more_than_its_budget(monkeypatch):
-    # a budget smaller than any kept array keeps nothing; the values do not change
+    # a budget below every entry (the smallest, a one-panel layout, counts 32
+    # bytes) keeps nothing; the values do not change
     words = _composition_family(random.Random("budget"))
     want = [iterated_integral(w) for w in words]
-    monkeypatch.setattr(evaluate, "PLAN_BYTES", 100)
+    monkeypatch.setattr(evaluate, "STORE_BYTES", 16)
     clear_caches()
     assert [iterated_integral(w) for w in words] == want
-    plan = _plan_of(words[-1])
-    assert plan._nbytes == 0 and not plan._kept
+    assert evaluate._STORE.nbytes == 0 and not evaluate._STORE
 
 
 @pytest.mark.parametrize("offset", [1e-7, 1e-8])
@@ -869,17 +957,18 @@ def test_star_with_a_zero_entry_is_zero():
         assert li_star(K(parts), V(args)) == 0
 
 
-def test_star_march_is_history_independent():
+def test_star_march_is_history_independent(built):
     # the identity contraction has the star word's forms, the form at 0
     # included, so both march under one plan and share the leading prefix
     k, z = K((2, 1, 2)), V(WITNESS)
     clear_caches()
     cold = li_star_detail(k, z)
     clear_caches()
+    built.clear()
     kc, zc = enum_contractions(k, z)[0]
     li(kc, zc)
     warm = li_star_detail(k, z)
-    assert evaluate._plan.cache_info().hits == 1
+    assert len(built) == 1   # the star reused the plan li built
     assert repr(warm) == repr(cold)
 
 
@@ -991,18 +1080,19 @@ def test_jet_depth_zero_and_zero_entries():
         li_shift_jet(1, K((1,)), V((0.5,)), DEFAULT_CONFIG, "bogus")
 
 
-def test_jet_march_is_history_independent():
+def test_jet_march_is_history_independent(built):
     # the jet's plan is that of the forms 1/g_i and 0, the plan of the value
     # itself here; its levels and kernel table change nothing in the jet
     k, z = K((2, 1, 2)), V(WITNESS)
     clear_caches()
     cold = li_shift_jet(3, k, z)
     clear_caches()
+    built.clear()
     li(k, z)
     li_star(k, z)
     li(K((3, 2, 2)), z)
     warm = li_shift_jet(3, k, z)
-    assert evaluate._plan.cache_info().hits >= 2
+    assert len(built) == 1   # one plan, built by li, reused by the star, li and the jet
     assert repr(warm) == repr(cold)
 
 
@@ -1286,7 +1376,7 @@ def test_tails_equal_prod():
 
 
 def test_clear_caches_empties_every_value_memo():
-    memos = (evaluate._li_cached, evaluate._li_word_cached, evaluate._plan,
+    memos = (evaluate._li_cached, evaluate._li_word_cached,
              regularize._reg_value_cached, regularize._decompose_stuffle_word,
              words._stuffle_words, words._shuffle_words, words._numbers, words._reciprocal)
     k, args = REG_POINT
@@ -1294,5 +1384,7 @@ def test_clear_caches_empties_every_value_memo():
     run_selftest(only=("rho",), seed=0)
     regularize.shuffle_poly(K((1, 1)), V((-1, 1)))   # word values are a cross-check only
     assert all(m.cache_info().currsize > 0 for m in memos)
+    assert evaluate._STORE and evaluate._STORE in numcore._MEMOS   # the panel plans' store
     clear_caches()
     assert [m.cache_info().currsize for m in memos] == [0] * len(memos)
+    assert not evaluate._STORE and evaluate._STORE.nbytes == 0

@@ -1,0 +1,42 @@
+"""scripts/plan_traffic.py: panel-plan traffic of one benchmark batch."""
+
+import importlib.util
+from pathlib import Path
+
+from mplparity import evaluate
+
+_PATH = Path(__file__).resolve().parent.parent / "scripts" / "plan_traffic.py"
+_spec = importlib.util.spec_from_file_location("plan_traffic", _PATH)
+plan_traffic = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(plan_traffic)
+
+# a reg batch of depth <= 2, weight <= 2 over roots:2 and the hirose indices of
+# depth <= 2, weight <= 3: a few dozen items, forms at 1 and reused plans
+TINY_REG = {"roots": (2,), "depth_max": 2, "weight_max": 2,
+            "mzv_depth_max": 2, "mzv_weight_max": 3}
+
+
+def test_tiny_reg_batch_counts():
+    methods = dict(vars(evaluate._Plan))
+    n, failed, rows = plan_traffic.traffic("reg", 0, 0, TINY_REG)
+    assert n > 0 and failed == 0
+    assert list(rows) == list(plan_traffic.ROWS)
+    # everything fits in the store, so nothing is built twice
+    for row, (built, distinct) in rows.items():
+        assert 0 < distinct == built, row
+    # the wrappers are gone and the run left the caches empty
+    assert dict(vars(evaluate._Plan)) == methods
+    assert not evaluate._STORE
+
+
+def test_main_prints_one_line_per_row(monkeypatch, capsys):
+    workloads = plan_traffic._workloads()
+    monkeypatch.setitem(workloads.FULL, "main", {"depth_max": 1, "weight_max": 2, "per_index": 1})
+    monkeypatch.setattr(plan_traffic, "_workloads", lambda: workloads)
+    assert plan_traffic.main(["main", "--seed", "3", "--batch", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "main seed 3 batch 1: 2 items, 0 failed"
+    assert lines[1].split() == ["built", "distinct"]
+    assert [line[:16].strip() for line in lines[2:]] == list(plan_traffic.ROWS)
+    built, distinct = map(int, lines[2].split()[1:])
+    assert built == distinct == 2   # one plan per main item of depth 1
