@@ -7,9 +7,11 @@
 Runs the items of one batch of a bench/workloads.py workload in this
 interpreter, from empty caches, as a benchmark worker runs them, and prints how
 many panel plans were built, how many kernel tables, and how many interior and
-final-panel levels were marched, each against the number of distinct keys among
-them.  A count above its distinct keys is work done again: a plan, table or
-level built anew after the plan store dropped it.
+log final-panel levels were marched, each against the number of distinct keys
+among them.  A count above its distinct keys is work done again: a plan, table
+or level built anew after the plan store dropped it.  Only a word with a form
+at 1 marches log final-panel levels; the final panel of any other word is the
+last row of its interior levels and is counted with them.
 
 Like bench/spans.py, the counts come from outside the program: five methods of
 evaluate._Plan are wrapped for the run and restored after it, and
@@ -25,7 +27,7 @@ from pathlib import Path
 from mplparity import evaluate
 
 _WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
-ROWS = ("plans", "kernel tables", "interior levels", "final levels")
+ROWS = ("plans", "kernel tables", "interior levels", "log final levels")
 
 
 def _workloads():
@@ -60,11 +62,12 @@ def counting():
         return extend(self, level, a, i, n, kern)
 
     def counted_march(self, a, P):
-        # a march's final-panel levels are the last ones of its word
+        # a march's log final-panel levels are the last ones of its word
         start = finals
         out = march(self, a, P)
         n = len(a)
-        built["final levels"] += [(self.key, P, a[:j]) for j in range(n - finals + start + 1, n + 1)]
+        built["log final levels"] += [(self.key, P, a[:j])
+                                      for j in range(n - finals + start + 1, n + 1)]
         return out
 
     def counted_final(self, *args):

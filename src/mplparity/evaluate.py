@@ -21,11 +21,13 @@ Two independent routes produce values:
           one direction.  Each panel re-expands every partial integral as a
           truncated series around the panel's left edge; the step is
           panel_safety times the distance to the nearest singularity.  The
-          panels abutting t = 0 and t = 1 use expansions with log terms so
-          that integrable endpoint singularities (forms at 0 and at 1) are
-          exact rather than approached geometrically.  Log integration in
-          the final panel applies a table of u^m log^q u coefficients that
-          is built once per (order, number of forms at 1) and cached.  For a
+          panels abutting t = 0 and t = 1 make integrable endpoint
+          singularities exact rather than approached geometrically: a form at
+          0 integrates by exponent shift at the first panel's center, and the
+          final panel expands in u = 1 - t, one more Taylor row of the march.
+          Only a word with forms at 1 needs log terms there: it also marches
+          a log final panel, applying a table of u^m log^q u coefficients
+          built once per (order, number of forms at 1) and cached.  For a
           word that ends in forms at 1, the u^0 row of its last final-panel
           level is its regularized value at the tangential base point at 1,
           the coefficients of log^p u read as those of (-T)^p (_reg_row).
@@ -82,9 +84,10 @@ Panel plans keep their layouts, kernel tables (step powers included) and
 levels in one least-recently-used store, _STORE, under one byte budget for all
 plans, STORE_BYTES.  An entry keys on what its plan reads, (sorted
 singularities, panel_order, panel_safety), then on "layout", "kernels",
-(None, prefix) for an interior level or (P, prefix) for a final-panel level, P
-the number of letters at 1 in the word, differences included.  A prefix holds
-the letters, so a star word shares its leading plain prefix with plain words.
+(None, prefix) for an interior level or (P, prefix) for a log final-panel
+level, P >= 1 the number of letters at 1 in the word, differences included; a
+word with no letter at 1 keeps interior levels only.  A prefix holds the
+letters, so a star word shares its leading plain prefix with plain words.
 clear_caches() empties the store with the value memos.
 """
 from __future__ import annotations
@@ -401,11 +404,15 @@ class _Plan:
     Level j of a word is the partial integral of its prefix forms[:j], so words
     that share a prefix share its levels.  An interior level holds, for every
     interior panel, the Taylor coefficients of the prefix integral around the
-    panel's left edge.  A final-panel level also depends on P, the number of
-    forms at 1 in the whole word, which sets its shape and log table.  Every
-    form's kernel is geometric on every panel, so a level is one blocked prefix
-    sum (_next_level) over all panels at once, in powers that the plan builds
-    for all its singularities in one cumprod (_kernels).
+    panel's left edge, and one more row for the final panel: its Taylor
+    coefficients in u = 1 - t around t = 1, the whole final panel of a word
+    with no form at 1 (P = 0).  A word with P >= 1 forms at 1 also marches log
+    final-panel levels, which depend on P through their shape and log table;
+    for it the interior level's last row is meaningless past its first form at
+    1 and is never read.  Every form's kernel is geometric on every panel, so a
+    level is one blocked prefix sum (_next_level) over all panels at once, in
+    powers that the plan builds for all its singularities in one cumprod
+    (_kernels).
 
     A plan holds nothing itself: its layout, kernel table and levels are
     entries of _STORE under its key (see the module docstring), so a plan
@@ -485,14 +492,14 @@ class _Plan:
     # --- interior panels ---
 
     def _interior_root(self):
-        """Level 0: the constant 1 on every panel."""
-        coef = np.zeros((len(self.steps), self.order + 1), complex)
+        """Level 0: the constant 1 on every panel, the final panel's row last."""
+        coef = np.zeros((len(self.steps) + 1, self.order + 1), complex)
         coef[:, 0] = 1.0
-        return coef, [0.0] * len(self.steps), (), ()
+        return coef, [0.0] * (len(self.steps) + 1), (), ()
 
     def _interior_step(self, prev, letter, coef, kern):
-        """The integral of prev times the form letter on every interior panel:
-        its coefficients written to coef, its values at the panels' ends
+        """The integral of prev times the form letter on every panel: its
+        coefficients written to coef, its values at the interior panels' ends
         returned.  prev and coef may carry leading axes, the columns of a jet,
         which every step treats alike.
 
@@ -504,19 +511,22 @@ class _Plan:
         integrated by exponent shift there instead, coefficient n being
         prev[n] / n, which requires the previous level to vanish there.  Each
         panel's row summed against its step powers is the change of the level
-        across the panel; one cumsum chains them into the values at the
-        panels' ends, and each panel's constant term is the value at the end
-        of the panel before it.
+        across the panel; one cumsum chains the interior panels' changes into
+        the values at their ends, and each interior panel's constant term is
+        the value at the end of the panel before it.  The last row is the
+        final panel's, around u = 1 - t = 0 (see _kernels), exact only while
+        the word has no form at 1: its constant term is the value at the end
+        of the last interior panel minus the row's change across the panel.
         """
         M = self.order
         pw, blocks, index, zero = kern
         pair = type(letter) is tuple
         k = index[letter[0] if pair else letter]
         out = coef[..., 1:]
-        _next_level(prev, pw[k, :-1], blocks[k], out)
+        _next_level(prev, pw[k], blocks[k], out)
         if pair:
             k = index[letter[1]]
-            minus = _next_level(prev, pw[k, :-1], blocks[k], np.empty(out.shape, complex))
+            minus = _next_level(prev, pw[k], blocks[k], np.empty(out.shape, complex))
             if k == zero:
                 minus[..., 0, :] = 0.0   # shifted below
             out -= minus
@@ -531,11 +541,11 @@ class _Plan:
                 coef[..., 0, 1:] -= shift
             else:
                 coef[..., 0, 1:] = shift
-        ends = (out * pw[-1, :-1, 1:]).sum(-1)
+        rise = (out * pw[-1, :, 1:]).sum(-1)
+        ends = rise[..., :-1].cumsum(-1)
         coef[..., 0, 0] = 0.0
-        if ends.shape[-1] > 1:
-            ends = ends.cumsum(-1)
-            coef[..., 1:, 0] = ends[..., :-1]
+        coef[..., 1:, 0] = ends
+        coef[..., -1, 0] -= rise[..., -1]
         return ends
 
     def _extend(self, level, a, i: int, n: int, kern):
@@ -544,9 +554,12 @@ class _Plan:
         kern, the plan's _kernels.
 
         A level is (coef, cum, ends, ests): coef[p] the coefficients on panel
-        p; cum[p] panel p's error terms summed over levels 1..j; ends[l - 1] the
-        value of level l at the end of the last interior panel; ests[l - 1] the
-        sum of level l's cum over panels.  The error terms of the new levels,
+        p, the final panel last; cum[p] panel p's error terms summed over
+        levels 1..j; ends[l - 1] the value of level l at the end of the last
+        interior panel; ests[l - 1] the sum of level l's cum over the interior
+        panels, to which a log final-panel march adds its own terms.  With no
+        form at 1, coef[-1, 0] is the value of level j at t = 1 and ests[-1] +
+        cum[-1] its estimate.  The error terms of the new levels,
         max(|c_{M-1}| h^{M-1}, |c_M| h^M) per panel scaled as in the
         panel-by-panel march, are formed together once their coefficients are
         known, then summed over levels and over panels in the same order.
@@ -561,18 +574,18 @@ class _Plan:
         # complex array may differ in the last bit from abs() of one entry;
         # np.hypot does not.
         top = coefs[:, :, M - 1:]
-        tails = (np.hypot(top.real, top.imag) * kern[0][-1, :-1, M - 1:].real).tolist()
+        tails = (np.hypot(top.real, top.imag) * kern[0][-1, :, M - 1:].real).tolist()
         safety, rest = self.safety, 1.0 - self.safety
         cum, ests = level[1], level[3]
         for j, coef, panels in zip(range(i + 1, n + 1), coefs, tails):
             cum = [c + max(t_top, t_below) * safety / rest
                    for c, (t_below, t_top) in zip(cum, panels)]
-            ests += (reduce(add, cum),)
+            ests += (reduce(add, cum[:-1]),)
             level = (coef, cum, ends[:j], ests)
             _STORE.keep((self.key, None, a[:j]), level, coef.nbytes + 8 * len(cum))
         return level
 
-    # --- final panel ---
+    # --- log final panel: words with forms at 1 ---
 
     def _final_consts(self, P: int, kern):
         """(K, upow, logf, complex upow, complex lpow) of the final panel for P
@@ -659,18 +672,21 @@ class _Plan:
     # --- one word ---
 
     def march(self, a: tuple, P: int):
-        """The last final-panel level of the letters a (see _final), resuming
-        from the longest prefix of a already marched under this plan.  A
-        letter is a form or a pair (s, 0) read as the form s minus the form at
-        0; P counts the letters whose form, or first form, is 1."""
+        """The last level of the letters a (with P = 0 the interior level,
+        _extend, else the log final panel's, _final), resuming from the
+        longest prefix of a already marched under this plan.  A letter is a
+        form or a pair (s, 0) read as the form s minus the form at 0; P counts
+        the letters whose form, or first form, is 1."""
         n = len(a)
-        f, final = self._deepest(P, a, n)
+        f, final = self._deepest(P, a, n) if P else (0, None)
         if f < n:
             kern = self._kernels()
-            fc = self._final_consts(P, kern)
             i, level = self._deepest(None, a, n)
             if i < n:
                 level = self._extend(level or self._interior_root(), a, i, n, kern)
+            if not P:
+                return level
+            fc = self._final_consts(P, kern)
             ends, ests = level[2], level[3]
             final = final or self._final_root(P)
             for j in range(f + 1, n + 1):
@@ -679,7 +695,11 @@ class _Plan:
         return final
 
     def integrate(self, a: tuple, P: int) -> tuple[complex, float]:
-        """(value, est) of the integral of the letters a (march, _close)."""
+        """(value, est) of the integral of the letters a (march): with P = 0
+        off the interior level's final-panel row (_extend), else by _close."""
+        if not P:
+            coef, cum, _, ests = self.march(a, 0)
+            return complex(coef[-1, 0]), (ests[-1] + cum[-1]) * 4.0
         final = self.march(a, P)
         value, est = self._close(final)
         return value, (final[2] + est) * 4.0
@@ -692,24 +712,26 @@ class _Plan:
         with c more zeros, l_i more after block i, weighted by
         prod _shift_weight(k_i, l_i).  P counts the forms s_i at 1.
 
-        A state is, per column, the interior coefficients on every panel and
-        the final panel's coefficients.  A letter is one _interior_step and one
-        _final_step over all columns, in the plan's one kernel table.  Every
+        A state is, per column, the coefficients on every panel, the final
+        panel's row last, and with P >= 1 also the log final panel's
+        coefficients.  A letter is one _interior_step, then with P >= 1 one
+        _final_step, over all columns, in the plan's one kernel table.  Every
         step is linear, so after block i's own letters, l = 1..A further zero
         steps of columns 0..A - l are added into columns l..A with weight
         _shift_weight(k_i, l).  Shifts add only forms at 0, so every column
         has the same P.  A jet neither reads nor keeps levels; its value is
         the same whatever was marched under the plan before it."""
         kern = self._kernels()
-        fc = self._final_consts(P, kern)
+        fc = self._final_consts(P, kern) if P else None
 
         def step(state, s):
-            coef, fin = state
-            new = np.empty(coef.shape, complex)
-            ends = self._interior_step(coef, s, new, kern)
-            return new, self._final_step(fin, s, ends[:, -1], fc, kern)
+            new = np.empty(state[0].shape, complex)
+            ends = self._interior_step(state[0], s, new, kern)
+            return (new, self._final_step(state[1], s, ends[:, -1], fc, kern)) if P else (new,)
 
-        state = (self._interior_root()[0][None], self._final_root(P)[0][None])
+        state = (self._interior_root()[0][None],)
+        if P:
+            state += (self._final_root(P)[0][None],)
         for s, k in blocks:
             state = step(state, s)
             for _ in range(k - 1):
@@ -724,7 +746,7 @@ class _Plan:
                 for x, y in zip(mixed, shifted):
                     x[l:l + len(y)] += w * y
             state = mixed
-        return state[1][:, 0, 0]
+        return state[1][:, 0, 0] if P else state[0][:, -1, 0]
 
 
 def _plan(sing: tuple, order: int, safety: float) -> _Plan:
@@ -844,12 +866,19 @@ def _reg_row(k: Index, z: ArgVector, h: int, cfg: EvalConfig) -> tuple[complex, 
     of the panel word with its trailing forms at 1.  Near u = 1 - t = 0 the
     last final-panel level is sum cur[m, p] u^m log^p u, and its u^0 row is
     the regularization at the tangential base point at 1, log u read as -T:
-    coefficient p is (-1)^(d+p) cur[0, p].  It fails as the value of the
-    first d - h places fails, and a failed march names the whole word."""
+    coefficient p is (-1)^(d+p) cur[0, p].  A word with no form at 1 (h = 0)
+    marches no log final panel; its T^0 coefficient is the constant term of
+    its interior level's final-panel row.  It fails as the value of the first
+    d - h places fails, and a failed march names the whole word."""
     d = k.depth
     forms = _panel_word(k.cut(1, d - h), z.cut(1, d - h)) + (1 + 0j,) * h
-    _, row = _on_plan(set(forms), forms, cfg,
-                      lambda plan: plan.march(forms, forms.count(1))[0][0, :h + 1])
+    P = forms.count(1)
+
+    def read(plan):
+        coef = plan.march(forms, P)[0]
+        return coef[0, :h + 1] if P else coef[-1:, 0]
+
+    _, row = _on_plan(set(forms), forms, cfg, read)
     return tuple((-1) ** (d + p) * c for p, c in enumerate(row.tolist()))
 
 

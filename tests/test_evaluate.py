@@ -516,6 +516,145 @@ def test_interior_panel_matches_loop_reference(order):
                                   _ref_interior_chain(centers, steps, forms, order), forms)
 
 
+# --- the final panel of a word with no form at 1 ------------------------------
+#
+# With P = 0 the final panel is the last row of the interior level, a Taylor
+# row in u = 1 - t.  Its reference is the log final-panel chain at P = 0 run
+# from the same interior ends (itself held to the loop reference above).  The
+# two sum a row against its step powers in different orders: values agree
+# within 1e-14 relative, estimates within 1e-12 relative.  As in
+# _assert_near_ref, two estimates below 1e-16 max(1, |value|) are top
+# coefficients made of rounding noise and need only stay below it.
+
+
+def _far_forms(rng, n_zeros, n_other):
+    """Forms for a layout of the test's own: n_zeros at 0 and n_other at
+    least 1.2 from [0, 1], shuffled with a nonzero form first."""
+    forms = [0j] * n_zeros + [cmath.rect(rng.uniform(2.2, 3.0), rng.uniform(0.5, 2 * math.pi - 0.5))
+                              for _ in range(n_other)]
+    rng.shuffle(forms)
+    first = next(i for i, s in enumerate(forms) if s != 0)
+    return [forms.pop(first)] + forms
+
+
+def _own_layout(rng):
+    """(centers, steps, t) from the t0 = 0 panel on, each later step at most
+    half its distance to 0, so a form at 0 converges on every panel; the final
+    panel is at least 0.1 and at most half of [0, 1]."""
+    centers, steps, t = [0.0], [rng.uniform(0.1, 0.3)], 0.0
+    end = rng.uniform(0.5, 0.8)
+    while True:
+        t += steps[-1]
+        if t >= end:
+            return centers, steps, t
+        centers.append(t)
+        steps.append(min(rng.uniform(0.3, 0.5) * t, 0.9 - t))
+
+
+def _star_letters(forms):
+    """The letters of the star word of forms (see iterated_integral)."""
+    return tuple(forms[:1]) + tuple(s if s == 0 else (s, 0j) for s in forms[1:])
+
+
+def _p0_plans(rng, order):
+    """(plan, letters) of words with no form at 1: plain and star words, with
+    and without forms at 0, on _layout's layouts and on the test's own."""
+    out = []
+    for own in (False, True):
+        for n_zeros in (0, 1, 2, 0, 1, 2):
+            if own:
+                forms = _far_forms(rng, n_zeros, rng.randint(1, 3))
+            else:
+                forms = _kernel_forms(rng, 0, n_zeros, rng.randint(1, 3))
+                forms.insert(0, forms.pop(next(i for i, s in enumerate(forms) if s != 0)))
+            for letters in (tuple(forms), _star_letters(forms)):
+                sing = set(forms) | ({0j} if letters != tuple(forms) else set())
+                if own:
+                    plan = _own_plan(sing, *_own_layout(rng), order)
+                else:
+                    plan = evaluate._plan(_sorted_set(sing), order, 0.5)
+                out.append((plan, letters))
+    return out
+
+
+def _assert_rel(got, want, rel, what):
+    assert abs(got - want) <= rel * abs(want), (what, got, want)
+
+
+@pytest.mark.parametrize("order", [8, 48])
+def test_p0_final_row_matches_log_final_panel(order):
+    rng = random.Random(f"p0-final-row-{order}")
+    clear_caches()
+    cases = _p0_plans(rng, order)
+    assert any(p.centers[:1] == [0.0] and 0j in p.sing for p, _ in cases)   # t0 = 0 shifts
+    assert any(type(s) is tuple for _, a in cases for s in a)               # pair letters
+    for plan, letters in cases:
+        kern = plan._kernels()
+        coef, cum, ends, ests = plan._extend(plan._interior_root(), letters, 0, len(letters), kern)
+        fc = plan._final_consts(0, kern)
+        final = plan._final_root(0)
+        for j, s in enumerate(letters):
+            final = plan._final(final, s, ends[j], ests[j], fc, kern)
+        value, est = plan._close(final)
+        want = value, final[2] + est
+        got = complex(coef[-1, 0]), ests[-1] + cum[-1]
+        _assert_rel(got[0], want[0], 1e-14, (letters, "value"))
+        if max(got[1], want[1]) >= 1e-16 * max(1.0, abs(want[0])):
+            _assert_rel(got[1], want[1], 1e-12, (letters, "estimate"))
+        assert plan.integrate(letters, 0) == (got[0], got[1] * 4.0)
+
+
+def _two_state_jet(plan, blocks, A):
+    """_Plan.jet at P = 0 with the log final panel: per column the panels'
+    coefficients and the final panel's, one _interior_step and one
+    _final_step per letter."""
+    kern = plan._kernels()
+    fc = plan._final_consts(0, kern)
+
+    def step(state, s):
+        coef, fin = state
+        new = np.empty(coef.shape, complex)
+        ends = plan._interior_step(coef, s, new, kern)
+        return new, plan._final_step(fin, s, ends[:, -1], fc, kern)
+
+    state = (plan._interior_root()[0][None], plan._final_root(0)[0][None])
+    for s, k in blocks:
+        for letter in [s] + [0j] * (k - 1):
+            state = step(state, letter)
+        mixed = tuple(np.zeros((A + 1,) + x.shape[1:], complex) for x in state)
+        for x, y in zip(mixed, state):
+            x[:len(y)] = y
+        shifted = state
+        for l in range(1, A + 1):
+            shifted = step(tuple(x[:A + 1 - l] for x in shifted), 0j)
+            w = evaluate._shift_weight(k, l)
+            for x, y in zip(mixed, shifted):
+                x[l:l + len(y)] += w * y
+        state = mixed
+    return state[1][:, 0, 0]
+
+
+@pytest.mark.parametrize("order", [8, 48])
+def test_p0_jet_matches_two_state_jet(order):
+    rng = random.Random(f"p0-jet-{order}")
+    clear_caches()
+    for own in (False, True):
+        for _ in range(4):
+            d = rng.randint(1, 3)
+            s = _far_forms(rng, 0, d) if own else _kernel_forms(rng, 0, 0, d)
+            blocks = list(zip(s, (rng.randint(1, 3) for _ in range(d))))
+            A = rng.randint(1, 3)
+            sing = set(s) | {0j}
+            if own:
+                plan = _own_plan(sing, *_own_layout(rng), order)
+            else:
+                plan = evaluate._plan(_sorted_set(sing), order, 0.5)
+            got, want = plan.jet(blocks, A, 0), _two_state_jet(plan, blocks, A)
+            assert got.shape == want.shape == (A + 1,)
+            for c in range(A + 1):
+                _assert_rel(got[c], want[c], 1e-14, (blocks, A, c))
+
+
 # Words whose powers g^48 or g^-48 pass e^SCALE_LIMIT, so their levels sum in
 # blocks: (forms, s, rel) with the integral equal to -Li_s(1/forms[0]) when s
 # is given, checked against mpmath within rel.  Near the path the panel
@@ -683,7 +822,8 @@ def test_words_sharing_a_plan_reuse_its_levels(built):
 def test_a_plan_keeps_from_its_first_word(monkeypatch):
     # everything a plan holds is in the store from the first word on: a word
     # sharing a prefix reuses the kernel table and marches only the interior
-    # levels past that prefix
+    # levels past that prefix.  A word with no form at 1 keeps its interior
+    # levels, whose last row is its final panel, and no log final-panel level
     clear_caches()
     first = (-0.5 + 2j, 0j, 0.4 + 0.7j, 0j)
     second = first[:2] + (-0.5 + 2j, 0.4 + 0.7j)   # same forms, shares first[:2]
@@ -691,8 +831,8 @@ def test_a_plan_keeps_from_its_first_word(monkeypatch):
     plan = _plan_of(first)
     kern = evaluate._STORE.find((plan.key, "kernels"))
     assert kern is not None
-    assert all(evaluate._STORE.find((plan.key, P, first[:j])) is not None
-               for P in (None, 0) for j in (1, 2, 3, 4))
+    assert all(evaluate._STORE.find((plan.key, None, first[:j])) is not None for j in (1, 2, 3, 4))
+    assert not [key for key in evaluate._STORE if key[0] == plan.key and isinstance(key[1], int)]
     _assert_store_within_budget()
     marched = _interior_levels(monkeypatch)
     iterated_integral(second)

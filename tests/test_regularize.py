@@ -269,6 +269,18 @@ def test_march_poly_with_a_form_at_one_inside():
         assert rel_gap(reg_poly(kk, z, "stuffle"), stuffle_poly_direct(kk, z)) < 5e-14, kk
 
 
+def test_march_poly_of_a_convergent_value_is_its_panel_value():
+    # h = 0: the polynomial is the constant value of the panel word, read off
+    # the log final panel when a form at 1 sits inside the word (z = (-1, -1))
+    # and off the interior level's final-panel row when none does
+    for parts, args in (((2,), (-1.5,)), ((2, 1), (-1.5, 2j)), ((2, 1), (0.3 + 0.2j, 0.5)),
+                        ((1, 2), (-1, -1))):
+        k, z = K(parts), V(args)
+        assert trailing_one_pairs(k, z) == 0
+        want = evaluate.li_panels(k, z).value
+        assert reg_poly(k, z, "shuffle") == TPoly((want,)) == reg_poly(k, z, "stuffle"), (k, z)
+
+
 def test_pure_one_power_is_exact_without_a_march(monkeypatch):
     def no_march(*args):
         raise AssertionError("the pure y_1 power needs no march")
