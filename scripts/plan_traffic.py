@@ -11,7 +11,9 @@ log final-panel levels were marched, each against the number of distinct keys
 among them.  A count above its distinct keys is work done again: a plan, table
 or level built anew after the plan store dropped it.  Only a word with a form
 at 1 marches log final-panel levels; the final panel of any other word is the
-last row of its interior levels and is counted with them.
+last row of its interior levels and is counted with them.  A jet marches the
+word of its value with a block end after every block, so its levels, block
+ends included, are counted with those of the values.
 
 Like bench/spans.py, the counts come from outside the program: five methods of
 evaluate._Plan are wrapped for the run and restored after it, and

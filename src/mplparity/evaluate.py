@@ -2,41 +2,30 @@
 words, of their star values, and of the weight-shifted variants assembled from
 them.
 
-Two independent routes produce values:
+Two independent routes produce values, each with one kernel that computes
+t-jets (see below); a value is the jet of length one, read off column 0:
 
   series  nested sum in the tail-product variables g_i = z_i...z_d, usable
-          when every |g_i| <= SERIES_RADIUS.  Each depth level is one array
-          over the summation index: level 1 is the powers g_1^m (a cumprod),
-          and each later level is a prefix sum of the level below scaled by
-          inverse powers of g_i and rescaled by its powers (a cumsum), then
-          divided by a cached table of m^k.  A level sums in blocks short
-          enough that no power of g_i nor its inverse passes 1e150, carrying
-          its running value from block to block, so a tiny tail takes several
-          blocks.  Only tail powers appear, never z_i^m (an entry may be huge
-          while every tail product is small), so nothing overflows.  A star
-          value sums over m_1 <= ... <= m_d: each level is inclusive, the
-          strict level plus the level below at the same m.
+          when every |g_i| <= SERIES_RADIUS (_series_jet).  Only tail powers
+          appear, never z_i^m (an entry may be huge while every tail product
+          is small), and each level sums in blocks short enough that no power
+          of g_i nor its inverse passes 1e150, so nothing overflows.
 
   panels  the iterated-integral representation, marched across [0, 1] in
           one direction.  Each panel re-expands every partial integral as a
-          truncated series around the panel's left edge; the step is
-          panel_safety times the distance to the nearest singularity.  The
+          truncated series around the panel's left edge (_layout).  The
           panels abutting t = 0 and t = 1 make integrable endpoint
           singularities exact rather than approached geometrically: a form at
           0 integrates by exponent shift at the first panel's center, and the
           final panel expands in u = 1 - t, one more Taylor row of the march.
           Only a word with forms at 1 needs log terms there: it also marches
-          a log final panel, applying a table of u^m log^q u coefficients
-          built once per (order, number of forms at 1) and cached.  For a
-          word that ends in forms at 1, the u^0 row of its last final-panel
-          level is its regularized value at the tangential base point at 1,
-          the coefficients of log^p u read as those of (-T)^p (_reg_row).
+          a log final panel in u^m log^q u, whose u^0 row is the regularized
+          value of a word that ends in forms at 1 (_reg_row).
 
-          A letter of a word is a form or a form minus the form at 0,
-          dt/(t - s) - dt/t.  Contracting places i - 1 and i of a star value
-          turns the block-start form 1/g_i into the form at 0 and flips the
-          sign, so the plain star value, the sum over all contractions, is
-          one word whose block starts after the first are such differences.
+          A letter of a word is a form, a form minus the form at 0,
+          dt/(t - s) - dt/t (the plain star value is one word whose block
+          starts after the first are such differences, see li_panels), or a
+          jet's block end.
 
           The panels depend only on the set of singularities and the two
           panel knobs, so all words with one set are marched under one plan,
@@ -58,12 +47,10 @@ that is meant to be trusted (over-, never under-stated).
 The weight-shifted family li_shift(a, k, z), a = 0..A, is one t-jet
 (li_shift_jet): entry a is the coefficient of t^a in the sum of
 prod z_i^{m_i} (m_i + t)^-k_i.  A plain jet is computed in one pass, routed as
-the value at (k, z) is.  On the series route every level carries a t-axis of
-A + 1 rows.  On the panel route one march under the plan of the forms 1/g_i
-and the form at 0 carries A + 1 columns, and after each block the columns take
-in up to A further zero steps, weighted by C(k_i+l-1, l)(-1)^l.  A regularized
-jet is the per-a sum over cached regularized values.  Jets return values
-without error estimates.
+the value at (k, z) is (_route), every column with its own error estimate: a
+series with a t-axis of A + 1 rows, or a march of the value's word with a
+block end (k_i, A) after each block (_panel_jet, _mix).  A value's word has no
+block end, so up to its first block end a jet shares the value's levels.
 
 Value caches key on what the computation reads, never on provenance or on
 branch_at_one.  A value at (k, z) reads k.parts, z.entries, z.tails and the
@@ -87,7 +74,8 @@ singularities, panel_order, panel_safety), then on "layout", "kernels",
 (None, prefix) for an interior level or (P, prefix) for a log final-panel
 level, P >= 1 the number of letters at 1 in the word, differences included; a
 word with no letter at 1 keeps interior levels only.  A prefix holds the
-letters, so a star word shares its leading plain prefix with plain words.
+letters, so a star word shares its leading plain prefix with plain words, and
+a jet's levels past its first block end key on its length A.
 clear_caches() empties the store with the value memos.
 """
 from __future__ import annotations
@@ -97,8 +85,8 @@ import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import combinations
-from operator import add, mul
+from itertools import accumulate, combinations
+from operator import mul
 
 import numpy as np
 
@@ -185,18 +173,15 @@ def _next_level(prev: np.ndarray, pw: np.ndarray, block: int, out: np.ndarray) -
 
 
 def _series_level(prev: np.ndarray, g: complex) -> np.ndarray:
-    """The series level above prev, one entry shorter along the last axis
-    (prev[..., 0] sits at m = i, the result's first entry at m = i + 1), in
-    blocks short enough that |g|^block and |g|^-block stay within
-    e^SCALE_LIMIT; a tiny tail takes many short blocks.  prev is one row or
-    a 2-D array of rows, which all sum in the same powers."""
+    """The series level above the rows prev, one entry shorter (prev[:, 0]
+    sits at m = i, the result's first entry at m = i + 1), in blocks short
+    enough that |g|^block and |g|^-block stay within e^SCALE_LIMIT; a tiny
+    tail takes many short blocks."""
     size = max(prev.shape[-1] - 1, 0)
     block = max(1, min(size, int(SCALE_LIMIT / -math.log(abs(g)))))
     pw = np.full((1, block + 1), g)
     pw[0, 0] = 1
-    rows = prev if prev.ndim == 2 else prev[None]
-    out = _next_level(rows, pw.cumprod(1), block, np.empty((len(rows), size), complex))
-    return out if prev.ndim == 2 else out[0]
+    return _next_level(prev, pw.cumprod(1), block, np.empty((len(prev), size), complex))
 
 
 def _series_terms(r: float, d: int, cfg: EvalConfig, star: bool = False) -> int:
@@ -208,40 +193,50 @@ def _series_terms(r: float, d: int, cfg: EvalConfig, star: bool = False) -> int:
     return n
 
 
-def li_series(k: Index, z: ArgVector, cfg: EvalConfig = DEFAULT_CONFIG,
-              star: bool = False) -> EvalResult:
-    """Nested sum over m_1 < ... < m_d of prod z_i^{m_i} / m_i^{k_i}, or with
-    star over m_1 <= ... <= m_d."""
+def _series_jet(A: int, k: Index, z: ArgVector, cfg: EvalConfig,
+                star: bool = False) -> tuple[list[complex], list[float], int]:
+    """(columns, estimates, n_terms) of the t-jet of the nested sum over
+    m_1 < ... < m_d of prod z_i^{m_i} (m_i + t)^-k_i, or with star over
+    m_1 <= ... <= m_d: column a is the coefficient of t^a, column 0 the value.
+
+    One array per level over m = i..n, with a leading t-axis of A + 1 rows:
+    B_i[m] = m^{-k_i} C_i[m] (_shift_mix mixes the rows), C_1[m] = g_1^m and
+    C_i[m] = g_i (C_i[m-1] + B_{i-1}[m-1]), one _series_level for all rows; a
+    star level runs over m = 1..n and is inclusive, C_i[m] + B_{i-1}[m].
+    Column a's estimate is the truncation bound times C(|k| + a - 1, a), the
+    most the coefficient of t^a in prod (m_i + t)^-k_i reaches over
+    prod m_i^-k_i, plus 8e-16 times the sum of its terms' moduli."""
     d = k.depth
-    if d != z.depth:
-        raise ValueError("index and argument depth differ")
-    if d == 0:
-        return EvalResult(1 + 0j, 0.0, "series")
-    entries = z.entries
-    if any(e == 0 for e in entries):
-        return EvalResult(0j, 0.0, "series")
+    if d == 0 or any(e == 0 for e in z.entries):
+        return [complex(d == 0)] + [0j] * A, [0.0] * (A + 1), 0
     g = z.tails
     r = max(abs(gi) for gi in g)
     if r > SERIES_RADIUS:
         raise DomainError(f"tail product of modulus {r:.4f} outside series radius")
     n = _series_terms(r, d, cfg, star)
     bound = _series_tail_bound(r, d, n, star)
-
-    # level recursion in tail products, one array per level over m = i..n:
-    # B_i[m] = m^{-k_i} C_i[m], C_i[m] = g_i (C_i[m-1] + B_{i-1}[m-1]), so
-    # C_1[m] = g_1^m and each later level is a prefix sum in powers of g_i
-    # only (_series_level, blocked so no power passes 1e150); no z_i^m.  A
-    # star level runs over m = 1..n and is inclusive: C_i[m] + B_{i-1}[m]
-    cur = np.full(n, g[0]).cumprod() / _m_powers(n, k.parts[0])
+    cur = _shift_mix(np.full(n, g[0]).cumprod()[None], k.parts[0], A, n, 0)
     for i in range(1, d):
         if star:
             level = cur.copy()
-            level[1:] += _series_level(cur, g[i])
-            cur = level / _m_powers(n, k.parts[i])
+            level[:, 1:] += _series_level(cur, g[i])
+            cur = _shift_mix(level, k.parts[i], A, n, 0)
         else:
-            cur = _series_level(cur, g[i]) / _m_powers(n, k.parts[i])[i:]
-    rounding = 8e-16 * float(abs(cur).sum())
-    return EvalResult(complex(cur.sum()), bound + rounding, "series", n_terms=n)
+            cur = _shift_mix(_series_level(cur, g[i]), k.parts[i], A, n, i)
+    w = sum(k.parts)
+    ests = [bound * math.comb(w + a - 1, a) + 8e-16 * size
+            for a, size in enumerate(abs(cur).sum(-1).tolist())]
+    return cur.sum(-1).tolist(), ests, n
+
+
+def li_series(k: Index, z: ArgVector, cfg: EvalConfig = DEFAULT_CONFIG,
+              star: bool = False) -> EvalResult:
+    """Nested sum over m_1 < ... < m_d of prod z_i^{m_i} / m_i^{k_i}, or with
+    star over m_1 <= ... <= m_d: column 0 of _series_jet."""
+    if k.depth != z.depth:
+        raise ValueError("index and argument depth differ")
+    cols, ests, n = _series_jet(0, k, z, cfg, star)
+    return EvalResult(cols[0], ests[0], "series", n_terms=n)
 
 
 def _shift_weight(k: int, l: int) -> int:
@@ -252,9 +247,11 @@ def _shift_weight(k: int, l: int) -> int:
 def _shift_mix(rows: np.ndarray, k: int, A: int, n: int, i: int) -> np.ndarray:
     """Rows c = 0..A of the t-jet of rows times (m + t)^-k, m = i+1..n along
     the last axis: row c + l takes rows[c] / m^(k+l) times _shift_weight(k, l).
-    Row 0 is rows[0] / m^k, as li_series divides."""
-    out = np.zeros((A + 1, rows.shape[1]), complex)
-    for l in range(A + 1):
+    rows holds A + 1 rows, or one, the rest zero."""
+    out = rows / _m_powers(n, k)[i:]   # l = 0
+    if len(out) <= A:   # a jet's first level, one row so far
+        out = np.concatenate((out, np.zeros((A + 1 - len(out), out.shape[1]), complex)))
+    for l in range(1, A + 1):
         live = rows[:A + 1 - l]
         term = live / _m_powers(n, k + l)[i:]
         w = _shift_weight(k, l)
@@ -264,33 +261,13 @@ def _shift_mix(rows: np.ndarray, k: int, A: int, n: int, i: int) -> np.ndarray:
     return out
 
 
-def _jet_series(A: int, k: Index, z: ArgVector, cfg: EvalConfig) -> np.ndarray:
-    """The t-jet of li_series: entry a is the coefficient of t^a in the sum
-    over m_1 < ... < m_d of prod z_i^{m_i} (m_i + t)^-k_i.  Every level carries
-    a leading t-axis of A + 1 rows; level 1 builds its rows from the one cumprod
-    of g_1, and each later level is one _series_level over all rows, since its
-    powers of g_i serve every row.  The truncation is li_series' for (r, d),
-    the one every shifted index gets on its own."""
-    g = z.tails
-    n = _series_terms(max(abs(gi) for gi in g), k.depth, cfg)
-    cur = _shift_mix(np.full(n, g[0]).cumprod()[None], k.parts[0], A, n, 0)
-    for i in range(1, k.depth):
-        cur = _shift_mix(_series_level(cur, g[i]), k.parts[i], A, n, i)
-    return cur.sum(1)
-
-
 # --- panel route ------------------------------------------------------------
-
-
-def _seg_dist(s: complex) -> float:
-    x = min(max(s.real, 0.0), 1.0)
-    return abs(s - x)
 
 
 @lru_cache(maxsize=None)
 def _ramps(order: int) -> tuple[np.ndarray, ...]:
-    """Exponent and divisor ramps of one panel order: 0..M, 1..M and -1..-M."""
-    ramps = (np.arange(order + 1), np.arange(1, order + 1), -np.arange(1.0, order + 1))
+    """Divisor ramps of one panel order: 1..M and -1..-M."""
+    ramps = (np.arange(1, order + 1), -np.arange(1.0, order + 1))
     for r in ramps:
         r.setflags(write=False)
     return ramps
@@ -401,18 +378,12 @@ class _Plan:
     """The panels of one singularity set at one (panel_order, panel_safety),
     and the levels marched under them.
 
-    Level j of a word is the partial integral of its prefix forms[:j], so words
-    that share a prefix share its levels.  An interior level holds, for every
-    interior panel, the Taylor coefficients of the prefix integral around the
-    panel's left edge, and one more row for the final panel: its Taylor
-    coefficients in u = 1 - t around t = 1, the whole final panel of a word
-    with no form at 1 (P = 0).  A word with P >= 1 forms at 1 also marches log
-    final-panel levels, which depend on P through their shape and log table;
-    for it the interior level's last row is meaningless past its first form at
-    1 and is never read.  Every form's kernel is geometric on every panel, so a
-    level is one blocked prefix sum (_next_level) over all panels at once, in
-    powers that the plan builds for all its singularities in one cumprod
-    (_kernels).
+    A level has a leading axis of columns: one for a value, A + 1 for a jet past its first block end.  An
+    interior level holds the Taylor coefficients of every interior panel
+    around its left edge, and one more row for the final panel in u = 1 - t
+    around t = 1: the whole final panel of a word with no form at 1 (P = 0).
+    A word with P >= 1 forms at 1 also marches log final-panel levels, and
+    never reads that row past its first form at 1.
 
     A plan holds nothing itself: its layout, kernel table and levels are
     entries of _STORE under its key (see the module docstring), so a plan
@@ -492,32 +463,26 @@ class _Plan:
     # --- interior panels ---
 
     def _interior_root(self):
-        """Level 0: the constant 1 on every panel, the final panel's row last."""
-        coef = np.zeros((len(self.steps) + 1, self.order + 1), complex)
-        coef[:, 0] = 1.0
-        return coef, [0.0] * (len(self.steps) + 1), (), ()
+        """Level 0, one column: 1 on every panel, the final panel's row last."""
+        coef = np.zeros((1, len(self.steps) + 1, self.order + 1), complex)
+        coef[..., 0] = 1.0
+        return coef, (np.zeros((1, len(self.steps) + 1)),), ()
 
     def _interior_step(self, prev, letter, coef, kern):
-        """The integral of prev times the form letter on every panel: its
-        coefficients written to coef, its values at the interior panels' ends
-        returned.  prev and coef may carry leading axes, the columns of a jet,
-        which every step treats alike.
+        """The integral of prev times the form letter on every panel and
+        column: its coefficients written to coef, its values at the interior
+        panels' ends returned.
 
         With the form's kernel -g^(n+1) (see _kernels), coefficient n + 1 is
         -g^(n+1)/(n+1) times the prefix sum of prev[i] g^-i, i <= n: one
-        _next_level over all panels at once.  A pair letter (s, 0) is the
-        form s minus the form at 0: two such sums, the second subtracted.  A
-        form at 0 on the t0 = 0 panel sits at the panel's center and is
-        integrated by exponent shift there instead, coefficient n being
-        prev[n] / n, which requires the previous level to vanish there.  Each
-        panel's row summed against its step powers is the change of the level
-        across the panel; one cumsum chains the interior panels' changes into
-        the values at their ends, and each interior panel's constant term is
-        the value at the end of the panel before it.  The last row is the
-        final panel's, around u = 1 - t = 0 (see _kernels), exact only while
-        the word has no form at 1: its constant term is the value at the end
-        of the last interior panel minus the row's change across the panel.
-        """
+        _next_level over all panels at once.  A pair letter (s, 0) subtracts
+        a second such sum for the form at 0.  A form at 0 at the t0 = 0
+        panel's center is integrated by exponent shift instead, coefficient n
+        being prev[n] / n, which requires the previous level to vanish there.
+        A row summed against its step powers is the level's change across the
+        panel; one cumsum chains the interior panels' changes into their end
+        values, each the next panel's constant term.  The final row's constant
+        term is the last interior end value minus the row's change."""
         M = self.order
         pw, blocks, index, zero = kern
         pair = type(letter) is tuple
@@ -530,13 +495,13 @@ class _Plan:
             if k == zero:
                 minus[..., 0, :] = 0.0   # shifted below
             out -= minus
-        out /= _ramps(M)[2]
+        out /= _ramps(M)[1]
         if k == zero:
             first = prev[..., 0, :]
             mags = np.abs(first)
             if mags[..., 0].max() > 1e-12 * max(1.0, float(mags.max())):   # the caller adds the forms
                 raise EvaluationError("nonvanishing integrand at singular panel center", 0, ())
-            shift = first[..., 1:] / _ramps(M)[1]
+            shift = first[..., 1:] / _ramps(M)[0]
             if pair:
                 coef[..., 0, 1:] -= shift
             else:
@@ -548,42 +513,63 @@ class _Plan:
         coef[..., -1, 0] -= rise[..., -1]
         return ends
 
-    def _extend(self, level, a, i: int, n: int, kern):
-        """Levels i + 1..n of a from level i, each kept; returns level n.
-        Each level is one _interior_step over all panels, in the powers of
-        kern, the plan's _kernels.
+    def _terms(self, top, kern):
+        """Per column and panel, max(|c_{M-1}| h^{M-1}, |c_M| h^M) scaled as in
+        the panel-by-panel march, top = coef[..., M - 1:].  np.hypot, unlike
+        np.abs, rounds as abs() of one entry does."""
+        t = np.hypot(top.real, top.imag) * kern[0][-1, :, self.order - 1:].real
+        return t.max(-1) * self.safety / (1.0 - self.safety)
 
-        A level is (coef, cum, ends, ests): coef[p] the coefficients on panel
-        p, the final panel last; cum[p] panel p's error terms summed over
-        levels 1..j; ends[l - 1] the value of level l at the end of the last
-        interior panel; ests[l - 1] the sum of level l's cum over the interior
-        panels, to which a log final-panel march adds its own terms.  With no
-        form at 1, coef[-1, 0] is the value of level j at t = 1 and ests[-1] +
-        cum[-1] its estimate.  The error terms of the new levels,
-        max(|c_{M-1}| h^{M-1}, |c_M| h^M) per panel scaled as in the
-        panel-by-panel march, are formed together once their coefficients are
-        known, then summed over levels and over panels in the same order.
-        """
+    def _extend(self, level, a, i: int, n: int, kern):
+        """Levels i + 1..n of a from level i, each kept; returns level n.  A
+        letter is one _interior_step, a block end one _mix of zero steps.
+
+        A level is (coef, cums, ends): coef[c, p] the coefficients of column c
+        on panel p, the final panel last; cums[l][c, p] panel p's error terms
+        summed over levels 1..l, cums[0] = 0; ends[l - 1] the values of level
+        l at the end of the last interior panel (at a block end, those of each
+        zero step).  With no form at 1, coef[:, -1, 0] are the values of level
+        j at t = 1 (estimates: _interior_est)."""
         M = self.order
-        coefs = np.empty((n - i,) + level[0].shape, complex)
-        prev, ends = level[0], level[2]
-        for j, coef in zip(range(i + 1, n + 1), coefs):
-            ends += (self._interior_step(prev, a[j - 1], coef, kern)[-1],)
-            prev = coef
-        # |c_{M-1}| h^{M-1} and |c_M| h^M per level and panel.  np.abs of a
-        # complex array may differ in the last bit from abs() of one entry;
-        # np.hypot does not.
-        top = coefs[:, :, M - 1:]
-        tails = (np.hypot(top.real, top.imag) * kern[0][-1, :, M - 1:].real).tolist()
-        safety, rest = self.safety, 1.0 - self.safety
-        cum, ests = level[1], level[3]
-        for j, coef, panels in zip(range(i + 1, n + 1), coefs, tails):
-            cum = [c + max(t_top, t_below) * safety / rest
-                   for c, (t_below, t_top) in zip(cum, panels)]
-            ests += (reduce(add, cum[:-1]),)
-            level = (coef, cum, ends[:j], ests)
-            _STORE.keep((self.key, None, a[:j]), level, coef.nbytes + 8 * len(cum))
+        coef, cums, ends = level
+        levels, tops = [], []   # per new level (letter, coef, its steps in tops)
+        for letter in a[i:n]:
+            start = len(tops)
+            if type(letter) is _BlockEnd:
+                zero_ends = []
+
+                def zero(prev):
+                    new = np.empty(prev.shape, complex)
+                    zero_ends.append(self._interior_step(prev, 0j, new, kern)[:, -1])
+                    tops.append(new[..., M - 1:])
+                    return new
+
+                coef = _mix(letter, coef, zero)
+                ends += (tuple(zero_ends),)
+            else:
+                new = np.empty(coef.shape, complex)
+                ends += (self._interior_step(coef, letter, new, kern)[:, -1],)
+                tops.append(new[..., M - 1:])
+                coef = new
+            levels.append((letter, coef, start, len(tops)))
+        # every step's error terms formed together, then summed level by level
+        terms = self._terms(np.concatenate(tops), kern)
+        rows = list(accumulate((len(t) for t in tops), initial=0))
+        cum = cums[-1]
+        for j, (letter, coef, start, stop) in enumerate(levels, i + 1):
+            if type(letter) is _BlockEnd:
+                cum = _mix_est(letter, cum, (terms[rows[s]:rows[s + 1]] for s in range(start, stop)))
+            else:
+                cum = cum + terms[rows[start]:rows[stop]]
+            cums += (cum,)
+            level = (coef, cums, ends[:j])
+            _STORE.keep((self.key, None, a[:j]), level, coef.nbytes + cum.nbytes)
         return level
+
+    @staticmethod
+    def _interior_est(cum):
+        """Per column, the interior panels' error terms cum, summed in order."""
+        return np.add.accumulate(cum[:, :-1], 1)[:, -1]
 
     # --- log final panel: words with forms at 1 ---
 
@@ -598,36 +584,50 @@ class _Plan:
         return _log_int_table(self.order, P), upow.real, max(1.0, abs(L)) ** P, upow, lpow
 
     def _final_root(self, P: int):
-        cur = np.zeros((self.order + 1, P + 1), complex)
-        cur[0, 0] = 1.0
-        return cur, 0.0, 0.0
+        cur = np.zeros((1, self.order + 1, P + 1), complex)
+        cur[:, 0, 0] = 1.0
+        return cur, np.zeros(1), 0.0
 
-    def _final(self, level, s: complex, F, interior_est, fc, kern):
-        """Level j of the final panel from level j - 1 (_final_step), with its
-        error terms.
+    def _final(self, level, letter, F, interior_est, fc, kern):
+        """Level j of the final panel from level j - 1 (_final_step, or _mix
+        at a block end) and F, the interior level's ends (_extend).  A level
+        is (cur, est, interior_est): cur[c, m, p] the coefficient of
+        u^m log^p u in column c; est[c] its error terms summed over levels
+        1..j; interior_est the estimates of the interior panels."""
+        M = self.order
+        if type(letter) is _BlockEnd:
+            steps, terms = iter(F), []
 
-        A level is (cur, est, interior_est): cur[m, p] the coefficient of
-        u^m log^p u; est the error terms summed over levels 1..j; interior_est
-        the estimate of the interior panels of the word forms[:j].
-        """
+            def zero(prev):
+                cur = self._final_step(prev, 0j, next(steps), fc, kern)
+                terms.append(self._final_terms(cur[:, M - 1:], fc))
+                return cur
+
+            cur = _mix(letter, level[0], zero)
+            return cur, _mix_est(letter, level[1], terms), interior_est
+        cur = self._final_step(level[0], letter, F, fc, kern)
+        return cur, level[1] + self._final_terms(cur[:, M - 1:], fc), interior_est
+
+    def _final_terms(self, top, fc):
+        """Per column, the error term of a final-panel level whose rows m =
+        M - 1 and M are top."""
         M = self.order
         upow, logf = fc[1], fc[2]
-        cur = self._final_step(level[0], s, F, fc, kern)
-        below, top = np.maximum.reduce(np.abs(cur[M - 1:]), axis=1)
-        tail = max(top * upow[M], below * upow[M - 1])
-        return cur, level[1] + tail * logf * self.safety / (1.0 - self.safety), interior_est
+        below, top = np.abs(top).max(2).T
+        tail = np.maximum(top * upow[M], below * upow[M - 1])
+        return tail * logf * self.safety / (1.0 - self.safety)
 
     def _final_step(self, prev, s: complex, F, fc, kern):
         """The final panel's coefficients of u^m log^p u, u = 1 - t, after the
-        letter s, from those in prev; prev may carry leading axes, as in
-        _interior_step, and F then holds one end value per column.
+        letter s, from those in prev, for every column of prev at once, as in
+        _interior_step.
 
         Forms at 1 divide by u and raise the log degree; any other form
         convolves every log power at once with its kernel -g^(n+1) (see
         _kernels), one _next_level along u, before the log integration.  A
         pair letter (s, 0) does the first for s and subtracts the second for
-        its form at 0.  F is the new level's value at the end of the last
-        interior panel, which fixes the constant term.
+        its form at 0.  F holds the new level's values at the end of the last
+        interior panel, one per column, which fix the constant terms.
         """
         K, upow_c, lpow_c = fc[0], fc[3], fc[4]
         P = len(lpow_c) - 1
@@ -648,7 +648,8 @@ class _Plan:
             if minus is not None:
                 prod -= minus
             _log_integrate(cur[..., 1:, :], prod.swapaxes(-1, -2), K, np.subtract)
-        cur[..., 0, 0] = F - cur.dot(lpow_c).dot(upow_c)
+        for col, f in zip(cur, F):   # one column at a time, as dot rounds a 2-D array
+            col[0, 0] = f - col.dot(lpow_c).dot(upow_c)
         return cur
 
     def _along_u(self, prev, s: complex, kern):
@@ -660,14 +661,13 @@ class _Plan:
         return _next_level(prev.swapaxes(-1, -2), pw[k, -1:], blocks[k], out)
 
     def _close(self, level):
-        """(value, est) of the final panel: the value of the last level at u = 0
-        is its (0, 0) coefficient; leftover (0, p >= 1) coefficients measure how
-        far the input was from an honestly convergent word and are folded into
-        the estimate."""
+        """(values, ests) of the final panel, one per column: the (0, 0)
+        coefficients; leftover (0, p >= 1) coefficients measure how far the
+        input was from an honestly convergent word, folded into the estimate."""
         cur, est, _ = level
         L = math.log(1.0 - self.t)
-        resid = sum(abs(cur[0, p]) * abs(L) ** p for p in range(1, cur.shape[1]))
-        return complex(cur[0, 0]), est + resid
+        resid = sum(np.hypot(c.real, c.imag) * abs(L) ** p for p, c in enumerate(cur[:, 0].T) if p)
+        return cur[:, 0, 0], est + resid
 
     # --- one word ---
 
@@ -675,8 +675,8 @@ class _Plan:
         """The last level of the letters a (with P = 0 the interior level,
         _extend, else the log final panel's, _final), resuming from the
         longest prefix of a already marched under this plan.  A letter is a
-        form or a pair (s, 0) read as the form s minus the form at 0; P counts
-        the letters whose form, or first form, is 1."""
+        form, a pair (s, 0) read as the form s minus the form at 0, or a
+        _BlockEnd; P counts the letters whose form, or first form, is 1."""
         n = len(a)
         f, final = self._deepest(P, a, n) if P else (0, None)
         if f < n:
@@ -687,66 +687,54 @@ class _Plan:
             if not P:
                 return level
             fc = self._final_consts(P, kern)
-            ends, ests = level[2], level[3]
+            cums, ends = level[1], level[2]
             final = final or self._final_root(P)
             for j in range(f + 1, n + 1):
-                final = self._final(final, a[j - 1], ends[j - 1], ests[j - 1], fc, kern)
+                final = self._final(final, a[j - 1], ends[j - 1], self._interior_est(cums[j]),
+                                    fc, kern)
                 _STORE.keep((self.key, P, a[:j]), final, final[0].nbytes)
         return final
 
-    def integrate(self, a: tuple, P: int) -> tuple[complex, float]:
-        """(value, est) of the integral of the letters a (march): with P = 0
-        off the interior level's final-panel row (_extend), else by _close."""
+    def integrate(self, a: tuple, P: int):
+        """(values, ests) of the integral of the letters a, lists of one per
+        column: with P = 0 off the interior level's final-panel row, else by
+        _close."""
         if not P:
-            coef, cum, _, ests = self.march(a, 0)
-            return complex(coef[-1, 0]), (ests[-1] + cum[-1]) * 4.0
-        final = self.march(a, P)
-        value, est = self._close(final)
-        return value, (final[2] + est) * 4.0
+            coef, cums, _ = self.march(a, 0)
+            values, est = coef[:, -1, 0], self._interior_est(cums[-1]) + cums[-1][:, -1]
+        else:
+            final = self.march(a, P)
+            values, est = self._close(final)
+            est = final[2] + est
+        return values.tolist(), [e * 4.0 for e in est.tolist()]
 
-    # --- one t-jet ---
 
-    def jet(self, blocks, A: int, P: int) -> np.ndarray:
-        """Columns c = 0..A of the t-jet of the word whose blocks (s_i, k_i)
-        are each the form s_i then k_i - 1 forms at 0: column c sums the words
-        with c more zeros, l_i more after block i, weighted by
-        prod _shift_weight(k_i, l_i).  P counts the forms s_i at 1.
+class _BlockEnd(tuple):
+    """The letter (k, A) that closes a block [s, 0^(k-1)] of a jet's word of
+    A + 1 columns (_mix)."""
 
-        A state is, per column, the coefficients on every panel, the final
-        panel's row last, and with P >= 1 also the log final panel's
-        coefficients.  A letter is one _interior_step, then with P >= 1 one
-        _final_step, over all columns, in the plan's one kernel table.  Every
-        step is linear, so after block i's own letters, l = 1..A further zero
-        steps of columns 0..A - l are added into columns l..A with weight
-        _shift_weight(k_i, l).  Shifts add only forms at 0, so every column
-        has the same P.  A jet neither reads nor keeps levels; its value is
-        the same whatever was marched under the plan before it."""
-        kern = self._kernels()
-        fc = self._final_consts(P, kern) if P else None
+    __slots__ = ()
 
-        def step(state, s):
-            new = np.empty(state[0].shape, complex)
-            ends = self._interior_step(state[0], s, new, kern)
-            return (new, self._final_step(state[1], s, ends[:, -1], fc, kern)) if P else (new,)
 
-        state = (self._interior_root()[0][None],)
-        if P:
-            state += (self._final_root(P)[0][None],)
-        for s, k in blocks:
-            state = step(state, s)
-            for _ in range(k - 1):
-                state = step(state, 0j)
-            mixed = tuple(np.zeros((A + 1,) + x.shape[1:], complex) for x in state)
-            for x, y in zip(mixed, state):
-                x[:len(y)] = y
-            shifted = state
-            for l in range(1, A + 1):
-                shifted = step(tuple(x[:A + 1 - l] for x in shifted), 0j)
-                w = _shift_weight(k, l)
-                for x, y in zip(mixed, shifted):
-                    x[l:l + len(y)] += w * y
-            state = mixed
-        return state[1][:, 0, 0] if P else state[0][:, -1, 0]
+def _mix(letter: _BlockEnd, cols: np.ndarray, zero, weight=_shift_weight) -> np.ndarray:
+    """Columns c = 0..A after the block end letter = (k, A): column c sums,
+    over l <= c, column c - l of cols after l more zero steps times
+    weight(k, l).  zero(prev) is prev after one zero step; cols may hold
+    fewer than A + 1 columns.  The columns' estimates mix alike, each zero
+    step adding its error terms, with weight |_shift_weight|."""
+    k, A = letter
+    mixed = np.zeros((A + 1,) + cols.shape[1:], cols.dtype)
+    mixed[:len(cols)] = cols
+    for l in range(1, A + 1):
+        cols = zero(cols[:A + 1 - l])
+        mixed[l:l + len(cols)] += weight(k, l) * cols
+    return mixed
+
+
+def _mix_est(letter: _BlockEnd, est: np.ndarray, terms) -> np.ndarray:
+    """_mix of the estimates est, terms the error terms of each zero step."""
+    terms = iter(terms)
+    return _mix(letter, est, lambda prev: prev + next(terms), lambda k, l: abs(_shift_weight(k, l)))
 
 
 def _plan(sing: tuple, order: int, safety: float) -> _Plan:
@@ -760,23 +748,23 @@ def _plan(sing: tuple, order: int, safety: float) -> _Plan:
     return plan
 
 
-def _on_plan(sing, forms: tuple, cfg: EvalConfig, march):
-    """(plan, march(plan)), a row of numbers, for the plan of the singularities
-    sing.  A singularity on the path other than 0 and 1 is a DomainError; a
-    failed layout or march, or a non-finite row, is an EvaluationError whose
-    witness is forms."""
+def _on_plan(sing, forms: tuple, cfg: EvalConfig, read):
+    """(plan, read(plan)), a tuple of lists of numbers, for the plan of the
+    singularities sing.  A singularity on the path other than 0 and 1 is a DomainError; a
+    failed layout or march, or a non-finite number, is an EvaluationError
+    whose witness is forms."""
     sing = tuple(sorted(sing, key=lambda s: (s.real, s.imag)))
     for s in sing:
-        if s not in (0, 1) and _seg_dist(s) < PATH_CLEARANCE:
+        if s not in (0, 1) and abs(s - min(max(s.real, 0.0), 1.0)) < PATH_CLEARANCE:
             raise DomainError(f"form singularity {s} lies on the integration path")
     try:
         plan = _plan(sing, cfg.panel_order, cfg.panel_safety)
         # a march that overflows next to a form is reported below, not warned about
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            row = march(plan)
+            row = read(plan)
     except EvaluationError as e:
         raise EvaluationError(e.args[0], e.panels, forms) from None
-    if not all(map(cmath.isfinite, row)):
+    if not all(map(cmath.isfinite, sum(row, []))):
         raise EvaluationError("non-finite panel value", len(plan.public.steps), forms)
     return plan, row
 
@@ -789,8 +777,7 @@ def iterated_integral(forms, cfg: EvalConfig = DEFAULT_CONFIG, star: bool = Fals
     the form at 0, dt/(t - a_i) - dt/t: the word of a plain star value.
     """
     a = tuple(complex(s) for s in forms)
-    n = len(a)
-    if n == 0:
+    if not a:
         return 1 + 0j, 0.0, PanelPlan((), (), cfg.panel_order)
     if a[0] == 0:
         raise DomainError("leading form at 0: integral diverges at the origin")
@@ -801,8 +788,8 @@ def iterated_integral(forms, cfg: EvalConfig = DEFAULT_CONFIG, star: bool = Fals
         letters = a[:1] + tuple(s if s == 0 else (s, 0j) for s in a[1:])
         if letters != a:
             sing.add(0j)
-    plan, (value, est) = _on_plan(sing, a, cfg, lambda plan: plan.integrate(letters, a.count(1)))
-    return value, est, plan.public
+    plan, (values, ests) = _on_plan(sing, a, cfg, lambda plan: plan.integrate(letters, a.count(1)))
+    return values[0], ests[0], plan.public
 
 
 def check_tails(z: ArgVector) -> tuple[complex, ...]:
@@ -840,46 +827,47 @@ def _panel_word(k: Index, z: ArgVector) -> tuple[complex, ...]:
     g = check_tails(z)
     if k.parts[-1] == 1 and z.symbols[-1].value == 1:
         raise DomainError("terminal pair (k_d, z_d) = (1, 1) diverges")
-    forms: list[complex] = []
-    for gi, ki in zip(g, k.parts):
-        forms.append(1 / gi)
-        forms.extend([0j] * (ki - 1))
-    return tuple(forms)
+    return tuple(f for gi, ki in zip(g, k.parts) for f in (1 / gi,) + (0j,) * (ki - 1))
 
 
-def _jet_panels(A: int, k: Index, z: ArgVector, cfg: EvalConfig) -> np.ndarray:
-    """The t-jet of li_panels, one march (_Plan.jet) under the plan of the
-    forms 1/g_i and the form at 0.  It fails as the value at (k, z) fails, and
-    a failed march names that value's forms."""
+def _panel_jet(A: int, k: Index, z: ArgVector, cfg: EvalConfig):
+    """(columns, estimates) of the t-jet of li_panels: one march of the value's
+    word with a _BlockEnd (k_i, A) after each block, under the plan of the
+    forms 1/g_i and, for A >= 1, the form at 0; it fails as the value fails.
+    For A >= 1 the estimates also count rounding, which the per-panel terms
+    do not: 8e-16 max(1, |column|) per panel and per letter."""
     forms = _panel_word(k, z)
-    sing = set(forms)
+    sing, letters = set(forms), forms
     if A:
         sing.add(0j)
-    blocks = list(zip((1 / gi for gi in z.tails), k.parts))
-    _, cols = _on_plan(sing, forms, cfg, lambda plan: plan.jet(blocks, A, forms.count(1)))
-    return -cols if k.depth % 2 else cols
+        letters = sum(((1 / gi,) + (0j,) * (ki - 1) + (_BlockEnd((ki, A)),)
+                       for gi, ki in zip(z.tails, k.parts)), ())
+    plan, (cols, ests) = _on_plan(sing, forms, cfg,
+                                  lambda plan: plan.integrate(letters, forms.count(1)))
+    if A:
+        size = 8e-16 * (len(plan.steps) + len(letters))
+        ests = [e + size * max(1.0, abs(c)) for c, e in zip(cols, ests)]
+    return ([-c for c in cols] if k.depth % 2 else cols), ests
 
 
 def _reg_row(k: Index, z: ArgVector, h: int, cfg: EvalConfig) -> tuple[complex, ...]:
     """Coefficients of T^0..T^h of the shuffle-regularized polynomial at
-    (k, z), whose last h < depth places are (1, 1): one march (_Plan.march)
-    of the panel word with its trailing forms at 1.  Near u = 1 - t = 0 the
-    last final-panel level is sum cur[m, p] u^m log^p u, and its u^0 row is
-    the regularization at the tangential base point at 1, log u read as -T:
-    coefficient p is (-1)^(d+p) cur[0, p].  A word with no form at 1 (h = 0)
-    marches no log final panel; its T^0 coefficient is the constant term of
-    its interior level's final-panel row.  It fails as the value of the first
-    d - h places fails, and a failed march names the whole word."""
+    (k, z), whose last h < depth places are (1, 1), read off one march of the
+    panel word with its trailing forms at 1: the u^0 row of the last log
+    final-panel level, sum cur[m, p] u^m log^p u, is the regularization at the
+    tangential base point at 1, log u read as -T, so coefficient p is
+    (-1)^(d+p) cur[0, p]; with h = 0, the constant term of the interior
+    level's final-panel row.  A failed march names the whole word."""
     d = k.depth
     forms = _panel_word(k.cut(1, d - h), z.cut(1, d - h)) + (1 + 0j,) * h
     P = forms.count(1)
 
     def read(plan):
-        coef = plan.march(forms, P)[0]
-        return coef[0, :h + 1] if P else coef[-1:, 0]
+        coef = plan.march(forms, P)[0][0]
+        return ((coef[0, :h + 1] if P else coef[-1:, 0]).tolist(),)
 
-    _, row = _on_plan(set(forms), forms, cfg, read)
-    return tuple((-1) ** (d + p) * c for p, c in enumerate(row.tolist()))
+    _, (row,) = _on_plan(set(forms), forms, cfg, read)
+    return tuple((-1) ** (d + p) * c for p, c in enumerate(row))
 
 
 # --- dispatch and caching ---------------------------------------------------
@@ -913,12 +901,18 @@ def value_key(k: Index, z: ArgVector, cfg: EvalConfig, tag: str, star: bool = Fa
     return CacheKey((tag, star, k.parts) + z.numbers + _knobs(cfg), k, z, cfg, tag, star)
 
 
+def _route(z: ArgVector) -> str:
+    """The route of a value or jet at z: series inside the polydisk of radius
+    SERIES_RADIUS or with a zero entry (a value 0), panels otherwise."""
+    inside = 0 in z.entries or max(map(abs, z.tails), default=0.0) <= SERIES_RADIUS
+    return "series" if inside else "panels"
+
+
 @memo(maxsize=400_000)
 def _li_cached(key: CacheKey) -> EvalResult:
     k, z, cfg, route, star = key.args
-    if route == "auto":   # li_series also takes a zero entry and the empty index
-        inside = 0 in z.entries or max(map(abs, z.tails), default=0.0) <= SERIES_RADIUS
-        route = "series" if inside else "panels"
+    if route == "auto":
+        route = _route(z)
     return li_series(k, z, cfg, star) if route == "series" else li_panels(k, z, cfg, star)
 
 
@@ -1098,25 +1092,29 @@ def _jet_cached(key: CacheKey) -> tuple[complex, ...]:
                 acc += coef * _value(shifted, z, cfg, mode)
             jet.append((-1) ** a * acc)
         return tuple(jet)
-    if 0 in z.entries:
-        return (0j,) * (A + 1)
-    if max(map(abs, z.tails)) <= SERIES_RADIUS:
-        return tuple(_jet_series(A, k, z, cfg).tolist())
-    return tuple(_jet_panels(A, k, z, cfg).tolist())
+    return tuple(_plain_jet(A, k, z, cfg)[0])
+
+
+def _plain_jet(A: int, k: Index, z: ArgVector, cfg: EvalConfig):
+    """(columns, estimates) of the plain t-jet of length A at (k, z), routed
+    as li routes."""
+    if _route(z) == "series":
+        return _series_jet(A, k, z, cfg)[:2]
+    return _panel_jet(A, k, z, cfg)
 
 
 def li_shift_jet(A: int, k: Index, z: ArgVector, cfg: EvalConfig = DEFAULT_CONFIG,
                  mode: str = "plain") -> tuple[complex, ...]:
     """(li_shift(a, k, z, cfg, mode) for a = 0..A), computed together and
-    cached as one.
+    cached as one; A is a nonnegative int.
 
-    The shifted family is the t-jet of prod (m_i + t)^-k_i: since
-    (m + t)^-k = sum_l C(k+l-1, l) (-t)^l m^(-k-l), entry a is the coefficient
-    of t^a in the sum over m_1 < ... < m_d of prod z_i^{m_i} (m_i + t)^-k_i.  A
-    plain jet is one series with a t-axis of A + 1 rows (_jet_series) or one
-    panel march with A + 1 columns (_Plan.jet), routed as li routes.  A
-    regularized jet is the per-a sums over cached regularized values.  A jet
-    raises what computing its entries one by one would raise."""
+    Since (m + t)^-k = sum_l C(k+l-1, l) (-t)^l m^(-k-l), entry a is the
+    coefficient of t^a in the sum over m_1 < ... < m_d of
+    prod z_i^{m_i} (m_i + t)^-k_i.  A plain jet is one kernel read
+    (_plain_jet), a regularized jet the per-a sums over cached regularized
+    values.  A jet raises what computing its entries one by one would raise."""
+    if not isinstance(A, int) or A < 0:
+        raise ValueError(f"jet length A = {A!r} is not a nonnegative integer")
     if mode not in ("plain", "stuffle", "shuffle"):
         raise ValueError(f"unknown mode {mode!r}")
     if k.depth != z.depth:

@@ -5,6 +5,12 @@ sums instead of the tail-product recursion for the nested series, closed
 logarithm forms, mpmath for classical polylogarithms, and scipy quadrature
 for one genuinely independent integral evaluation.  Agreement between these
 and the library is the substance of the numeric tests.
+
+The reference kernels at the end are the exception: they are the kernels the
+library ran before every value became column 0 of a jet, one per value route
+and one per jet route.  They call the library's own primitives (blocked level
+sums, panel steps, kernel tables) and keep only the old structure around
+them, so the one kernel per route can be held to them bit for bit.
 """
 
 from __future__ import annotations
@@ -12,8 +18,11 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+from functools import reduce
+from operator import add
 
 import mpmath
+import numpy as np
 
 
 def brute_li(parts, args, n_terms=2000) -> complex:
@@ -146,3 +155,137 @@ def closed_li1(z: complex) -> complex:
 def closed_dilog_inversion(z: complex, log_minus_z: complex) -> complex:
     """Value of Li_2(z) + Li_2(1/z) away from the positive real axis."""
     return -math.pi ** 2 / 6 - log_minus_z ** 2 / 2
+
+
+# --- reference kernels --------------------------------------------------------
+
+
+def ref_li_series(k, z, cfg, star=False):
+    """(value, est_error, n_terms) of the series value kernel: one 1-D array
+    per level, divided by m^k_i in place of any t-axis."""
+    from mplparity import evaluate as E
+
+    d = k.depth
+    if d == 0:
+        return 1 + 0j, 0.0, 0
+    if any(e == 0 for e in z.entries):
+        return 0j, 0.0, 0
+    g = z.tails
+    r = max(abs(gi) for gi in g)
+    n = E._series_terms(r, d, cfg, star)
+    bound = E._series_tail_bound(r, d, n, star)
+    cur = np.full(n, g[0]).cumprod() / E._m_powers(n, k.parts[0])
+    for i in range(1, d):
+        if star:
+            level = cur.copy()
+            level[1:] += E._series_level(cur[None], g[i])[0]
+            cur = level / E._m_powers(n, k.parts[i])
+        else:
+            cur = E._series_level(cur[None], g[i])[0] / E._m_powers(n, k.parts[i])[i:]
+    return complex(cur.sum()), bound + 8e-16 * float(abs(cur).sum()), n
+
+
+def _ref_shift_mix(rows, k, A, n, i):
+    from mplparity import evaluate as E
+
+    out = np.zeros((A + 1, rows.shape[1]), complex)
+    for l in range(A + 1):
+        live = rows[:A + 1 - l]
+        term = live / E._m_powers(n, k + l)[i:]
+        w = E._shift_weight(k, l)
+        if w != 1:
+            term *= w
+        out[l:l + len(live)] += term
+    return out
+
+
+def ref_jet_series(A, k, z, cfg):
+    """Columns 0..A of the series jet kernel that ran beside the value
+    kernel: plain only, no estimates."""
+    from mplparity import evaluate as E
+
+    g = z.tails
+    n = E._series_terms(max(abs(gi) for gi in g), k.depth, cfg)
+    cur = _ref_shift_mix(np.full(n, g[0]).cumprod()[None], k.parts[0], A, n, 0)
+    for i in range(1, k.depth):
+        cur = _ref_shift_mix(E._series_level(cur, g[i]), k.parts[i], A, n, i)
+    return cur.sum(1)
+
+
+def ref_integrate(plan, letters, P):
+    """(value, est) of the panel value kernel: one column of 2-D levels, the
+    interior levels' error terms summed panel by panel in Python floats, then
+    with P >= 1 the log final panel; nothing read from or kept in the store
+    but the plan's kernel table."""
+    kern = plan._kernels()
+    M = plan.order
+    coef = np.zeros((len(plan.steps) + 1, M + 1), complex)
+    coef[:, 0] = 1.0
+    ends, coefs = [], []
+    for letter in letters:
+        new = np.empty(coef.shape, complex)
+        ends.append(plan._interior_step(coef, letter, new, kern)[-1])
+        coefs.append(new)
+        coef = new
+    top = np.array(coefs)[:, :, M - 1:]
+    tails = (np.hypot(top.real, top.imag) * kern[0][-1, :, M - 1:].real).tolist()
+    safety, rest = plan.safety, 1.0 - plan.safety
+    cum = [0.0] * (len(plan.steps) + 1)
+    for panels in tails:
+        cum = [c + max(t_top, t_below) * safety / rest for c, (t_below, t_top) in zip(cum, panels)]
+    interior = reduce(add, cum[:-1])
+    if not P:
+        return complex(coef[-1, 0]), (interior + cum[-1]) * 4.0
+    fc = plan._final_consts(P, kern)
+    upow, logf = fc[1], fc[2]
+    cur = np.zeros((M + 1, P + 1), complex)
+    cur[0, 0] = 1.0
+    est = 0.0
+    for letter, F in zip(letters, ends):
+        cur = plan._final_step(cur[None], letter, [F], fc, kern)[0]
+        below, top = np.maximum.reduce(np.abs(cur[M - 1:]), axis=1)
+        est = est + max(top * upow[M], below * upow[M - 1]) * logf * safety / (1.0 - safety)
+    L = math.log(1.0 - plan.t)
+    resid = sum(abs(cur[0, p]) * abs(L) ** p for p in range(1, P + 1))
+    return complex(cur[0, 0]), (interior + (est + resid)) * 4.0
+
+
+def ref_plan_jet(plan, blocks, A, P, log_final=None):
+    """Columns 0..A of the panel jet kernel that ran beside the value kernel:
+    the word whose blocks (s_i, k_i) are the form s_i then k_i - 1 forms at
+    0, marched on a state of A + 1 columns that neither read nor kept levels,
+    mixed after each block; no estimates.  The state holds the interior
+    panels and, with log_final (by default P >= 1), the log final panel."""
+    from mplparity import evaluate as E
+
+    log_final = P >= 1 if log_final is None else log_final
+    kern = plan._kernels()
+    fc = plan._final_consts(P, kern) if log_final else None
+
+    def step(state, s):
+        new = np.empty(state[0].shape, complex)
+        ends = plan._interior_step(state[0], s, new, kern)
+        return (new, plan._final_step(state[1], s, ends[:, -1], fc, kern)) if log_final else (new,)
+
+    coef = np.zeros((1, len(plan.steps) + 1, plan.order + 1), complex)
+    coef[..., 0] = 1.0
+    state = (coef,)
+    if log_final:
+        final = np.zeros((1, plan.order + 1, P + 1), complex)
+        final[:, 0, 0] = 1.0
+        state += (final,)
+    for s, k in blocks:
+        state = step(state, s)
+        for _ in range(k - 1):
+            state = step(state, 0j)
+        mixed = tuple(np.zeros((A + 1,) + x.shape[1:], complex) for x in state)
+        for x, y in zip(mixed, state):
+            x[:len(y)] = y
+        shifted = state
+        for l in range(1, A + 1):
+            shifted = step(tuple(x[:A + 1 - l] for x in shifted), 0j)
+            w = E._shift_weight(k, l)
+            for x, y in zip(mixed, shifted):
+                x[l:l + len(y)] += w * y
+        state = mixed
+    return state[1][:, 0, 0] if log_final else state[0][:, -1, 0]

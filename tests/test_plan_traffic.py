@@ -14,6 +14,9 @@ _spec.loader.exec_module(plan_traffic)
 # depth <= 2, weight <= 3: a few dozen items, forms at 1 and reused plans
 TINY_REG = {"roots": (2,), "depth_max": 2, "weight_max": 2,
             "mzv_depth_max": 2, "mzv_weight_max": 3}
+# a main batch of depth <= 2, weight <= 3: a dozen items, some of whose
+# shifted families are panel jets
+TINY_MAIN = {"depth_max": 2, "weight_max": 3, "per_index": 2}
 
 
 def test_tiny_reg_batch_counts():
@@ -27,6 +30,22 @@ def test_tiny_reg_batch_counts():
     # the wrappers are gone and the run left the caches empty
     assert dict(vars(evaluate._Plan)) == methods
     assert not evaluate._STORE
+
+
+def test_tiny_main_batch_counts_jet_levels():
+    workloads = plan_traffic._workloads()
+    items = workloads.make_batch("main", 0, 0, TINY_MAIN)
+    evaluate.clear_caches()
+    with plan_traffic.counting() as built:
+        for item in items:
+            workloads.run_item("main", item)
+    evaluate.clear_caches()
+    levels = built["interior levels"]
+    jets = [key for key in levels if any(type(s) is evaluate._BlockEnd for s in key[2])]
+    assert jets and len(jets) < len(levels)   # jet levels, counted with the values'
+    n, failed, rows = plan_traffic.traffic("main", 0, 0, TINY_MAIN)
+    assert (n, failed) == (len(items), 0)
+    assert rows["interior levels"] == (len(levels), len(set(levels)))
 
 
 def test_main_prints_one_line_per_row(monkeypatch, capsys):
