@@ -8,12 +8,16 @@ Runs the items of one batch of a bench/workloads.py workload in this
 interpreter, from empty caches, as a benchmark worker runs them, and prints how
 many panel plans were built, how many kernel tables, and how many interior and
 log final-panel levels were marched, each against the number of distinct keys
-among them.  A count above its distinct keys is work done again: a plan, table
-or level built anew after the plan store dropped it.  Only a word with a form
-at 1 marches log final-panel levels; the final panel of any other word is the
-last row of its interior levels and is counted with them.  A jet marches the
-word of its value with a block end after every block, so its levels, block
-ends included, are counted with those of the values.
+among them, then the bytes the plan store counts and its entries at the end of
+the batch.  A count above its distinct keys is work done again: a plan, table
+or level built anew after the plan store dropped it, or a plan admitted to the
+store on a later word of its singularity set (its first word keeps nothing,
+see evaluate._plan), with what its first word marched that a kept word marches
+again.  Only a word with a form at 1 marches log final-panel levels; the final
+panel of any other word is the last row of its interior levels and is counted
+with them.  A jet marches the word of its value with a block end after every
+block, so its levels, block ends included, are counted with those of the
+values.
 
 Like bench/spans.py, the counts come from outside the program: five methods of
 evaluate._Plan are wrapped for the run and restored after it, and
@@ -50,8 +54,8 @@ def counting():
                                            plan_cls._extend, plan_cls.march, plan_cls._final)
     finals = 0   # _final calls so far
 
-    def counted_init(self, *args):
-        init(self, *args)
+    def counted_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
         built["plans"].append(self.key)
 
     def counted_kernels(self):
@@ -90,8 +94,9 @@ def counting():
 
 
 def traffic(workload: str, seed: int, batch: int, sizes: dict | None = None):
-    """(items, failed items, {row: (built, distinct keys)}) of one batch, at
-    the benchmark's sizes unless sizes is given."""
+    """(items, failed items, {row: (built, distinct keys)}, (store bytes,
+    store entries)) of one batch, at the benchmark's sizes unless sizes is
+    given; the store as the batch left it."""
     wl = _workloads()
     items = wl.make_batch(workload, seed, batch, sizes or wl.FULL[workload])
     failed = 0
@@ -102,8 +107,9 @@ def traffic(workload: str, seed: int, batch: int, sizes: dict | None = None):
                 wl.run_item(workload, item)
             except Exception:   # a failed item is counted, as a benchmark worker counts it
                 failed += 1
+    store = evaluate._STORE.nbytes, len(evaluate._STORE)
     evaluate.clear_caches()
-    return len(items), failed, {row: (len(keys), len(set(keys))) for row, keys in built.items()}
+    return len(items), failed, {row: (len(keys), len(set(keys))) for row, keys in built.items()}, store
 
 
 def main(argv=None) -> int:
@@ -112,11 +118,12 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--batch", type=int, default=0)
     args = ap.parse_args(argv)
-    n, failed, rows = traffic(args.workload, args.seed, args.batch)
+    n, failed, rows, (nbytes, entries) = traffic(args.workload, args.seed, args.batch)
     print(f"{args.workload} seed {args.seed} batch {args.batch}: {n} items, {failed} failed")
     print(f"{'':<16} {'built':>7} {'distinct':>9}")
     for row, (count, distinct) in rows.items():
         print(f"{row:<16} {count:>7} {distinct:>9}")
+    print(f"store at the end: {nbytes} bytes in {entries} entries")
     return 0
 
 

@@ -69,14 +69,18 @@ entries and tails themselves come from a memo keyed on its symbols
 
 Panel plans keep their layouts, kernel tables (step powers included) and
 levels in one least-recently-used store, _STORE, under one byte budget for all
-plans, STORE_BYTES.  An entry keys on what its plan reads, (sorted
-singularities, panel_order, panel_safety), then on "layout", "kernels",
-(None, prefix) for an interior level or (P, prefix) for a log final-panel
-level, P >= 1 the number of letters at 1 in the word, differences included; a
-word with no letter at 1 keeps interior levels only.  A prefix holds the
-letters, so a star word shares its leading plain prefix with plain words, and
-a jet's levels past its first block end key on its length A.
-clear_caches() empties the store with the value memos.
+plans, STORE_BYTES.  A plan is admitted to the store on the second word of its
+singularity set (_plan): the first word marches on a plan that keeps nothing
+and leaves only a marker in the plan's layout slot, so a set read once, as on
+workloads with no reuse, fills the store with markers, not with arrays nobody
+reads again.  An entry keys on what its plan reads, (sorted singularities,
+panel_order, panel_safety), then on "layout", "kernels", (None, prefix) for an
+interior level or (P, prefix) for a log final-panel level, P >= 1 the number
+of letters at 1 in the word, differences included; a word with no letter at 1
+keeps interior levels only.  A prefix holds the letters, so a star word shares
+its leading plain prefix with plain words, and a jet's levels past its first
+block end key on its length A.  clear_caches() empties the store with the
+value memos.
 """
 from __future__ import annotations
 
@@ -98,7 +102,7 @@ SERIES_GOAL = 1e-11 * 1e-2   # series tail bound to reach, cap permitting
 PATH_CLEARANCE = 1e-9   # singularities this close to (0,1) make panels meaningless
 MAX_PANELS = 4000
 SCALE_LIMIT = 150 * math.log(10)   # ln 1e150: largest |g|^-j a series block forms
-STORE_BYTES = 1 << 19   # all panel plans keep: layouts, kernel tables, levels
+STORE_BYTES = 1 << 22   # all panel plans keep: layouts, kernel tables, levels
 
 
 @dataclass(frozen=True)
@@ -348,7 +352,8 @@ def _blocks(lg: np.ndarray, M: int) -> list[int]:
 class _Store(OrderedDict):
     """What the panel plans keep, least recently used first: key -> (value,
     nbytes), nbytes > 0, the nbytes summing to self.nbytes <= STORE_BYTES.  An
-    entry larger than STORE_BYTES is not kept."""
+    entry larger than STORE_BYTES is not kept.  Keeping a key again replaces
+    its entry, which becomes the most recently used."""
 
     nbytes = 0
 
@@ -359,6 +364,9 @@ class _Store(OrderedDict):
             return hit[0]
 
     def keep(self, key, value, nbytes: int) -> None:
+        old = self.pop(key, None)
+        if old:
+            self.nbytes -= old[1]
         if nbytes <= STORE_BYTES:
             self[key] = value, nbytes
             self.nbytes += nbytes
@@ -372,6 +380,7 @@ class _Store(OrderedDict):
 
 _STORE = _Store()
 _MEMOS.append(_STORE)
+_SEEN = object()   # a layout slot's marker: a word of the plan has marched, unkept
 
 
 class _Plan:
@@ -385,18 +394,31 @@ class _Plan:
     A word with P >= 1 forms at 1 also marches log final-panel levels, and
     never reads that row past its first form at 1.
 
-    A plan holds nothing itself: its layout, kernel table and levels are
-    entries of _STORE under its key (see the module docstring), so a plan
-    built again after its layout was dropped finds its levels still kept.
+    A plan holds nothing itself.  An admitted plan (kept, see _plan) keeps
+    its layout, kernel table and levels as entries of _STORE under its key
+    (see the module docstring); a plan not admitted keeps nothing.  Either
+    reads what is kept under its key, so a plan built again after its layout
+    was dropped resumes from the levels still kept.
     """
 
-    def __init__(self, sing, centers, steps, t, order: int, safety: float) -> None:
+    __slots__ = ("key", "sing", "order", "safety", "centers", "steps", "t", "kept")
+
+    def __init__(self, sing, centers, steps, t, order: int, safety: float, kept: bool = False) -> None:
         self.key = (sing, order, safety)
         self.sing, self.order, self.safety = self.key
         self.centers = centers
         self.steps = steps
         self.t = t
-        self.public = PanelPlan(tuple(centers) + (1.0,), tuple(steps) + (1.0 - t,), order)
+        self.kept = kept
+
+    @property
+    def public(self) -> PanelPlan:
+        """The subdivision, final panel included, built when asked for."""
+        return PanelPlan(tuple(self.centers) + (1.0,), tuple(self.steps) + (1.0 - self.t,), self.order)
+
+    def _keep(self, key, value, nbytes: int) -> None:
+        if self.kept:
+            _STORE.keep(key, value, nbytes)
 
     def _deepest(self, P, a, top: int):
         """(j, level) for the longest prefix a[:j], j <= top, kept under P."""
@@ -457,7 +479,7 @@ class _Plan:
                 blocks = _blocks(-np.log(dist), M)
                 pw.cumprod(2, out=pw)
         kern = (pw, blocks, index, zero)
-        _STORE.keep((self.key, "kernels"), kern, pw.nbytes)
+        self._keep((self.key, "kernels"), kern, pw.nbytes)
         return kern
 
     # --- interior panels ---
@@ -563,7 +585,7 @@ class _Plan:
                 cum = cum + terms[rows[start]:rows[stop]]
             cums += (cum,)
             level = (coef, cums, ends[:j])
-            _STORE.keep((self.key, None, a[:j]), level, coef.nbytes + cum.nbytes)
+            self._keep((self.key, None, a[:j]), level, coef.nbytes + cum.nbytes)
         return level
 
     @staticmethod
@@ -692,7 +714,7 @@ class _Plan:
             for j in range(f + 1, n + 1):
                 final = self._final(final, a[j - 1], ends[j - 1], self._interior_est(cums[j]),
                                     fc, kern)
-                _STORE.keep((self.key, P, a[:j]), final, final[0].nbytes)
+                self._keep((self.key, P, a[:j]), final, final[0].nbytes)
         return final
 
     def integrate(self, a: tuple, P: int):
@@ -737,14 +759,27 @@ def _mix_est(letter: _BlockEnd, est: np.ndarray, terms) -> np.ndarray:
     return _mix(letter, est, lambda prev: prev + next(terms), lambda k, l: abs(_shift_weight(k, l)))
 
 
+def _layout_bytes(panels: int) -> int:
+    """About what a plan of so many panels holds: two lists of floats and the
+    plan around them.  A marker counts as a plan of no panels."""
+    return 256 + 64 * panels
+
+
 def _plan(sing: tuple, order: int, safety: float) -> _Plan:
     """Plan of the sorted singularities sing at (panel_order, panel_safety),
-    its layout kept in _STORE at 8 bytes per center and per step, each twice."""
+    for one word.  The one admission rule of the store: the first word of a
+    singularity set marches on a plan that keeps nothing and leaves a marker in
+    the plan's layout slot; a later word that finds the marker builds the plan
+    again, admitted, and keeps it, and from then on the plan keeps its kernel
+    table and levels.  A plan read once keeps no arrays."""
     key = ((sing, order, safety), "layout")
     plan = _STORE.find(key)
-    if plan is None:
-        plan = _Plan(sing, *_layout(sing, order, safety), order, safety)
-        _STORE.keep(key, plan, 32 * len(plan.steps))
+    if plan is None or plan is _SEEN:
+        plan = _Plan(sing, *_layout(sing, order, safety), order, safety, kept=plan is _SEEN)
+        if plan.kept:
+            _STORE.keep(key, plan, _layout_bytes(len(plan.steps)))
+        else:
+            _STORE.keep(key, _SEEN, _layout_bytes(0))
     return plan
 
 
@@ -765,7 +800,7 @@ def _on_plan(sing, forms: tuple, cfg: EvalConfig, read):
     except EvaluationError as e:
         raise EvaluationError(e.args[0], e.panels, forms) from None
     if not all(map(cmath.isfinite, sum(row, []))):
-        raise EvaluationError("non-finite panel value", len(plan.public.steps), forms)
+        raise EvaluationError("non-finite panel value", len(plan.steps) + 1, forms)
     return plan, row
 
 

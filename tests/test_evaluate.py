@@ -6,6 +6,7 @@ import itertools
 import math
 import operator
 import random
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -458,8 +459,9 @@ def _sorted_set(forms):
 
 
 def _own_plan(forms, centers, steps, t, order):
-    """A plan on a layout of the test's own, whose kept arrays go under a key
-    that holds the layout, so no plan of _layout's ever reads them."""
+    """A plan on a layout of the test's own, under a key that holds the
+    layout, so it reads nothing a plan of _layout's kept; not admitted to the
+    store, it keeps nothing itself."""
     plan = _Plan(_sorted_set(forms), centers, steps, t, order, 0.5)
     plan.key = (plan.key, tuple(centers), tuple(steps), t)
     return plan
@@ -784,6 +786,14 @@ def _plan_of(forms, cfg=DEFAULT_CONFIG):
     return evaluate._plan(sing, cfg.panel_order, cfg.panel_safety)
 
 
+def _warm_up(forms, cfg=DEFAULT_CONFIG):
+    """March one word with the singularities of forms, so that the next word
+    of their plan is admitted to the store and keeps (evaluate._plan)."""
+    sing = _sorted_set(forms)
+    lead = next(s for s in sing if s not in (0, 1))
+    iterated_integral((lead,) + sing + (lead,), cfg)
+
+
 def test_words_sharing_a_plan_reuse_its_levels(built):
     words = _prefix_family(random.Random("reuse"))
     clear_caches()
@@ -799,13 +809,15 @@ def test_words_sharing_a_plan_reuse_its_levels(built):
 
 
 def test_a_plan_keeps_from_its_first_word(monkeypatch):
-    # everything a plan holds is in the store from the first word on: a word
-    # sharing a prefix reuses the kernel table and marches only the interior
-    # levels past that prefix.  A word with no form at 1 keeps its interior
-    # levels, whose last row is its final panel, and no log final-panel level
+    # everything an admitted plan holds is in the store from its first kept
+    # word on: a word sharing a prefix reuses the kernel table and marches
+    # only the interior levels past that prefix.  A word with no form at 1
+    # keeps its interior levels, whose last row is its final panel, and no log
+    # final-panel level
     clear_caches()
     first = (-0.5 + 2j, 0j, 0.4 + 0.7j, 0j)
     second = first[:2] + (-0.5 + 2j, 0.4 + 0.7j)   # same forms, shares first[:2]
+    _warm_up(first)
     iterated_integral(first)
     plan = _plan_of(first)
     kern = evaluate._STORE.find((plan.key, "kernels"))
@@ -827,6 +839,7 @@ def test_a_plan_whose_layout_was_dropped_resumes_from_its_levels(monkeypatch, bu
     clear_caches()
     want = iterated_integral(second)
     clear_caches()
+    _warm_up(first)
     iterated_integral(first)
     # drop the least recently used entry, as the budget would: the layout
     key, (plan, nbytes) = evaluate._STORE.popitem(last=False)
@@ -852,6 +865,8 @@ def test_words_over_twelve_plans_fit_in_one_budget(monkeypatch, built):
     words = [w for s in sets for w in ((s, 0j, -s), (s, -s, 0j))]
     words = words[::2] + words[1::2]
     clear_caches()
+    for s in sets:
+        _warm_up((s, 0j, -s))
     first = [iterated_integral(w) for w in words]
     assert len(set(built)) == 12
     _assert_store_within_budget()
@@ -880,6 +895,77 @@ def test_plan_keeps_no_more_than_its_budget(monkeypatch):
     clear_caches()
     assert [iterated_integral(w) for w in words] == want
     assert evaluate._STORE.nbytes == 0 and not evaluate._STORE
+
+
+def test_a_plan_is_admitted_on_its_second_word(monkeypatch, built):
+    # the first word of a singularity set leaves only a marker in the plan's
+    # layout slot; the second builds the plan again and keeps it, its kernel
+    # table and its levels; a third resumes from them
+    first = (-0.5 + 2j, 0j, 0.4 + 0.7j, 0j)
+    second = first[:2] + (-0.5 + 2j, 0.4 + 0.7j)
+    third = first[:2] + (0.4 + 0.7j, -0.5 + 2j)
+    clear_caches()
+    iterated_integral(first)
+    sing = _sorted_set(first)
+    key = (sing, DEFAULT_CONFIG.panel_order, DEFAULT_CONFIG.panel_safety)
+    assert built == [sing]
+    assert list(evaluate._STORE.items()) == [((key, "layout"), (evaluate._SEEN, evaluate._layout_bytes(0)))]
+    iterated_integral(second)
+    assert built == [sing, sing]
+    plan = evaluate._STORE.find((key, "layout"))
+    assert type(plan) is _Plan and plan.kept
+    assert evaluate._STORE.find((key, "kernels")) is not None
+    assert all(evaluate._STORE.find((key, None, second[:j])) is not None for j in (1, 2, 3, 4))
+    _assert_store_within_budget()
+    marched = _interior_levels(monkeypatch)
+    iterated_integral(third)
+    assert marched == [3, 4] and len(built) == 2
+
+
+def test_plans_read_once_keep_only_markers():
+    rng = random.Random("single-use")
+    clear_caches()
+    for _ in range(200):
+        iterated_integral((cmath.rect(rng.uniform(1.5, 3.0), rng.uniform(0.3, 2 * math.pi - 0.3)),))
+    assert len(evaluate._STORE) == 200
+    assert all(value is evaluate._SEEN for value, _ in evaluate._STORE.values())
+    _assert_store_within_budget()
+
+
+def test_keeping_a_key_again_replaces_its_entry(monkeypatch):
+    monkeypatch.setattr(evaluate, "STORE_BYTES", 100)
+    store = evaluate._Store()
+    store.keep("a", 1, 60)
+    store.keep("b", 2, 30)
+    store.keep("a", 3, 60)   # 90 bytes: nothing is dropped
+    assert list(store.items()) == [("b", (2, 30)), ("a", (3, 60))] and store.nbytes == 90
+    store.keep("b", 4, 20)
+    assert list(store.items()) == [("a", (3, 60)), ("b", (4, 20))] and store.nbytes == 80
+    store.keep("a", 5, 200)   # too large to keep: the old entry goes too
+    assert list(store.items()) == [("b", (4, 20))] and store.nbytes == 20
+
+
+def test_a_layout_counts_what_it_holds():
+    # the bytes a plan counts are within 2x of what tracemalloc sees it and
+    # its layout take
+    rng = random.Random("layout-bytes")
+    order, safety = DEFAULT_CONFIG.panel_order, DEFAULT_CONFIG.panel_safety
+    sets = []
+    for _ in range(200):
+        forms = {cmath.rect(rng.uniform(0.02, 3.0), rng.uniform(0.1, 2 * math.pi - 0.1))
+                 for _ in range(rng.randint(1, 3))}
+        sets.append(_sorted_set(forms | set(rng.sample([0j, 1 + 0j], rng.randint(0, 2)))))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        plans = [_Plan(sing, *evaluate._layout(sing, order, safety), order, safety) for sing in sets]
+        traced = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    panels = [len(plan.steps) for plan in plans]
+    assert max(panels) >= 10 * min(panels)
+    counted = sum(evaluate._layout_bytes(n) for n in panels)
+    assert traced / 2 <= counted <= 2 * traced, (counted, traced)
 
 
 @pytest.mark.parametrize("offset", [1e-7, 1e-8])
@@ -1083,6 +1169,7 @@ def test_star_march_is_history_independent(built):
     clear_caches()
     cold = li_star_detail(k, z)
     clear_caches()
+    _warm_up(evaluate._panel_word(k, z))
     built.clear()
     kc, zc = enum_contractions(k, z)[0]
     li(kc, zc)
@@ -1210,6 +1297,7 @@ def test_jet_march_is_history_independent(built):
     clear_caches()
     cold = li_shift_jet(3, k, z)
     clear_caches()
+    _warm_up(evaluate._panel_word(k, z))
     built.clear()
     li(k, z)
     li_star(k, z)
@@ -1347,6 +1435,7 @@ def test_jet_resumes_from_kept_levels(monkeypatch):
     clear_caches()
     want = li_shift_jet(2, K((2, 1, 3)), z)
     clear_caches()
+    _warm_up(evaluate._panel_word(k, z))
     value = li(k, z)
     marched = _interior_levels(monkeypatch)
     li_shift_jet(2, k, z)                       # s1 0 E s2 E s3 0 E

@@ -21,12 +21,33 @@ TINY_MAIN = {"depth_max": 2, "weight_max": 3, "per_index": 2}
 
 def test_tiny_reg_batch_counts():
     methods = dict(vars(evaluate._Plan))
-    n, failed, rows = plan_traffic.traffic("reg", 0, 0, TINY_REG)
-    assert n > 0 and failed == 0
+    workloads = plan_traffic._workloads()
+    items = workloads.make_batch("reg", 0, 0, TINY_REG)
+    evaluate.clear_caches()
+    with plan_traffic.counting() as built:
+        for item in items:
+            workloads.run_item("reg", item)
+    layouts = [value for key, (value, _) in evaluate._STORE.items() if key[1] == "layout"]
+    admitted = {plan.key for plan in layouts if plan is not evaluate._SEEN}
+    store = evaluate._STORE.nbytes, len(evaluate._STORE)
+    evaluate.clear_caches()
+    assert admitted and len(admitted) < len(layouts)   # sets read again, and sets read once
+    # everything fits in the store, so a plan and its kernel table are built
+    # twice only when a later word admits the plan, and a level only when an
+    # admitted plan's kept word marches what its first word marched
+    for row, keys in built.items():
+        again = {key for key in keys if keys.count(key) > 1}
+        assert all(keys.count(key) == 2 for key in again), row
+        if row in ("plans", "kernel tables"):
+            assert again == admitted, row
+        else:
+            assert {key[0] for key in again} <= admitted, row
+    n, failed, rows, end = plan_traffic.traffic("reg", 0, 0, TINY_REG)
+    assert (n, failed) == (len(items), 0) and end == store
     assert list(rows) == list(plan_traffic.ROWS)
-    # everything fits in the store, so nothing is built twice
-    for row, (built, distinct) in rows.items():
-        assert 0 < distinct == built, row
+    for row, keys in built.items():
+        assert rows[row] == (len(keys), len(set(keys))) and keys, row
+    assert rows["plans"][0] - rows["plans"][1] == len(admitted)
     # the wrappers are gone and the run left the caches empty
     assert dict(vars(evaluate._Plan)) == methods
     assert not evaluate._STORE
@@ -43,7 +64,7 @@ def test_tiny_main_batch_counts_jet_levels():
     levels = built["interior levels"]
     jets = [key for key in levels if any(type(s) is evaluate._BlockEnd for s in key[2])]
     assert jets and len(jets) < len(levels)   # jet levels, counted with the values'
-    n, failed, rows = plan_traffic.traffic("main", 0, 0, TINY_MAIN)
+    n, failed, rows, _ = plan_traffic.traffic("main", 0, 0, TINY_MAIN)
     assert (n, failed) == (len(items), 0)
     assert rows["interior levels"] == (len(levels), len(set(levels)))
 
@@ -56,6 +77,9 @@ def test_main_prints_one_line_per_row(monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "main seed 3 batch 1: 2 items, 0 failed"
     assert lines[1].split() == ["built", "distinct"]
-    assert [line[:16].strip() for line in lines[2:]] == list(plan_traffic.ROWS)
+    assert [line[:16].strip() for line in lines[2:-1]] == list(plan_traffic.ROWS)
     built, distinct = map(int, lines[2].split()[1:])
     assert built == distinct == 2   # one plan per main item of depth 1
+    # two plans read once: their markers, counted as plans of no panels
+    nbytes = 2 * evaluate._layout_bytes(0)
+    assert lines[-1] == f"store at the end: {nbytes} bytes in 2 entries"
