@@ -6,21 +6,21 @@
 
 Runs the items of one batch of a bench/workloads.py workload in this
 interpreter, from empty caches, as a benchmark worker runs them, and prints how
-many panel plans were built, how many kernel tables, and how many interior and
-log final-panel levels were marched, each against the number of distinct keys
-among them, then the bytes the plan store counts and its entries at the end of
-the batch.  A count above its distinct keys is work done again: a plan, table
-or level built anew after the plan store dropped it, or a plan admitted to the
-store on a later word of its singularity set (its first word keeps nothing,
-see evaluate._plan), with what its first word marched that a kept word marches
-again.  Only a word with a form at 1 marches log final-panel levels; the final
-panel of any other word is the last row of its interior levels and is counted
-with them.  A jet marches the word of its value with a block end after every
-block, so its levels, block ends included, are counted with those of the
-values.
+many panel plans were built, how many kernel tables, and how many levels were
+marched, each against the number of distinct keys among them, then the bytes
+the plan store counts and its entries at the end of the batch.  A level keys
+on (plan key, prefix); every level holds the interior panels, so the interior
+row counts them all, and the log final row counts those that carry a log row,
+the levels from a word's first form at 1 on.  A count above its distinct keys
+is work done again: a plan, table or level built anew after the plan store
+dropped it, or a plan admitted to the store on a later word of its
+singularity set (its first word keeps nothing, see evaluate._plan), with what
+its first word marched that a kept word marches again.  A jet marches the word
+of its value with a block end after every block, so its levels, block ends
+included, are counted with those of the values.
 
-Like bench/spans.py, the counts come from outside the program: five methods of
-evaluate._Plan are wrapped for the run and restored after it, and
+Like bench/spans.py, the counts come from outside the program: three methods
+of evaluate._Plan are wrapped for the run and restored after it, and
 bench/workloads.py is only imported.
 """
 
@@ -46,13 +46,10 @@ def _workloads():
 @contextmanager
 def counting():
     """Yield {row: [key, ...]}, one key per plan, table or level built while
-    the block runs: a plan's key, or a level's (plan key, P, prefix), P None
-    for an interior level."""
+    the block runs: a plan's key, or a level's (plan key, prefix)."""
     built = {row: [] for row in ROWS}
     plan_cls = evaluate._Plan
-    init, kernels, extend, march, final = (plan_cls.__init__, plan_cls._kernels,
-                                           plan_cls._extend, plan_cls.march, plan_cls._final)
-    finals = 0   # _final calls so far
+    init, kernels, extend = plan_cls.__init__, plan_cls._kernels, plan_cls._extend
 
     def counted_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
@@ -64,25 +61,15 @@ def counting():
         return kernels(self)
 
     def counted_extend(self, level, a, i, n, kern):
-        built["interior levels"] += [(self.key, None, a[:j]) for j in range(i + 1, n + 1)]
+        keys = [(self.key, a[:j]) for j in range(i + 1, n + 1)]
+        built["interior levels"] += keys
+        # a log row from level i on, or from the first letter at 1 past it
+        first = i if level[2] is not None else next(
+            (j for j in range(i, n) if evaluate._at_one(a[j])), n)
+        built["log final levels"] += keys[first - i:]
         return extend(self, level, a, i, n, kern)
 
-    def counted_march(self, a, P):
-        # a march's log final-panel levels are the last ones of its word
-        start = finals
-        out = march(self, a, P)
-        n = len(a)
-        built["log final levels"] += [(self.key, P, a[:j])
-                                      for j in range(n - finals + start + 1, n + 1)]
-        return out
-
-    def counted_final(self, *args):
-        nonlocal finals
-        finals += 1
-        return final(self, *args)
-
-    wrapped = {"__init__": counted_init, "_kernels": counted_kernels, "_extend": counted_extend,
-               "march": counted_march, "_final": counted_final}
+    wrapped = {"__init__": counted_init, "_kernels": counted_kernels, "_extend": counted_extend}
     saved = {name: plan_cls.__dict__[name] for name in wrapped}
     for name, fn in wrapped.items():
         setattr(plan_cls, name, fn)

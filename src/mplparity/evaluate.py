@@ -18,9 +18,10 @@ t-jets (see below); a value is the jet of length one, read off column 0:
           singularities exact rather than approached geometrically: a form at
           0 integrates by exponent shift at the first panel's center, and the
           final panel expands in u = 1 - t, one more Taylor row of the march.
-          Only a word with forms at 1 needs log terms there: it also marches
-          a log final panel in u^m log^q u, whose u^0 row is the regularized
-          value of a word that ends in forms at 1 (_reg_row).
+          From a word's first form at 1 on, a level also carries a log row,
+          the final panel in u^m log^q u, with one log column more at each
+          form at 1; its u^0 row is the regularized value of a word that ends
+          in forms at 1 (_reg_row).
 
           A letter of a word is a form, a form minus the form at 0,
           dt/(t - s) - dt/t (the plain star value is one word whose block
@@ -30,14 +31,15 @@ t-jets (see below); a value is the jet of length one, read off column 0:
           The panels depend only on the set of singularities and the two
           panel knobs, so all words with one set are marched under one plan,
           one level at a time: level j of a word, the partial integral of its
-          prefix forms[:j], is computed on every panel from level j - 1.  A
-          word resumes from the longest prefix already marched under its plan.
-          Every kernel is geometric, so a level is one prefix sum over all
-          panels at once, the same blocked kernel as the series route's, in
-          powers of each form's ratio that a plan builds for all its forms in
-          one cumprod; one cumsum chains the panels' end values.  A level's
-          float operations depend only on the plan and the level below, so a
-          value is bit for bit the same whatever was marched before it.
+          prefix forms[:j], is computed on every panel from level j - 1, its
+          log row too.  A word resumes from the longest prefix already
+          marched under its plan.  Every kernel is geometric, so a level is
+          one prefix sum over all panels at once, the same blocked kernel as
+          the series route's, in powers of each form's ratio that a plan
+          builds for all its forms in one cumprod; one cumsum chains the
+          panels' end values.  A level's float operations depend only on the
+          plan and the level below, so a value is bit for bit the same
+          whatever was marched before it.
 
 Route agreement on the overlap region is one of the standing invariants; the
 dispatcher picks series strictly inside the polydisk and panels otherwise, and
@@ -74,13 +76,13 @@ singularity set (_plan): the first word marches on a plan that keeps nothing
 and leaves only a marker in the plan's layout slot, so a set read once, as on
 workloads with no reuse, fills the store with markers, not with arrays nobody
 reads again.  An entry keys on what its plan reads, (sorted singularities,
-panel_order, panel_safety), then on "layout", "kernels", (None, prefix) for an
-interior level or (P, prefix) for a log final-panel level, P >= 1 the number
-of letters at 1 in the word, differences included; a word with no letter at 1
-keeps interior levels only.  A prefix holds the letters, so a star word shares
-its leading plain prefix with plain words, and a jet's levels past its first
-block end key on its length A.  clear_caches() empties the store with the
-value memos.
+panel_order, panel_safety), then on "layout", "kernels" or a level's prefix.
+A level depends on its prefix alone, so words that share a prefix share its
+level, log row included, whatever forms at 1 follow.  A prefix holds the
+letters, so a star word shares its leading plain prefix with plain words, and
+a jet's levels past its first block end key on its length A.  A level counts
+the bytes of its arrays.  clear_caches() empties the store with the value
+memos.
 """
 from __future__ import annotations
 
@@ -293,10 +295,10 @@ def _log_int_table(order: int, P: int) -> np.ndarray:
 
 def _log_integrate(dst, src, K, add=np.add):
     """dst[..., m, q] += sum_p src[..., m, p] K[p, m, q], or -= with
-    add=np.subtract.  The sum runs in ascending p, the order of the
-    term-by-term loop kept in the tests; one einsum or matmul would be free to
-    reorder it."""
-    for p in range(K.shape[0]):
+    add=np.subtract, p over the columns of src.  The sum runs in ascending p,
+    the order of the term-by-term loop kept in the tests; one einsum or
+    matmul would be free to reorder it."""
+    for p in range(src.shape[-1]):
         d = dst[..., : p + 1]
         add(d, src[..., p : p + 1] * K[p, :, : p + 1], out=d)
 
@@ -387,12 +389,17 @@ class _Plan:
     """The panels of one singularity set at one (panel_order, panel_safety),
     and the levels marched under them.
 
-    A level has a leading axis of columns: one for a value, A + 1 for a jet past its first block end.  An
-    interior level holds the Taylor coefficients of every interior panel
-    around its left edge, and one more row for the final panel in u = 1 - t
-    around t = 1: the whole final panel of a word with no form at 1 (P = 0).
-    A word with P >= 1 forms at 1 also marches log final-panel levels, and
-    never reads that row past its first form at 1.
+    A level (coef, cum, log) has a leading axis of columns: one for a value,
+    A + 1 for a jet past its first block end.  coef holds the Taylor
+    coefficients of every interior panel around its left edge, and one more
+    row for the final panel in u = 1 - t around t = 1; cum[c, p] the error
+    terms of panel p summed over the levels so far.  Up to the word's first
+    letter at 1 (_at_one), log is None and coef's last row is the whole final
+    panel.  From that letter on, log[c, m, q] is the coefficient of
+    u^m log^q u in the final panel, with one log column more at each letter
+    at 1, and cum's last column sums the log row's error terms instead of
+    the final-panel row's, unscaled by the log powers (_close); that row is
+    still stepped but never read.
 
     A plan holds nothing itself.  An admitted plan (kept, see _plan) keeps
     its layout, kernel table and levels as entries of _STORE under its key
@@ -419,14 +426,6 @@ class _Plan:
     def _keep(self, key, value, nbytes: int) -> None:
         if self.kept:
             _STORE.keep(key, value, nbytes)
-
-    def _deepest(self, P, a, top: int):
-        """(j, level) for the longest prefix a[:j], j <= top, kept under P."""
-        for j in range(top, 0, -1):
-            level = _STORE.find((self.key, P, a[:j]))
-            if level is not None:
-                return j, level
-        return 0, None
 
     def _kernels(self):
         """(pw, blocks, index, zero): the powers every level convolves with.
@@ -482,13 +481,12 @@ class _Plan:
         self._keep((self.key, "kernels"), kern, pw.nbytes)
         return kern
 
-    # --- interior panels ---
-
-    def _interior_root(self):
-        """Level 0, one column: 1 on every panel, the final panel's row last."""
+    def _root(self):
+        """Level 0, one column: 1 on every panel, the final panel's row last,
+        no error terms and no log row."""
         coef = np.zeros((1, len(self.steps) + 1, self.order + 1), complex)
         coef[..., 0] = 1.0
-        return coef, (np.zeros((1, len(self.steps) + 1)),), ()
+        return coef, np.zeros((1, len(self.steps) + 1)), None
 
     def _interior_step(self, prev, letter, coef, kern):
         """The integral of prev times the form letter on every panel and
@@ -542,50 +540,75 @@ class _Plan:
         t = np.hypot(top.real, top.imag) * kern[0][-1, :, self.order - 1:].real
         return t.max(-1) * self.safety / (1.0 - self.safety)
 
+    def _log_terms(self, top, kern):
+        """Per column, the error term of a log row whose rows m = M - 1 and M
+        are top, unscaled by the log powers (_close)."""
+        M = self.order
+        upow = kern[0][-1, -1].real
+        below, top = np.abs(top).max(2).T
+        return np.maximum(top * upow[M], below * upow[M - 1]) * self.safety / (1.0 - self.safety)
+
     def _extend(self, level, a, i: int, n: int, kern):
         """Levels i + 1..n of a from level i, each kept; returns level n.  A
-        letter is one _interior_step, a block end one _mix of zero steps.
+        letter is one _interior_step, then on a level with a log row one
+        _final_step from the step's interior end values; a block end is one
+        _mix of zero steps, of the log row too.  The first letter at 1 (see
+        _at_one) starts the log row from the final-panel row of the level
+        below, as one log column.
 
-        A level is (coef, cums, ends): coef[c, p] the coefficients of column c
-        on panel p, the final panel last; cums[l][c, p] panel p's error terms
-        summed over levels 1..l, cums[0] = 0; ends[l - 1] the values of level
-        l at the end of the last interior panel (at a block end, those of each
-        zero step).  With no form at 1, coef[:, -1, 0] are the values of level
-        j at t = 1 (estimates: _interior_est)."""
+        A level is (coef, cum, log) (see _Plan); cum[c, p] sums panel p's
+        error terms over levels 1..j, where a log row's terms replace those
+        of coef's final-panel row."""
         M = self.order
-        coef, cums, ends = level
-        levels, tops = [], []   # per new level (letter, coef, its steps in tops)
+        coef, cum, log = level
+        levels, tops, logs = [], [], []   # per new level (letter, coef, log, its steps in tops)
+
+        def log_step(prev, letter, F):
+            L = math.log(1.0 - self.t)
+            lpow = np.array([L ** p for p in range(prev.shape[-1] + _at_one(letter))], complex)
+            cur = self._final_step(prev, letter, F, lpow, kern)
+            logs.append(self._log_terms(cur[:, M - 1:], kern))
+            return cur
+
         for letter in a[i:n]:
             start = len(tops)
             if type(letter) is _BlockEnd:
-                zero_ends = []
+                ends = []
 
                 def zero(prev):
                     new = np.empty(prev.shape, complex)
-                    zero_ends.append(self._interior_step(prev, 0j, new, kern)[:, -1])
+                    ends.append(self._interior_step(prev, 0j, new, kern)[:, -1])
                     tops.append(new[..., M - 1:])
                     return new
 
                 coef = _mix(letter, coef, zero)
-                ends += (tuple(zero_ends),)
+                if log is not None:
+                    F = iter(ends)
+                    log = _mix(letter, log, lambda prev: log_step(prev, 0j, next(F)))
             else:
                 new = np.empty(coef.shape, complex)
-                ends += (self._interior_step(coef, letter, new, kern)[:, -1],)
+                F = self._interior_step(coef, letter, new, kern)[:, -1]
                 tops.append(new[..., M - 1:])
+                if log is None and _at_one(letter):
+                    log = coef[:, -1, :, None]
+                if log is not None:
+                    log = log_step(log, letter, F)
                 coef = new
-            levels.append((letter, coef, start, len(tops)))
-        # every step's error terms formed together, then summed level by level
+            levels.append((letter, coef, log, start, len(tops)))
+        # every step's error terms formed together, the log steps' (the last
+        # ones) put in, then summed level by level
         terms = self._terms(np.concatenate(tops), kern)
+        if logs:
+            logs = np.concatenate(logs)
+            terms[len(terms) - len(logs):, -1] = logs
         rows = list(accumulate((len(t) for t in tops), initial=0))
-        cum = cums[-1]
-        for j, (letter, coef, start, stop) in enumerate(levels, i + 1):
+        for j, (letter, coef, log, start, stop) in enumerate(levels, i + 1):
             if type(letter) is _BlockEnd:
                 cum = _mix_est(letter, cum, (terms[rows[s]:rows[s + 1]] for s in range(start, stop)))
             else:
                 cum = cum + terms[rows[start]:rows[stop]]
-            cums += (cum,)
-            level = (coef, cums, ends[:j])
-            self._keep((self.key, None, a[:j]), level, coef.nbytes + cum.nbytes)
+            level = (coef, cum, log)
+            self._keep((self.key, a[:j]), level, sum(x.nbytes for x in level if x is not None))
         return level
 
     @staticmethod
@@ -593,56 +616,12 @@ class _Plan:
         """Per column, the interior panels' error terms cum, summed in order."""
         return np.add.accumulate(cum[:, :-1], 1)[:, -1]
 
-    # --- log final panel: words with forms at 1 ---
-
-    def _final_consts(self, P: int, kern):
-        """(K, upow, logf, complex upow, complex lpow) of the final panel for P
-        forms at 1: upow[m] = u^m (a view of the kernel table) and lpow[p] =
-        log(u)^p at the panel's far end, logf = max(1, |log u|)^P; the complex
-        arrays are what the dot products cast them to."""
-        L = math.log(1.0 - self.t)
-        upow = kern[0][-1, -1]
-        lpow = np.array([L ** p for p in range(P + 1)], complex)
-        return _log_int_table(self.order, P), upow.real, max(1.0, abs(L)) ** P, upow, lpow
-
-    def _final_root(self, P: int):
-        cur = np.zeros((1, self.order + 1, P + 1), complex)
-        cur[:, 0, 0] = 1.0
-        return cur, np.zeros(1), 0.0
-
-    def _final(self, level, letter, F, interior_est, fc, kern):
-        """Level j of the final panel from level j - 1 (_final_step, or _mix
-        at a block end) and F, the interior level's ends (_extend).  A level
-        is (cur, est, interior_est): cur[c, m, p] the coefficient of
-        u^m log^p u in column c; est[c] its error terms summed over levels
-        1..j; interior_est the estimates of the interior panels."""
-        M = self.order
-        if type(letter) is _BlockEnd:
-            steps, terms = iter(F), []
-
-            def zero(prev):
-                cur = self._final_step(prev, 0j, next(steps), fc, kern)
-                terms.append(self._final_terms(cur[:, M - 1:], fc))
-                return cur
-
-            cur = _mix(letter, level[0], zero)
-            return cur, _mix_est(letter, level[1], terms), interior_est
-        cur = self._final_step(level[0], letter, F, fc, kern)
-        return cur, level[1] + self._final_terms(cur[:, M - 1:], fc), interior_est
-
-    def _final_terms(self, top, fc):
-        """Per column, the error term of a final-panel level whose rows m =
-        M - 1 and M are top."""
-        M = self.order
-        upow, logf = fc[1], fc[2]
-        below, top = np.abs(top).max(2).T
-        tail = np.maximum(top * upow[M], below * upow[M - 1])
-        return tail * logf * self.safety / (1.0 - self.safety)
-
-    def _final_step(self, prev, s: complex, F, fc, kern):
-        """The final panel's coefficients of u^m log^p u, u = 1 - t, after the
+    def _final_step(self, prev, s: complex, F, lpow, kern):
+        """The final panel's coefficients of u^m log^q u, u = 1 - t, after the
         letter s, from those in prev, for every column of prev at once, as in
-        _interior_step.
+        _interior_step.  lpow[q] = log(u)^q at the panel's far end, one per
+        log column of the result; prev has as many, or one fewer when s is at
+        1 (see _at_one).
 
         Forms at 1 divide by u and raise the log degree; any other form
         convolves every log power at once with its kernel -g^(n+1) (see
@@ -651,9 +630,9 @@ class _Plan:
         its form at 0.  F holds the new level's values at the end of the last
         interior panel, one per column, which fix the constant terms.
         """
-        K, upow_c, lpow_c = fc[0], fc[3], fc[4]
-        P = len(lpow_c) - 1
-        cur = np.zeros(prev.shape, complex)
+        P = len(lpow) - 1
+        K, upow = _log_int_table(self.order, P), kern[0][-1, -1]
+        cur = np.zeros(prev.shape[:-1] + (P + 1,), complex)
         minus = None
         if type(s) is tuple:
             s, zero = s
@@ -671,7 +650,7 @@ class _Plan:
                 prod -= minus
             _log_integrate(cur[..., 1:, :], prod.swapaxes(-1, -2), K, np.subtract)
         for col, f in zip(cur, F):   # one column at a time, as dot rounds a 2-D array
-            col[0, 0] = f - col.dot(lpow_c).dot(upow_c)
+            col[0, 0] = f - col.dot(lpow).dot(upow)
         return cur
 
     def _along_u(self, prev, s: complex, kern):
@@ -683,52 +662,48 @@ class _Plan:
         return _next_level(prev.swapaxes(-1, -2), pw[k, -1:], blocks[k], out)
 
     def _close(self, level):
-        """(values, ests) of the final panel, one per column: the (0, 0)
-        coefficients; leftover (0, p >= 1) coefficients measure how far the
-        input was from an honestly convergent word, folded into the estimate."""
-        cur, est, _ = level
-        L = math.log(1.0 - self.t)
-        resid = sum(np.hypot(c.real, c.imag) * abs(L) ** p for p, c in enumerate(cur[:, 0].T) if p)
-        return cur[:, 0, 0], est + resid
+        """(values, ests) of a level's final panel, one per column, after the
+        interior panels' estimates: the constant terms of coef's final-panel
+        row, or with a log row its (0, 0) coefficients, its error terms then
+        scaled by max(1, |log u|)^P, P the row's log columns but one.
+        Leftover (0, q >= 1) coefficients measure how far the input was from
+        an honestly convergent word, folded into the estimate."""
+        coef, cum, log = level
+        est = self._interior_est(cum)
+        if log is None:
+            return coef[:, -1, 0], est + cum[:, -1]
+        L = abs(math.log(1.0 - self.t))
+        resid = sum(np.hypot(c.real, c.imag) * L ** p for p, c in enumerate(log[:, 0].T) if p)
+        return log[:, 0, 0], est + (cum[:, -1] * max(1.0, L) ** (log.shape[-1] - 1) + resid)
 
     # --- one word ---
 
-    def march(self, a: tuple, P: int):
-        """The last level of the letters a (with P = 0 the interior level,
-        _extend, else the log final panel's, _final), resuming from the
-        longest prefix of a already marched under this plan.  A letter is a
-        form, a pair (s, 0) read as the form s minus the form at 0, or a
-        _BlockEnd; P counts the letters whose form, or first form, is 1."""
+    def march(self, a: tuple):
+        """The last level of the letters a, resuming from the longest prefix
+        of a already marched under this plan.  A letter is a form, a pair
+        (s, 0) read as the form s minus the form at 0, or a _BlockEnd."""
         n = len(a)
-        f, final = self._deepest(P, a, n) if P else (0, None)
-        if f < n:
-            kern = self._kernels()
-            i, level = self._deepest(None, a, n)
-            if i < n:
-                level = self._extend(level or self._interior_root(), a, i, n, kern)
-            if not P:
-                return level
-            fc = self._final_consts(P, kern)
-            cums, ends = level[1], level[2]
-            final = final or self._final_root(P)
-            for j in range(f + 1, n + 1):
-                final = self._final(final, a[j - 1], ends[j - 1], self._interior_est(cums[j]),
-                                    fc, kern)
-                self._keep((self.key, P, a[:j]), final, final[0].nbytes)
-        return final
-
-    def integrate(self, a: tuple, P: int):
-        """(values, ests) of the integral of the letters a, lists of one per
-        column: with P = 0 off the interior level's final-panel row, else by
-        _close."""
-        if not P:
-            coef, cums, _ = self.march(a, 0)
-            values, est = coef[:, -1, 0], self._interior_est(cums[-1]) + cums[-1][:, -1]
+        for i in range(n, 0, -1):
+            level = _STORE.find((self.key, a[:i]))
+            if level is not None:
+                break
         else:
-            final = self.march(a, P)
-            values, est = self._close(final)
-            est = final[2] + est
+            i, level = 0, self._root()
+        if i < n:
+            level = self._extend(level, a, i, n, self._kernels())
+        return level
+
+    def integrate(self, a: tuple):
+        """(values, ests) of the integral of the letters a, lists of one per
+        column (_close)."""
+        values, est = self._close(self.march(a))
         return values.tolist(), [e * 4.0 for e in est.tolist()]
+
+
+def _at_one(letter) -> bool:
+    """Whether the form of a letter, or the first form of a pair, is 1: the
+    letters that start or extend a level's log row."""
+    return (letter[0] if type(letter) is tuple else letter) == 1
 
 
 class _BlockEnd(tuple):
@@ -823,7 +798,7 @@ def iterated_integral(forms, cfg: EvalConfig = DEFAULT_CONFIG, star: bool = Fals
         letters = a[:1] + tuple(s if s == 0 else (s, 0j) for s in a[1:])
         if letters != a:
             sing.add(0j)
-    plan, (values, ests) = _on_plan(sing, a, cfg, lambda plan: plan.integrate(letters, a.count(1)))
+    plan, (values, ests) = _on_plan(sing, a, cfg, lambda plan: plan.integrate(letters))
     return values[0], ests[0], plan.public
 
 
@@ -877,8 +852,7 @@ def _panel_jet(A: int, k: Index, z: ArgVector, cfg: EvalConfig):
         sing.add(0j)
         letters = sum(((1 / gi,) + (0j,) * (ki - 1) + (_BlockEnd((ki, A)),)
                        for gi, ki in zip(z.tails, k.parts)), ())
-    plan, (cols, ests) = _on_plan(sing, forms, cfg,
-                                  lambda plan: plan.integrate(letters, forms.count(1)))
+    plan, (cols, ests) = _on_plan(sing, forms, cfg, lambda plan: plan.integrate(letters))
     if A:
         size = 8e-16 * (len(plan.steps) + len(letters))
         ests = [e + size * max(1.0, abs(c)) for c, e in zip(cols, ests)]
@@ -888,18 +862,18 @@ def _panel_jet(A: int, k: Index, z: ArgVector, cfg: EvalConfig):
 def _reg_row(k: Index, z: ArgVector, h: int, cfg: EvalConfig) -> tuple[complex, ...]:
     """Coefficients of T^0..T^h of the shuffle-regularized polynomial at
     (k, z), whose last h < depth places are (1, 1), read off one march of the
-    panel word with its trailing forms at 1: the u^0 row of the last log
-    final-panel level, sum cur[m, p] u^m log^p u, is the regularization at the
+    panel word with its trailing forms at 1: the u^0 row of the last level's
+    log row, sum log[m, p] u^m log^p u, is the regularization at the
     tangential base point at 1, log u read as -T, so coefficient p is
-    (-1)^(d+p) cur[0, p]; with h = 0, the constant term of the interior
-    level's final-panel row.  A failed march names the whole word."""
+    (-1)^(d+p) log[0, p]; a word with no form at 1 has no log row, and its
+    h = 0 coefficient is the constant term of the final-panel row.  A failed
+    march names the whole word."""
     d = k.depth
     forms = _panel_word(k.cut(1, d - h), z.cut(1, d - h)) + (1 + 0j,) * h
-    P = forms.count(1)
 
     def read(plan):
-        coef = plan.march(forms, P)[0][0]
-        return ((coef[0, :h + 1] if P else coef[-1:, 0]).tolist(),)
+        coef, _, log = plan.march(forms)
+        return ((coef[0, -1, :1] if log is None else log[0, 0, :h + 1]).tolist(),)
 
     _, (row,) = _on_plan(set(forms), forms, cfg, read)
     return tuple((-1) ** (d + p) * c for p, c in enumerate(row))

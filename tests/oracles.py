@@ -212,11 +212,23 @@ def ref_jet_series(A, k, z, cfg):
     return cur.sum(1)
 
 
-def ref_integrate(plan, letters, P):
+def _ref_final_consts(plan, P, kern):
+    """(upow, logf, lpow) of the log final panel with P + 1 log columns, as the
+    value and jet kernels built them: upow[m] = u^m (a view of the kernel
+    table), logf = max(1, |log u|)^P and lpow[p] = log(u)^p at the panel's
+    far end."""
+    L = math.log(1.0 - plan.t)
+    lpow = np.array([L ** p for p in range(P + 1)], complex)
+    return kern[0][-1, -1].real, max(1.0, abs(L)) ** P, lpow
+
+
+def ref_integrate(plan, letters, P, log_final=None):
     """(value, est) of the panel value kernel: one column of 2-D levels, the
     interior levels' error terms summed panel by panel in Python floats, then
-    with P >= 1 the log final panel; nothing read from or kept in the store
-    but the plan's kernel table."""
+    with log_final (by default P >= 1) the log final panel marched from the
+    root with P + 1 log columns; nothing read from or kept in the store but
+    the plan's kernel table."""
+    log_final = P >= 1 if log_final is None else log_final
     kern = plan._kernels()
     M = plan.order
     coef = np.zeros((len(plan.steps) + 1, M + 1), complex)
@@ -234,15 +246,14 @@ def ref_integrate(plan, letters, P):
     for panels in tails:
         cum = [c + max(t_top, t_below) * safety / rest for c, (t_below, t_top) in zip(cum, panels)]
     interior = reduce(add, cum[:-1])
-    if not P:
+    if not log_final:
         return complex(coef[-1, 0]), (interior + cum[-1]) * 4.0
-    fc = plan._final_consts(P, kern)
-    upow, logf = fc[1], fc[2]
+    upow, logf, lpow = _ref_final_consts(plan, P, kern)
     cur = np.zeros((M + 1, P + 1), complex)
     cur[0, 0] = 1.0
     est = 0.0
     for letter, F in zip(letters, ends):
-        cur = plan._final_step(cur[None], letter, [F], fc, kern)[0]
+        cur = plan._final_step(cur[None], letter, [F], lpow, kern)[0]
         below, top = np.maximum.reduce(np.abs(cur[M - 1:]), axis=1)
         est = est + max(top * upow[M], below * upow[M - 1]) * logf * safety / (1.0 - safety)
     L = math.log(1.0 - plan.t)
@@ -255,17 +266,18 @@ def ref_plan_jet(plan, blocks, A, P, log_final=None):
     the word whose blocks (s_i, k_i) are the form s_i then k_i - 1 forms at
     0, marched on a state of A + 1 columns that neither read nor kept levels,
     mixed after each block; no estimates.  The state holds the interior
-    panels and, with log_final (by default P >= 1), the log final panel."""
+    panels and, with log_final (by default P >= 1), the log final panel with
+    P + 1 log columns from the root on."""
     from mplparity import evaluate as E
 
     log_final = P >= 1 if log_final is None else log_final
     kern = plan._kernels()
-    fc = plan._final_consts(P, kern) if log_final else None
+    lpow = _ref_final_consts(plan, P, kern)[2]
 
     def step(state, s):
         new = np.empty(state[0].shape, complex)
         ends = plan._interior_step(state[0], s, new, kern)
-        return (new, plan._final_step(state[1], s, ends[:, -1], fc, kern)) if log_final else (new,)
+        return (new, plan._final_step(state[1], s, ends[:, -1], lpow, kern)) if log_final else (new,)
 
     coef = np.zeros((1, len(plan.steps) + 1, plan.order + 1), complex)
     coef[..., 0] = 1.0

@@ -9,6 +9,7 @@ import random
 import tracemalloc
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -258,6 +259,23 @@ def test_panels_against_quadrature():
         assert abs(val - want) <= max(est, 1e-13)
 
 
+# Words with forms at 1 (P of them) whose values are zeta values: the estimate
+# counts the log row's error terms scaled by max(1, |log u|)^P.
+MZV_WORDS = [((2,), lambda: mpmath.zeta(2)), ((3,), lambda: mpmath.zeta(3)),
+             ((1, 2), lambda: mpmath.zeta(3)), ((1, 3), lambda: mpmath.zeta(4) / 4),
+             ((2, 2), lambda: mpmath.pi ** 4 / 120), ((1, 1, 2), lambda: mpmath.zeta(4))]
+
+
+@pytest.mark.parametrize("parts,exact", MZV_WORDS)
+def test_panels_est_error_covers_zeta_values(parts, exact):
+    k, z = K(parts), V((1,) * len(parts))
+    assert evaluate._panel_word(k, z).count(1) == len(parts)
+    res = li_panels(k, z)
+    with mpmath.workdps(40):
+        want = complex(exact())
+    assert res.est_error >= abs(res.value - want), (parts, res, want)
+
+
 def test_panels_continuation_via_product_relation():
     # Li_{1,1}(a, b) for |b| > 1 re-expressed through convergent pieces only
     a, b = 0.3, 2.5j
@@ -436,7 +454,9 @@ def _ref_iterated_integral(forms, cfg=DEFAULT_CONFIG):
 
 @pytest.mark.parametrize("order", [8, 48])
 def test_final_panel_matches_loop_reference(order):
-    # one final-panel level at a time, from arbitrary values F at the panel's start
+    # one log row step at a time from the root, from arbitrary values F at the
+    # panel's start, one log column more at each form at 1; the reference
+    # carries P + 1 log columns throughout
     rng = random.Random(f"final-panel-{order}")
     for P in (0, 1, 2, 3):
         for _ in range(4):
@@ -445,10 +465,17 @@ def test_final_panel_matches_loop_reference(order):
             t = rng.uniform(0.3, 0.95)
             plan = _own_plan(forms, [], [], t, order)
             kern = plan._kernels()
-            fc = plan._final_consts(P, kern)
-            level = plan._final_root(P)
+            L = math.log(1.0 - t)
+            log = np.zeros((1, order + 1, 1), complex)
+            log[0, 0, 0] = 1.0
+            est = 0.0
             for j in range(1, len(forms) + 1):
-                level = plan._final(level, forms[j - 1], F[j:j + 1], 0.0, fc, kern)
+                lpow = np.array([L ** p for p in range(log.shape[-1] + (forms[j - 1] == 1))], complex)
+                log = plan._final_step(log, forms[j - 1], F[j:j + 1], lpow, kern)
+                est = est + plan._log_terms(log[:, order - 1:], kern)
+            assert log.shape == (1, order + 1, P + 1)
+            # one interior panel with no error terms: the estimate is the log row's
+            level = (None, np.array([[0.0, est[0]]]), log)
             got = [x[0] for x in plan._close(level)]
             want = _ref_final_panel(F, t, forms, order, 0.5)
             _assert_near_ref(got, want, (P, forms, t))
@@ -468,19 +495,34 @@ def _own_plan(forms, centers, steps, t, order):
 
 
 def _march_interior(plan, forms):
-    return plan._extend(plan._interior_root(), tuple(forms), 0, len(forms), plan._kernels())
+    """(level, ends): the last level of forms marched from the root, and the
+    values of each level at the end of the last interior panel, as
+    _interior_step returns them."""
+    ends = []
+    with pytest.MonkeyPatch.context() as m:
+        step = _Plan._interior_step
+
+        def recorded(self, *args):
+            out = step(self, *args)
+            ends.append(out[:, -1])
+            return out
+
+        m.setattr(_Plan, "_interior_step", recorded)
+        level = plan._extend(plan._root(), tuple(forms), 0, len(forms), plan._kernels())
+    return level, ends
 
 
 def _assert_interior_near_ref(got, want, forms):
-    """got is an interior level (coef, cums, ends) of one column, want the
+    """got is (level, ends) of one column (_march_interior), want the
     reference chain's (F, per-panel estimates)."""
-    _, cums, ends = got
+    (_, cum, _), ends = got
     want_F, want_est = want
+    assert len(ends) == len(want_F) - 1
     for l, (e, w) in enumerate(zip(ends, want_F[1:])):
         _assert_near_ref((e[0], 1.0), (w, 1.0), (forms, "level", l + 1))
-    for c, w in zip(cums[-1][0], want_est):
+    for c, w in zip(cum[0], want_est):
         _assert_near_ref((0.0, c), (0.0, w), (forms, "estimate"), noise=True)
-    _assert_near_ref((0.0, _Plan._interior_est(cums[-1])[0]),
+    _assert_near_ref((0.0, _Plan._interior_est(cum)[0]),
                      (0.0, functools.reduce(operator.add, want_est)), forms)
 
 
@@ -521,13 +563,16 @@ def test_interior_panel_matches_loop_reference(order):
 
 # --- the final panel of a word with no form at 1 ------------------------------
 #
-# With P = 0 the final panel is the last row of the interior level, a Taylor
-# row in u = 1 - t.  Its reference is the log final-panel chain at P = 0 run
-# from the same interior ends (itself held to the loop reference above).  The
-# two sum a row against its step powers in different orders: values agree
-# within 1e-14 relative, estimates within 1e-12 relative.  As in
-# _assert_near_ref, two estimates below 1e-16 max(1, |value|) are top
-# coefficients made of rounding noise and need only stay below it.
+# With no form at 1 the final panel is the last row of the interior level, a
+# Taylor row in u = 1 - t.  Its reference is the log final-panel chain at
+# P = 0 run from the same interior ends (ref_integrate, the log final panel
+# itself held to the loop reference above).  The two sum a row against its
+# step powers in different orders: values agree within 1e-14 relative,
+# estimates within 1e-12 relative.  As in _assert_near_ref, two estimates
+# below 1e-16 max(1, |value|) are top coefficients made of rounding noise and
+# need only stay below it.  A word with forms at 1 starts its log row from
+# this row, so its values and estimates keep to the same bounds against the
+# log chain run from the root (test_value_reads_equal_the_value_kernels).
 
 
 def _far_forms(rng, n_zeros, n_other):
@@ -592,20 +637,15 @@ def test_p0_final_row_matches_log_final_panel(order):
     assert any(p.centers[:1] == [0.0] and 0j in p.sing for p, _ in cases)   # t0 = 0 shifts
     assert any(type(s) is tuple for _, a in cases for s in a)               # pair letters
     for plan, letters in cases:
-        kern = plan._kernels()
-        coef, cums, ends = plan._extend(plan._interior_root(), letters, 0, len(letters), kern)
-        fc = plan._final_consts(0, kern)
-        final = plan._final_root(0)
-        for j, s in enumerate(letters):
-            final = plan._final(final, s, ends[j], plan._interior_est(cums[j + 1]), fc, kern)
-        value, est = plan._close(final)
-        want = value[0], (final[2] + est)[0]
-        got = coef[0, -1, 0], (plan._interior_est(cums[-1]) + cums[-1][:, -1])[0]
+        coef, cum, log = plan._extend(plan._root(), letters, 0, len(letters), plan._kernels())
+        assert log is None
+        want = ref_integrate(plan, letters, 0, log_final=True)
+        got = coef[0, -1, 0], (plan._interior_est(cum) + cum[:, -1])[0] * 4.0
         _assert_rel(got[0], want[0], 1e-14, (letters, "value"))
-        if max(got[1], want[1]) >= 1e-16 * max(1.0, abs(want[0])):
+        if max(got[1], want[1]) >= 4e-16 * max(1.0, abs(want[0])):
             _assert_rel(got[1], want[1], 1e-12, (letters, "estimate"))
-        values, ests = plan.integrate(letters, 0)
-        assert (values[0], ests[0]) == (got[0], got[1] * 4.0)
+        values, ests = plan.integrate(letters)
+        assert (values[0], ests[0]) == got
 
 
 def _jet_letters(blocks, A):
@@ -629,7 +669,7 @@ def test_p0_jet_matches_two_state_jet(order):
                 plan = _own_plan(sing, *_own_layout(rng), order)
             else:
                 plan = evaluate._plan(_sorted_set(sing), order, 0.5)
-            got = plan.integrate(_jet_letters(blocks, A), 0)[0]
+            got = plan.integrate(_jet_letters(blocks, A))[0]
             want = ref_plan_jet(plan, blocks, A, 0, log_final=True)
             assert len(got) == want.shape[0] == A + 1
             for c in range(A + 1):
@@ -786,6 +826,12 @@ def _plan_of(forms, cfg=DEFAULT_CONFIG):
     return evaluate._plan(sing, cfg.panel_order, cfg.panel_safety)
 
 
+def _kept_levels(plan):
+    """The levels kept under plan: the entries keyed on a prefix."""
+    return [level for key, (level, _) in evaluate._STORE.items()
+            if key[0] == plan.key and type(key[1]) is tuple]
+
+
 def _warm_up(forms, cfg=DEFAULT_CONFIG):
     """March one word with the singularities of forms, so that the next word
     of their plan is admitted to the store and keeps (evaluate._plan)."""
@@ -802,18 +848,17 @@ def test_words_sharing_a_plan_reuse_its_levels(built):
     assert len(built) < len(words)
     plan = _plan_of(words[-1])
     assert plan.public == iterated_integral(words[-1])[2]
-    levels = [key[1] for key in evaluate._STORE if key[0] == plan.key and len(key) == 3]
-    assert None in levels                             # interior levels
-    assert any(type(P) is int for P in levels)        # final-panel levels
+    levels = _kept_levels(plan)
+    assert any(log is None for _, _, log in levels)       # levels with no log row
+    assert any(log is not None for _, _, log in levels)   # levels with a log row
     _assert_store_within_budget()
 
 
 def test_a_plan_keeps_from_its_first_word(monkeypatch):
     # everything an admitted plan holds is in the store from its first kept
     # word on: a word sharing a prefix reuses the kernel table and marches
-    # only the interior levels past that prefix.  A word with no form at 1
-    # keeps its interior levels, whose last row is its final panel, and no log
-    # final-panel level
+    # only the levels past that prefix.  A word with no form at 1 keeps
+    # levels whose last row is its final panel, and no log row
     clear_caches()
     first = (-0.5 + 2j, 0j, 0.4 + 0.7j, 0j)
     second = first[:2] + (-0.5 + 2j, 0.4 + 0.7j)   # same forms, shares first[:2]
@@ -822,8 +867,8 @@ def test_a_plan_keeps_from_its_first_word(monkeypatch):
     plan = _plan_of(first)
     kern = evaluate._STORE.find((plan.key, "kernels"))
     assert kern is not None
-    assert all(evaluate._STORE.find((plan.key, None, first[:j])) is not None for j in (1, 2, 3, 4))
-    assert not [key for key in evaluate._STORE if key[0] == plan.key and isinstance(key[1], int)]
+    assert all(evaluate._STORE.find((plan.key, first[:j])) is not None for j in (1, 2, 3, 4))
+    assert all(log is None for _, _, log in _kept_levels(plan))
     _assert_store_within_budget()
     marched = _interior_levels(monkeypatch)
     iterated_integral(second)
@@ -915,11 +960,58 @@ def test_a_plan_is_admitted_on_its_second_word(monkeypatch, built):
     plan = evaluate._STORE.find((key, "layout"))
     assert type(plan) is _Plan and plan.kept
     assert evaluate._STORE.find((key, "kernels")) is not None
-    assert all(evaluate._STORE.find((key, None, second[:j])) is not None for j in (1, 2, 3, 4))
+    assert all(evaluate._STORE.find((key, second[:j])) is not None for j in (1, 2, 3, 4))
     _assert_store_within_budget()
     marched = _interior_levels(monkeypatch)
     iterated_integral(third)
     assert marched == [3, 4] and len(built) == 2
+
+
+def test_kept_levels_count_their_arrays():
+    # a kept level is a tuple of arrays, its log row None before the word's
+    # first form at 1, and counts exactly the bytes of its arrays
+    clear_caches()
+    s, r = -0.5 + 2j, 0.4 + 0.7j
+    words = [(s, 0j, r), (s, r, 0j, s), (s, 1, 0j, r), (s, 0j, 1, 0j, 1, r), (1, s, 0j, 1, r)]
+    _warm_up(words[0] + (1,))
+    for w in words:
+        iterated_integral(w)
+        iterated_integral(w, star=True)
+    k, A = K((2, 1, 2)), 2
+    _warm_up(evaluate._panel_word(k, V(WITNESS)))
+    li_shift_jet(A, k, V(WITNESS))
+    levels = [(key, entry) for key, entry in evaluate._STORE.items() if type(key[1]) is tuple]
+    assert any(level[2] is None for _, (level, _) in levels)
+    assert any(level[2] is not None for _, (level, _) in levels)
+    assert any(evaluate._BlockEnd in map(type, key[1]) for key, _ in levels)
+    for key, (level, nbytes) in levels:
+        assert type(level) is tuple and len(level) == 3, key
+        assert all(type(x) is np.ndarray for x in level[:2]), key
+        assert (level[2] is None) == (not any(map(evaluate._at_one, key[1]))), key
+        assert nbytes == sum(x.nbytes for x in level if x is not None), key
+    _assert_store_within_budget()
+
+
+def test_log_rows_are_shared_across_forms_at_one(monkeypatch):
+    # two words share a prefix past their first form at 1 and differ in their
+    # number of forms at 1: the second marches only past the shared prefix,
+    # and each reads the same bits whichever was marched first
+    s = -0.5 + 2j
+    one, two = (s, -1, 1, 0j, -1), (s, -1, 1, 0j, 1, 0j)   # P = 1 and P = 2, one plan
+    cold = {}
+    for w in (one, two):
+        clear_caches()
+        _warm_up(one + two)
+        cold[w] = iterated_integral(w)
+    for first, second in ((one, two), (two, one)):
+        clear_caches()
+        _warm_up(one + two)
+        assert iterated_integral(first) == cold[first]
+        marched = _interior_levels(monkeypatch)
+        assert iterated_integral(second) == cold[second]
+        assert marched == list(range(5, len(second) + 1)), (first, second)
+        monkeypatch.undo()
+        assert repr(iterated_integral(first)) == repr(cold[first])
 
 
 def test_plans_read_once_keep_only_markers():
@@ -1359,7 +1451,12 @@ def test_jet_length_must_be_a_nonnegative_int():
 # One kernel per route: a value is column 0 of its jet, so li_series,
 # li_panels and iterated_integral read A = 0 off the kernel the jets run.  The
 # two kernels each route ran before, one for values and one for jets
-# (oracles.py), are held to it under ==, value and estimate both.
+# (oracles.py), are held to it under ==, value and estimate both, for words
+# with no form at 1.  A word with P >= 1 forms at 1 starts its log row from
+# the final-panel row at its first form at 1, where the old kernels marched
+# the log final panel from the root: it keeps to the bounds between those two
+# (test_p0_final_row_matches_log_final_panel), 1e-14 relative on the value
+# and 1e-12 on the estimate.
 
 P_WORDS = [((2, 2), (-1, 1)), ((1, 2), (-1, -1)), ((2, 1), (-1, -1)), ((1, 1, 2), (1, -1, -1)),
            ((1, 2, 1), (-1, 1j, -1j)), ((2, 1, 1), (-1, -1, -1))]
@@ -1372,6 +1469,16 @@ def _panel_ref(k, z, star, cfg=DEFAULT_CONFIG):
     plan = evaluate._plan(_sorted_set(sing), cfg.panel_order, cfg.panel_safety)
     value, est = ref_integrate(plan, letters, forms.count(1))
     return (-1.0 if k.depth % 2 else 1.0) * value, est, forms.count(1)
+
+
+def _assert_value_kernel(got, want, P, what):
+    """got and want are (value, est) pairs, want the value kernel's for a
+    word with P forms at 1."""
+    if not P:
+        assert got == want, what
+        return
+    _assert_rel(got[0], want[0], 1e-14, (what, "value"))
+    _assert_rel(got[1], want[1], 1e-12, (what, "estimate"))
 
 
 def test_value_reads_equal_the_value_kernels():
@@ -1390,14 +1497,14 @@ def test_value_reads_equal_the_value_kernels():
             z = V(args)
             res = li_panels(k, z, star=star)
             value, est, P = _panel_ref(k, z, star)
-            assert (res.value, res.est_error) == (value, est), (k, z, star)
+            _assert_value_kernel((res.value, res.est_error), (value, est), P, (k, z, star))
             Ps.add(P)
         assert Ps == {0, 1, 2}
     # words with forms at 1 and 0 that share prefixes and plans, P = 0..3
     for w in _prefix_family(random.Random("value-reads-words")):
         sing = _sorted_set(w)
         plan = evaluate._plan(sing, DEFAULT_CONFIG.panel_order, DEFAULT_CONFIG.panel_safety)
-        assert iterated_integral(w)[:2] == ref_integrate(plan, w, w.count(1)), w
+        _assert_value_kernel(iterated_integral(w)[:2], ref_integrate(plan, w, w.count(1)), w.count(1), w)
     assert li_panels(K((2, 2)), V((-1, 1))).value == -0.5685258800390968
 
 

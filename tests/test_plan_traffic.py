@@ -42,6 +42,10 @@ def test_tiny_reg_batch_counts():
             assert again == admitted, row
         else:
             assert {key[0] for key in again} <= admitted, row
+    # a level carries a log row exactly when its prefix holds a letter at 1
+    logs = built["log final levels"]
+    assert logs and logs == [key for key in built["interior levels"]
+                             if any(map(evaluate._at_one, key[1]))]
     n, failed, rows, end = plan_traffic.traffic("reg", 0, 0, TINY_REG)
     assert (n, failed) == (len(items), 0) and end == store
     assert list(rows) == list(plan_traffic.ROWS)
@@ -62,7 +66,7 @@ def test_tiny_main_batch_counts_jet_levels():
             workloads.run_item("main", item)
     evaluate.clear_caches()
     levels = built["interior levels"]
-    jets = [key for key in levels if any(type(s) is evaluate._BlockEnd for s in key[2])]
+    jets = [key for key in levels if any(type(s) is evaluate._BlockEnd for s in key[1])]
     assert jets and len(jets) < len(levels)   # jet levels, counted with the values'
     n, failed, rows, _ = plan_traffic.traffic("main", 0, 0, TINY_MAIN)
     assert (n, failed) == (len(items), 0)

@@ -271,8 +271,8 @@ def test_march_poly_with_a_form_at_one_inside():
 
 def test_march_poly_of_a_convergent_value_is_its_panel_value():
     # h = 0: the polynomial is the constant value of the panel word, read off
-    # the log final panel when a form at 1 sits inside the word (z = (-1, -1))
-    # and off the interior level's final-panel row when none does
+    # the log row when a form at 1 sits inside the word (z = (-1, -1)) and off
+    # the level's final-panel row when none does
     for parts, args in (((2,), (-1.5,)), ((2, 1), (-1.5, 2j)), ((2, 1), (0.3 + 0.2j, 0.5)),
                         ((1, 2), (-1, -1))):
         k, z = K(parts), V(args)
