@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Print the sha256 of the stdout of the six canonical CLI runs.
+"""Print the sha256 of the stdout of the seven canonical CLI runs.
 
 Each run is one fresh interpreter with PYTHONHASHSEED=0, so the hashes are a
 fingerprint of the program's output: a change that claims byte-identical
-output must leave all six lines unchanged.  One line per run: the hash, then
+output must leave all seven lines unchanged.  One line per run: the hash, then
 the command.
 
     python3 scripts/canonical_hashes.py                       # this checkout
@@ -22,7 +22,7 @@ this checkout's figure first:
   selftest  the invariants whose pass flag or case count differs
 
 The exit status is 1 if a run exits with a code other than 0 or 1, or, with
---against, if the two checkouts print different bytes for any of the six
+--against, if the two checkouts print different bytes for any of the seven
 runs; otherwise 0.
 """
 
@@ -40,6 +40,8 @@ RUNS = (
     ["sweep", "--theorem", "main", "--depth-max", "4", "--weight-max", "6", "--points", "1"],
     ["sweep", "--theorem", "reg", "--region", "roots:2,4", "--depth-max", "3",
      "--weight-max", "4"],
+    ["sweep", "--theorem", "reg", "--mode", "shuffle", "--region", "roots:2,4",
+     "--depth-max", "3", "--weight-max", "4"],
     ["sweep", "--theorem", "hirose", "--depth-max", "4", "--weight-max", "7"],
     ["selftest"],
     ["eval", "k=2,1", "z=-1.5,2j"],

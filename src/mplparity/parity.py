@@ -7,8 +7,9 @@ with weight-shifted values on both sides of a split point.  Three flavours:
   plain  convergent arguments off the nonnegative reals
   reg    regularized values (stuffle or shuffle), arguments off R>=0 \\ {1},
          with an extra correction term for all-ones trailing blocks
-  mzv    the all-ones specialization, stuffle-regularized, with the log
-         correction collapsing to powers of pi
+  mzv    Hirose's formula: the stuffle reg right-hand side at z = (1, ..., 1)
+         with the odd powers of log(-1) dropped, so the Bernoulli factor is
+         (-1)^(l/2) (2 pi)^l B_l / l! at even l and 0 at odd l (hirose_row)
 
 The right-hand sides are assembled in a fixed lexicographic order over
 (m, n, a, b, l); per-(m, n) summands are exposed so regrouping checks can
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .evaluate import _value, li, li_shift_blocks, li_shift_jet, li_star, li_star_detail
 from .numcore import (
@@ -96,12 +98,28 @@ def all_ones_delta_mzv(k: Index) -> complex:
     return (-1) ** (d // 2) * math.pi ** d / math.factorial(d) + 0j
 
 
+@lru_cache(maxsize=None)
+def hirose_row(top: int) -> tuple[float, ...]:
+    """The B-factors of Hirose's formula for l = 0..top: (-1)^(l/2) (2 pi)^l
+    B_l / l! at even l, 0 at odd l.  This is bernoulli_factor(l, 1) on either
+    branch of log(-1) = +-i pi without its odd powers of log(-1), which leave
+    only l = 1, where bernoulli_factor is +-i pi."""
+    return tuple(0.0 if l % 2 else
+                 (-1) ** (l // 2) * (2 * math.pi) ** l * float(bernoulli_number(l))
+                 / math.factorial(l)
+                 for l in range(top + 1))
+
+
 def r_factor(n: int, k: Index, z: ArgVector, cfg: EvalConfig = DEFAULT_CONFIG,
-             mode: str = "plain") -> complex:
+             mode: str = "plain", row: tuple[float, ...] | None = None) -> complex:
     """Inner right-hand-side factor for split point n (1-based, local).
 
     sum over a + b + l = k_n of
-      (-1)^b B-factor_l(z_1...z_d) * blocks-shifted_a(front) * shifted_b(1/back)
+      (-1)^b F_l * blocks-shifted_a(front) * shifted_b(1/back)
+
+    F_l is row[l] when a row is given, else the B-factor
+    bernoulli_factor(l, z_1...z_d), computed only for terms whose front and
+    back are both nonzero; terms with F_l = 0 are skipped.
 
     Each shifted family is read as one jet (li_shift_jet), all of a = 0..k_n
     or b = 0..k_n at once.  The block-alternating front factor is the
@@ -133,20 +151,24 @@ def r_factor(n: int, k: Index, z: ArgVector, cfg: EvalConfig = DEFAULT_CONFIG,
             back = backs[b]
             if back == 0:
                 continue
-            term = (-1) ** b * bernoulli_factor(l, full_prod, cfg) * front * back
-            acc += term
+            factor = bernoulli_factor(l, full_prod, cfg) if row is None else row[l]
+            if factor == 0:
+                continue
+            acc += (-1) ** b * factor * front * back
     return acc
 
 
 def rhs_summands(k: Index, z: ArgVector, cfg: EvalConfig = DEFAULT_CONFIG,
-                 mode: str = "plain"):
-    """Per-(m, n) contributions of the double sum, in lexicographic order."""
+                 mode: str = "plain", row: tuple[float, ...] | None = None):
+    """Per-(m, n) contributions of the double sum, in lexicographic order;
+    row is passed on to r_factor."""
     d = k.depth
     for m in range(d):
         star_left = li_star(k.cut(1, m), z.cut(1, m), cfg, mode)
+        rest_k, rest_z = k.cut(m + 1, d), z.cut(m + 1, d)
         for n in range(m + 1, d + 1):
-            sign = (-1) ** (m + k.cut(n + 1, d).weight)
-            inner = r_factor(n - m, k.cut(m + 1, d), z.cut(m + 1, d), cfg, mode)
+            sign = (-1) ** (m + sum(k.parts[n:]))
+            inner = r_factor(n - m, rest_k, rest_z, cfg, mode, row)
             yield (m, n), sign * star_left * inner
 
 
@@ -157,15 +179,18 @@ def _lhs(k: Index, z: ArgVector, cfg: EvalConfig, mode: str) -> complex:
     return (-1) ** k.depth * star - (-1) ** k.weight * _value(k, z.reciprocal(), cfg, mode)
 
 
-def _delta_terms(k: Index, z: ArgVector, cfg: EvalConfig, mode: str, delta_of) -> complex:
-    """All-ones correction: minus the sum over m of (-1)^m star(k_1..k_m) times
-    delta_of(k_{m+1}..k_d, z_{m+1}..z_d)."""
+def _rhs(k: Index, z: ArgVector, cfg: EvalConfig, mode: str, delta_of, row=None) -> complex:
+    """Right side of a regularized identity: the all-ones correction (minus
+    the sum over m of (-1)^m star(k_1..k_m) times delta_of(k_{m+1}..k_d,
+    z_{m+1}..z_d)), then the double sum of rhs_summands with row."""
     d = k.depth
     acc = 0j
     for m in range(d):
         delta = delta_of(k.cut(m + 1, d), z.cut(m + 1, d))
         if delta:
             acc -= (-1) ** m * li_star(k.cut(1, m), z.cut(1, m), cfg, mode) * delta
+    for _mn, term in rhs_summands(k, z, cfg, mode, row):
+        acc += term
     return acc
 
 
@@ -188,9 +213,7 @@ def reg_sides(k: Index, z: ArgVector, mode: str, cfg: EvalConfig = DEFAULT_CONFI
     if mode not in ("stuffle", "shuffle"):
         raise ValueError(f"unknown mode {mode!r}")
     lhs = _lhs(k, z, cfg, mode)
-    rhs = _delta_terms(k, z, cfg, mode, lambda kt, zt: all_ones_delta(kt, zt, cfg))
-    for _mn, term in rhs_summands(k, z, cfg, mode):
-        rhs += term
+    rhs = _rhs(k, z, cfg, mode, lambda kt, zt: all_ones_delta(kt, zt, cfg))
     return ParityReport(
         theorem="reg", mode=mode, branch=cfg.branch_at_one,
         k=k.parts, z=z.entries, lhs=lhs, rhs=rhs, residual=residual(lhs, rhs),
@@ -198,33 +221,12 @@ def reg_sides(k: Index, z: ArgVector, mode: str, cfg: EvalConfig = DEFAULT_CONFI
 
 
 def mzv_sides(k: Index, cfg: EvalConfig = DEFAULT_CONFIG) -> ParityReport:
-    """All-ones specialization, stuffle-regularized throughout."""
-    d = k.depth
-    ones = ArgVector.of((1,) * d)
+    """Hirose's formula: the stuffle reg identity at all-ones, with the
+    Bernoulli factors of hirose_row and the all-ones correction in powers of pi."""
+    ones = ArgVector.of((1,) * k.depth)
     lhs = _lhs(k, ones, cfg, "stuffle")
-    rhs = _delta_terms(k, ones, cfg, "stuffle", lambda kt, _zt: all_ones_delta_mzv(kt))
-    for m in range(d):
-        star_left = li_star(k.cut(1, m), ones.cut(1, m), cfg, "stuffle")
-        for n in range(m + 1, d + 1):
-            kn = k.parts[n - 1]
-            mid_k = k.cut(m + 1, n - 1).reversed()
-            mid_z = ones.cut(m + 1, n - 1)
-            back_k = k.cut(n + 1, d)
-            backs = li_shift_jet(kn, back_k, ones.cut(n + 1, d), cfg, "stuffle")
-            for a, mid in enumerate(li_shift_jet(kn, mid_k, mid_z, cfg, "stuffle")):
-                if mid == 0:
-                    continue
-                for b in range(kn - a + 1):
-                    if (kn - a - b) % 2:
-                        continue
-                    l = (kn - a - b) // 2
-                    back = backs[b]
-                    if back == 0:
-                        continue
-                    coef = (2 * math.pi) ** (2 * l) * float(bernoulli_number(2 * l)) \
-                        / math.factorial(2 * l)
-                    sign = (-1) ** (m + back_k.weight + b + l)
-                    rhs += sign * coef * star_left * mid * back
+    rhs = _rhs(k, ones, cfg, "stuffle", lambda kt, _zt: all_ones_delta_mzv(kt),
+               hirose_row(max(k.parts, default=0)))
     return ParityReport(
         theorem="hirose", mode="stuffle", branch=cfg.branch_at_one,
         k=k.parts, z=ones.entries, lhs=lhs, rhs=rhs, residual=residual(lhs, rhs),
@@ -309,18 +311,13 @@ def check_derivative_r(n: int, k: Index, z: ArgVector, cfg: EvalConfig = DEFAULT
 
 def limit_probe(k: Index, z_rest: ArgVector, theta: float, ts,
                 cfg: EvalConfig = DEFAULT_CONFIG) -> list[float]:
-    """Magnitude of the reciprocal-side combination that must vanish as the
-    first argument spirals into 0 along angle theta; returns one magnitude per
-    t in ts (callers check decrease)."""
-    d = z_rest.depth + 1
-    k1 = k.parts[0]
-    shifts = li_shift_jet(k1, k.cut(2, d), z_rest.reciprocal(), cfg, "plain")
+    """|Li_k(1/z) + (-1)^(k_1) r_factor(1, k, z)| at z = (t e^(i theta), z_rest),
+    one magnitude per t in ts: the reciprocal side and the split-1 inner
+    factor, which cancel as the first argument spirals into 0 (callers check
+    decrease)."""
     out = []
     for t in ts:
         z = ArgVector.of((t * complex(math.cos(theta), math.sin(theta)),) + z_rest.entries)
-        val = li(k, z.reciprocal(), cfg).value
-        for b in range(k1 + 1):
-            l = k1 - b
-            val += (-1) ** (k1 + b) * bernoulli_factor(l, z.tails[0], cfg) * shifts[b]
+        val = li(k, z.reciprocal(), cfg).value + (-1) ** k.parts[0] * r_factor(1, k, z, cfg)
         out.append(abs(val))
     return out

@@ -367,7 +367,7 @@ def test_canonical_hashes_selftest_drift(capsys):
 
 
 def test_canonical_hashes_exit_status(monkeypatch, capsys):
-    # --against exits 1 when any of the six outputs differ; canned runs, no subprocesses
+    # --against exits 1 when any of the canonical outputs differ; canned runs, no subprocesses
     hashes = _canonical_hashes()
     report = {"records": [{"point": 0, "k": [1], "z": [[-2.0, 0.0]], "branch": 1,
                            "mode": "plain", "lhs": [1.0, 0.0], "rhs": [1.0, 0.0],
@@ -397,7 +397,7 @@ def test_canonical_hashes_exit_status(monkeypatch, capsys):
         assert hashes.main() == want, (argv, differ)
         lines = capsys.readouterr().out.splitlines()
         drift = [line for line in lines if line.startswith("    ")]
-        assert len(lines) == 6 + len(drift)
+        assert len(lines) == len(hashes.RUNS) + len(drift)
         # one drift line per run that differs, sweep, eval or selftest
         assert len(drift) == (sum(run[0] in differ for run in hashes.RUNS) if argv else 0)
 

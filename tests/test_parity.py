@@ -24,6 +24,7 @@ from mplparity.parity import (
     all_ones_delta_mzv,
     check_derivative,
     check_derivative_r,
+    hirose_row,
     limit_probe,
     main_sides,
     mzv_sides,
@@ -339,8 +340,10 @@ def test_mzv_depth_two_cases():
 
 
 def test_mzv_matches_reg_at_all_ones():
-    # mzv_sides sums its own closed form; at all-ones it must agree with
-    # reg_sides in stuffle mode, on both branches
+    # mzv_sides is reg_sides' stuffle right-hand side at all-ones with the
+    # Bernoulli factors of hirose_row in place of bernoulli_factor(l, 1) and
+    # the all-ones correction in powers of pi; the two must agree, on both
+    # branches
     ones_cases = [parts for d in range(1, 5) for parts in itertools.product(range(1, 8), repeat=d)
                   if sum(parts) <= 7]
     assert len(ones_cases) == 98
@@ -352,6 +355,53 @@ def test_mzv_matches_reg_at_all_ones():
             # odd weights give rhs 0 against ~1e-14, so the gap is the
             # package's relative one, |a - b| / max(1, |a|, |b|)
             assert residual(mzv.rhs, reg.rhs) < 1e-12, parts
+
+
+ZETA3 = 1.2020569031595942854
+ZETA5 = 1.0369277551433699263
+ZETA2, ZETA4 = math.pi ** 2 / 6, math.pi ** 4 / 90
+
+
+DEPTH_TWO_MZV = {
+    (1, 2): ZETA3,
+    (1, 3): math.pi ** 4 / 360,
+    (2, 2): (ZETA2 ** 2 - ZETA4) / 2,
+    (1, 4): 2 * ZETA5 - ZETA2 * ZETA3,
+    (2, 3): 3 * ZETA2 * ZETA3 - 11 / 2 * ZETA5,
+    (3, 2): 9 / 2 * ZETA5 - 2 * ZETA2 * ZETA3,
+}
+
+
+@pytest.mark.parametrize("parts", DEPTH_TWO_MZV, ids=lambda parts: "k=%d,%d" % parts)
+def test_mzv_depth_two_closed_forms(parts):
+    # package order: (1, 2) is the sum over m1 < m2 of 1/(m1 m2^2); the
+    # closed values are independent of the march and of reg_sides.  With
+    # star = value + zeta(w), lhs = star - (-1)^w value.
+    value, w = DEPTH_TWO_MZV[parts], sum(parts)
+    zeta_w = {3: ZETA3, 4: ZETA4, 5: ZETA5}[w]
+    want = 2 * value + zeta_w if w % 2 else zeta_w
+    for cfg in (DEFAULT_CONFIG, MINUS):
+        rep = mzv_sides(K(parts), cfg)
+        tol = 5e-14 * max(1.0, abs(want))
+        assert abs(rep.lhs - want) < tol, (parts, cfg.branch_at_one, rep.lhs, want)
+        assert abs(rep.rhs - want) < tol, (parts, cfg.branch_at_one, rep.rhs, want)
+
+
+def test_hirose_row_is_the_b_factor_at_one():
+    # at z = 1, log(-1) = +-i pi, so bernoulli_factor(l, 1) is (2 pi i)^l B_l / l!
+    # at l >= 2, 0 at odd l; the row drops the odd powers of log(-1), l = 1 too
+    row = hirose_row(14)
+    assert len(row) == 15
+    assert all(row[l] == 0 for l in range(1, 15, 2))
+    for cfg in (DEFAULT_CONFIG, MINUS):
+        assert bernoulli_factor(1, 1, cfg) == pytest.approx(cfg.branch_at_one * 1j * math.pi,
+                                                            abs=1e-15)
+        for l in range(15):
+            factor = bernoulli_factor(l, 1, cfg)
+            if l % 2 == 0:
+                assert abs(factor - row[l]) <= 1e-14 * abs(row[l]), (l, factor, row[l])
+            elif l >= 3:
+                assert abs(factor) <= 1e-13, (l, factor)
 
 
 def test_mzv_star_side_value():
