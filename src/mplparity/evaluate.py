@@ -31,15 +31,16 @@ t-jets (see below); a value is the jet of length one, read off column 0:
           The panels depend only on the set of singularities and the two
           panel knobs, so all words with one set are marched under one plan,
           one level at a time: level j of a word, the partial integral of its
-          prefix forms[:j], is computed on every panel from level j - 1, its
-          log row too.  A word resumes from the longest prefix already
-          marched under its plan.  Every kernel is geometric, so a level is
-          one prefix sum over all panels at once, the same blocked kernel as
-          the series route's, in powers of each form's ratio that a plan
-          builds for all its forms in one cumprod; one cumsum chains the
-          panels' end values.  A level's float operations depend only on the
-          plan and the level below, so a value is bit for bit the same
-          whatever was marched before it.
+          prefix forms[:j], is computed on every panel from level j - 1 in one
+          pass, its log row and error terms too: a letter is one step
+          (_Plan._step), a block end one mix of whole levels (_mix).  A word
+          resumes from the longest prefix already marched under its plan.
+          Every kernel is geometric, so a level is one prefix sum over all
+          panels at once, the same blocked kernel as the series route's, in
+          powers of each form's ratio that a plan builds for all its forms in
+          one cumprod; one cumsum chains the panels' end values.  A level's
+          float operations depend only on the plan and the level below, so a
+          value is bit for bit the same whatever was marched before it.
 
 Route agreement on the overlap region is one of the standing invariants; the
 dispatcher picks series strictly inside the polydisk and panels otherwise, and
@@ -51,8 +52,10 @@ The weight-shifted family li_shift(a, k, z), a = 0..A, is one t-jet
 prod z_i^{m_i} (m_i + t)^-k_i.  A plain jet is computed in one pass, routed as
 the value at (k, z) is (_route), every column with its own error estimate: a
 series with a t-axis of A + 1 rows, or a march of the value's word with a
-block end (k_i, A) after each block (_panel_jet, _mix).  A value's word has no
-block end, so up to its first block end a jet shares the value's levels.
+block end (k_i, A) after each block (_panel_jet), which mixes whole levels:
+Taylor and log rows by the shift weights, error terms by their absolute values
+(_mix).  A value's word has no block end, so up to its first block end a jet
+shares the value's levels.
 
 Value caches key on what the computation reads, never on provenance or on
 branch_at_one.  A value at (k, z) reads k.parts, z.entries, z.tails and the
@@ -91,7 +94,7 @@ import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import accumulate, combinations
+from itertools import combinations
 from operator import mul
 
 import numpy as np
@@ -217,8 +220,9 @@ def _series_jet(A: int, k: Index, z: ArgVector, cfg: EvalConfig,
         return [complex(d == 0)] + [0j] * A, [0.0] * (A + 1), 0
     g = z.tails
     r = max(abs(gi) for gi in g)
-    if r > SERIES_RADIUS:
-        raise DomainError(f"tail product of modulus {r:.4f} outside series radius")
+    for gi in g:
+        if not abs(gi) <= SERIES_RADIUS:   # NaN included, which max may skip
+            raise DomainError(f"tail product of modulus {abs(gi):.4f} outside series radius")
     n = _series_terms(r, d, cfg, star)
     bound = _series_tail_bound(r, d, n, star)
     cur = _shift_mix(np.full(n, g[0]).cumprod()[None], k.parts[0], A, n, 0)
@@ -399,7 +403,9 @@ class _Plan:
     u^m log^q u in the final panel, with one log column more at each letter
     at 1, and cum's last column sums the log row's error terms instead of
     the final-panel row's, unscaled by the log powers (_close); that row is
-    still stepped but never read.
+    still stepped but never read.  A level is built from the one below in
+    one pass (_extend): a letter is one _step, coefficients and error terms
+    together, a block end one _mix of the whole level.
 
     A plan holds nothing itself.  An admitted plan (kept, see _plan) keeps
     its layout, kernel table and levels as entries of _STORE under its key
@@ -423,12 +429,8 @@ class _Plan:
         """The subdivision, final panel included, built when asked for."""
         return PanelPlan(tuple(self.centers) + (1.0,), tuple(self.steps) + (1.0 - self.t,), self.order)
 
-    def _keep(self, key, value, nbytes: int) -> None:
-        if self.kept:
-            _STORE.keep(key, value, nbytes)
-
     def _kernels(self):
-        """(pw, blocks, index, zero): the powers every level convolves with.
+        """(pw, blocks, index, zero, hpow): the powers every level convolves with.
 
         pw[k, p, j] = g^j, j = 0..M, for singularity s = sing[k] (k = index[s])
         on panel p, the final panel last.  On an interior panel g = 1/(s - t0):
@@ -442,7 +444,8 @@ class _Plan:
         panel, else None; the only form a panel center can carry, as
         iterated_integral keeps every other form off [0, 1].  It is integrated
         by exponent shift there; like a form at 1 on the final panel, its
-        entry is a placeholder.
+        entry is a placeholder.  hpow[p] = (h^(M-1), h^M) on panel p, the
+        real copy _terms reads, is counted in the bytes a kept plan keeps.
         """
         kern = _STORE.find((self.key, "kernels"))
         if kern is not None:
@@ -477,8 +480,10 @@ class _Plan:
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 blocks = _blocks(-np.log(dist), M)
                 pw.cumprod(2, out=pw)
-        kern = (pw, blocks, index, zero)
-        self._keep((self.key, "kernels"), kern, pw.nbytes)
+        hpow = pw[-1, :, M - 1:].real.copy()
+        kern = (pw, blocks, index, zero, hpow)
+        if self.kept:
+            _STORE.keep((self.key, "kernels"), kern, pw.nbytes + hpow.nbytes)
         return kern
 
     def _root(self):
@@ -504,7 +509,7 @@ class _Plan:
         values, each the next panel's constant term.  The final row's constant
         term is the last interior end value minus the row's change."""
         M = self.order
-        pw, blocks, index, zero = kern
+        pw, blocks, index, zero, _ = kern
         pair = type(letter) is tuple
         k = index[letter[0] if pair else letter]
         out = coef[..., 1:]
@@ -535,10 +540,10 @@ class _Plan:
 
     def _terms(self, top, kern):
         """Per column and panel, max(|c_{M-1}| h^{M-1}, |c_M| h^M) scaled as in
-        the panel-by-panel march, top = coef[..., M - 1:].  np.hypot, unlike
-        np.abs, rounds as abs() of one entry does."""
-        t = np.hypot(top.real, top.imag) * kern[0][-1, :, self.order - 1:].real
-        return t.max(-1) * self.safety / (1.0 - self.safety)
+        the panel-by-panel march, top = coef[..., M - 1:], h^j from hpow.
+        np.hypot, unlike np.abs, rounds as abs() of one entry does."""
+        t = np.hypot(top.real, top.imag) * kern[4]
+        return np.maximum(t[..., 0], t[..., 1]) * self.safety / (1.0 - self.safety)
 
     def _log_terms(self, top, kern):
         """Per column, the error term of a log row whose rows m = M - 1 and M
@@ -548,67 +553,38 @@ class _Plan:
         below, top = np.abs(top).max(2).T
         return np.maximum(top * upow[M], below * upow[M - 1]) * self.safety / (1.0 - self.safety)
 
-    def _extend(self, level, a, i: int, n: int, kern):
-        """Levels i + 1..n of a from level i, each kept; returns level n.  A
-        letter is one _interior_step, then on a level with a log row one
-        _final_step from the step's interior end values; a block end is one
-        _mix of zero steps, of the log row too.  The first letter at 1 (see
-        _at_one) starts the log row from the final-panel row of the level
-        below, as one log column.
-
-        A level is (coef, cum, log) (see _Plan); cum[c, p] sums panel p's
-        error terms over levels 1..j, where a log row's terms replace those
-        of coef's final-panel row."""
+    def _step(self, level, letter, kern):
+        """The level after a letter other than a block end: one _interior_step,
+        its _terms added to cum, and on a level with a log row one _final_step
+        from the step's interior end values, its _log_terms in place of the
+        final-panel row's.  The first letter at 1 (see _at_one) starts the log
+        row from the level's final-panel row, as one log column."""
         M = self.order
         coef, cum, log = level
-        levels, tops, logs = [], [], []   # per new level (letter, coef, log, its steps in tops)
-
-        def log_step(prev, letter, F):
+        new = np.empty(coef.shape, complex)
+        F = self._interior_step(coef, letter, new, kern)[:, -1]
+        terms = self._terms(new[..., M - 1:], kern)
+        if log is None and _at_one(letter):
+            log = coef[:, -1, :, None]
+        if log is not None:
             L = math.log(1.0 - self.t)
-            lpow = np.array([L ** p for p in range(prev.shape[-1] + _at_one(letter))], complex)
-            cur = self._final_step(prev, letter, F, lpow, kern)
-            logs.append(self._log_terms(cur[:, M - 1:], kern))
-            return cur
+            lpow = np.array([L ** p for p in range(log.shape[-1] + _at_one(letter))], complex)
+            log = self._final_step(log, letter, F, lpow, kern)
+            terms[:, -1] = self._log_terms(log[:, M - 1:], kern)
+        return new, cum + terms, log
 
-        for letter in a[i:n]:
-            start = len(tops)
+    def _extend(self, level, a, i: int, n: int, kern):
+        """Levels i + 1..n of a from level i, each kept if the plan is kept;
+        returns level n.  A letter is one _step, a block end one _mix of the
+        whole level by zero steps."""
+        zero = lambda lv: self._step(lv, 0j, kern)
+        for j, letter in enumerate(a[i:n], i + 1):
             if type(letter) is _BlockEnd:
-                ends = []
-
-                def zero(prev):
-                    new = np.empty(prev.shape, complex)
-                    ends.append(self._interior_step(prev, 0j, new, kern)[:, -1])
-                    tops.append(new[..., M - 1:])
-                    return new
-
-                coef = _mix(letter, coef, zero)
-                if log is not None:
-                    F = iter(ends)
-                    log = _mix(letter, log, lambda prev: log_step(prev, 0j, next(F)))
+                level = _mix(letter, level, zero)
             else:
-                new = np.empty(coef.shape, complex)
-                F = self._interior_step(coef, letter, new, kern)[:, -1]
-                tops.append(new[..., M - 1:])
-                if log is None and _at_one(letter):
-                    log = coef[:, -1, :, None]
-                if log is not None:
-                    log = log_step(log, letter, F)
-                coef = new
-            levels.append((letter, coef, log, start, len(tops)))
-        # every step's error terms formed together, the log steps' (the last
-        # ones) put in, then summed level by level
-        terms = self._terms(np.concatenate(tops), kern)
-        if logs:
-            logs = np.concatenate(logs)
-            terms[len(terms) - len(logs):, -1] = logs
-        rows = list(accumulate((len(t) for t in tops), initial=0))
-        for j, (letter, coef, log, start, stop) in enumerate(levels, i + 1):
-            if type(letter) is _BlockEnd:
-                cum = _mix_est(letter, cum, (terms[rows[s]:rows[s + 1]] for s in range(start, stop)))
-            else:
-                cum = cum + terms[rows[start]:rows[stop]]
-            level = (coef, cum, log)
-            self._keep((self.key, a[:j]), level, sum(x.nbytes for x in level if x is not None))
+                level = self._step(level, letter, kern)
+            if self.kept:
+                _STORE.keep((self.key, a[:j]), level, sum(x.nbytes for x in level if x is not None))
         return level
 
     @staticmethod
@@ -656,7 +632,7 @@ class _Plan:
     def _along_u(self, prev, s: complex, kern):
         """prev, coefficients of u^m log^p u, convolved along u with the kernel
         of the form s on the final panel: one _next_level over every log power."""
-        pw, blocks, index, _ = kern
+        pw, blocks, index, _, _ = kern
         k = index[s]
         out = np.empty(prev.shape[:-2] + (prev.shape[-1], self.order), complex)
         return _next_level(prev.swapaxes(-1, -2), pw[k, -1:], blocks[k], out)
@@ -713,25 +689,25 @@ class _BlockEnd(tuple):
     __slots__ = ()
 
 
-def _mix(letter: _BlockEnd, cols: np.ndarray, zero, weight=_shift_weight) -> np.ndarray:
-    """Columns c = 0..A after the block end letter = (k, A): column c sums,
-    over l <= c, column c - l of cols after l more zero steps times
-    weight(k, l).  zero(prev) is prev after one zero step; cols may hold
-    fewer than A + 1 columns.  The columns' estimates mix alike, each zero
-    step adding its error terms, with weight |_shift_weight|."""
+def _mix(letter: _BlockEnd, level, zero):
+    """The level (coef, cum, log) after the block end letter = (k, A), of
+    columns c = 0..A: column c sums, over l <= c, column c - l of level after
+    l more zero steps, coef and log times _shift_weight(k, l), the error terms
+    cum times its absolute value, so every zero step's error terms count.
+    zero(level) is level after one zero step; level may hold fewer than A + 1
+    columns, and log may be None."""
     k, A = letter
-    mixed = np.zeros((A + 1,) + cols.shape[1:], cols.dtype)
-    mixed[:len(cols)] = cols
+    mixed = tuple(x if x is None else np.zeros((A + 1,) + x.shape[1:], x.dtype) for x in level)
+    for x, y in zip(mixed, level):
+        if y is not None:
+            x[:len(y)] = y
     for l in range(1, A + 1):
-        cols = zero(cols[:A + 1 - l])
-        mixed[l:l + len(cols)] += weight(k, l) * cols
+        level = zero(tuple(x if x is None else x[:A + 1 - l] for x in level))
+        w = _shift_weight(k, l)
+        for x, y, wl in zip(mixed, level, (w, abs(w), w)):
+            if y is not None:
+                x[l:l + len(y)] += wl * y
     return mixed
-
-
-def _mix_est(letter: _BlockEnd, est: np.ndarray, terms) -> np.ndarray:
-    """_mix of the estimates est, terms the error terms of each zero step."""
-    terms = iter(terms)
-    return _mix(letter, est, lambda prev: prev + next(terms), lambda k, l: abs(_shift_weight(k, l)))
 
 
 def _layout_bytes(panels: int) -> int:
@@ -760,11 +736,13 @@ def _plan(sing: tuple, order: int, safety: float) -> _Plan:
 
 def _on_plan(sing, forms: tuple, cfg: EvalConfig, read):
     """(plan, read(plan)), a tuple of lists of numbers, for the plan of the
-    singularities sing.  A singularity on the path other than 0 and 1 is a DomainError; a
-    failed layout or march, or a non-finite number, is an EvaluationError
-    whose witness is forms."""
+    singularities sing.  A non-finite singularity, or one on the path other
+    than 0 and 1, is a DomainError; a failed layout or march, or a non-finite
+    number, is an EvaluationError whose witness is forms."""
     sing = tuple(sorted(sing, key=lambda s: (s.real, s.imag)))
     for s in sing:
+        if not cmath.isfinite(s):
+            raise DomainError(f"form singularity {s} is not finite")
         if s not in (0, 1) and abs(s - min(max(s.real, 0.0), 1.0)) < PATH_CLEARANCE:
             raise DomainError(f"form singularity {s} lies on the integration path")
     try:
@@ -803,9 +781,11 @@ def iterated_integral(forms, cfg: EvalConfig = DEFAULT_CONFIG, star: bool = Fals
 
 
 def check_tails(z: ArgVector) -> tuple[complex, ...]:
-    """The tail products of z; DomainError if one lies in (1, inf)."""
+    """The tail products of z; DomainError if one is not finite or in (1, inf)."""
     g = z.tails
     for gi in g:
+        if not cmath.isfinite(gi):
+            raise DomainError(f"tail product {gi} is not finite")
         if gi.imag == 0 and gi.real > 1:
             raise DomainError(f"tail product {gi} lies in (1, inf)")
     return g

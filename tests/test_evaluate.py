@@ -654,6 +654,22 @@ def _jet_letters(blocks, A):
     return sum(((s,) + (0j,) * (k - 1) + (evaluate._BlockEnd((k, A)),) for s, k in blocks), ())
 
 
+def test_block_end_mixes_the_zero_steps_error_terms(monkeypatch):
+    # with one error term per panel and step, column c of a block end (2, 3)
+    # after two letters carries the two letters' terms and its c zero steps',
+    # weighted by |_shift_weight(2, c)|
+    monkeypatch.setattr(_Plan, "_terms", lambda self, top, kern: np.ones(top.shape[:2]))
+    clear_caches()
+    s = 0.3 + 1.2j
+    plan = _plan_of([s, 0])
+    cum = plan.march((s, 0j, evaluate._BlockEnd((2, 3))))[1]
+    clear_caches()
+    assert cum.shape == (4, len(plan.steps) + 1)
+    assert (cum[0] == 2).all()
+    for c in range(1, 4):
+        assert (cum[c] == abs(evaluate._shift_weight(2, c)) * (2 + c)).all(), c
+
+
 @pytest.mark.parametrize("order", [8, 48])
 def test_p0_jet_matches_two_state_jet(order):
     rng = random.Random(f"p0-jet-{order}")
@@ -1072,6 +1088,24 @@ def test_nonfinite_march_is_an_evaluation_error(offset):
     assert info.value.forms == (form,) and info.value.panels > 1
     with pytest.raises(EvaluationError):
         li_panels(K((2,)), V((1 / form,)))
+
+
+def test_nonfinite_input_is_a_domain_error():
+    # each route's domain check rejects it before a panel is marched: a NaN
+    # tail, which max over the tails may skip, and a tail product that
+    # overflows to -inf
+    nan = float("nan")
+    clear_caches()
+    cases = [lambda: li(K((2,)), V((nan,)), route="series"),
+             lambda: li(K((1, 1)), V((nan, 0.5)), route="series"),
+             lambda: li(K((2,)), V((nan,))),
+             lambda: li_shift_jet(2, K((2,)), V((nan,))),
+             lambda: iterated_integral([nan]),
+             lambda: li(K((1, 1)), V((1e200j, 1e200j)))]
+    for case in cases:
+        with pytest.raises(DomainError):
+            case()
+    assert not evaluate._STORE
 
 
 def test_dispatch_routes():
