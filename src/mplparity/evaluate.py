@@ -811,10 +811,13 @@ def li_panels(k: Index, z: ArgVector, cfg: EvalConfig = DEFAULT_CONFIG,
 
 def _panel_word(k: Index, z: ArgVector) -> tuple[complex, ...]:
     """The forms [1/g_1, 0^(k_1-1), 1/g_2, 0^(k_2-1), ...] of the value at
-    (k, z); DomainError where the panel route cannot take (k, z)."""
+    (k, z); DomainError where the panel route cannot take (k, z), a tail
+    product that underflows to 0 included."""
     if any(e == 0 for e in z.entries):
         raise DomainError("panel route needs nonzero arguments")
     g = check_tails(z)
+    if 0 in g:
+        raise DomainError(f"tail products {g} underflow to 0")
     if k.parts[-1] == 1 and z.symbols[-1].value == 1:
         raise DomainError("terminal pair (k_d, z_d) = (1, 1) diverges")
     return tuple(f for gi, ki in zip(g, k.parts) for f in (1 / gi,) + (0j,) * (ki - 1))

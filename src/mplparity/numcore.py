@@ -134,15 +134,20 @@ def bernoulli_poly(l: int, x: complex) -> complex:
 
 
 def bernoulli_factor(l: int, z: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
-    """(2*pi*i)^l / l! * B_l(1/2 + log(-z)/(2*pi*i)).
+    """(2*pi*i)^l / l! * B_l(1/2 + log(-z)/(2*pi*i)), entry l of bernoulli_row.
 
     The degree-0 value is 1 and the degree-1 value is log(-z); these are the
     cheapest self-checks of the normalization.
     """
     if l < 0:
         raise ValueError("negative degree")
+    return bernoulli_row(l, z, cfg)[l]
+
+
+def bernoulli_row(top: int, z: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> tuple[complex, ...]:
+    """(bernoulli_factor(l, z, cfg) for l = 0..top), with log(-z) taken once."""
     x = 0.5 + log_minus(z, cfg) / TWO_PI_I
-    return TWO_PI_I ** l / math.factorial(l) * bernoulli_poly(l, x)
+    return tuple(TWO_PI_I ** l / math.factorial(l) * bernoulli_poly(l, x) for l in range(top + 1))
 
 
 _EM_M = 24

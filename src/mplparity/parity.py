@@ -16,6 +16,14 @@ The right-hand sides are assembled in a fixed lexicographic order over
 compare different bracketings.  Floating addition is not associative, so
 regrouped totals agree to rounding (documented), while the summand lists
 themselves are identical by construction.
+
+Caching: the inner factor r_factor(n - m, k_{m+1..d}, z_{m+1..d}) depends
+only on the suffix, so rhs_summands reads each suffix's factors for every
+split point as one tuple, r_factors, from a value memo that clear_caches()
+empties.  It keys on the numbers the factors read, with branch_at_one only
+where log(-1) is read, so a suffix met again across indices, across the two
+branches or in Hirose's formula is assembled once.  Within one r_factor the
+B-factors are one bernoulli_row, computed once per call.
 """
 from __future__ import annotations
 
@@ -23,13 +31,14 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .evaluate import _value, li, li_shift_blocks, li_shift_jet, li_star, li_star_detail
+from .evaluate import CacheKey, _knobs, _value, li, li_shift_blocks, li_shift_jet, li_star, li_star_detail
 from .numcore import (
     DEFAULT_CONFIG,
     EvalConfig,
-    bernoulli_factor,
     bernoulli_number,
+    bernoulli_row,
     log_minus,
+    memo,
 )
 from .words import ArgVector, Index
 
@@ -101,9 +110,9 @@ def all_ones_delta_mzv(k: Index) -> complex:
 @lru_cache(maxsize=None)
 def hirose_row(top: int) -> tuple[float, ...]:
     """The B-factors of Hirose's formula for l = 0..top: (-1)^(l/2) (2 pi)^l
-    B_l / l! at even l, 0 at odd l.  This is bernoulli_factor(l, 1) on either
+    B_l / l! at even l, 0 at odd l.  This is bernoulli_row(top, 1) on either
     branch of log(-1) = +-i pi without its odd powers of log(-1), which leave
-    only l = 1, where bernoulli_factor is +-i pi."""
+    only l = 1, where the row holds +-i pi."""
     return tuple(0.0 if l % 2 else
                  (-1) ** (l // 2) * (2 * math.pi) ** l * float(bernoulli_number(l))
                  / math.factorial(l)
@@ -117,9 +126,10 @@ def r_factor(n: int, k: Index, z: ArgVector, cfg: EvalConfig = DEFAULT_CONFIG,
     sum over a + b + l = k_n of
       (-1)^b F_l * blocks-shifted_a(front) * shifted_b(1/back)
 
-    F_l is row[l] when a row is given, else the B-factor
-    bernoulli_factor(l, z_1...z_d), computed only for terms whose front and
-    back are both nonzero; terms with F_l = 0 are skipped.
+    F_l is row[l]; without a given row, the row of B-factors
+    bernoulli_row(k_n, z_1...z_d), computed once per call.  Terms whose
+    front, back or F_l is 0 are skipped.  rhs_summands reads these factors
+    through r_factors, one cached tuple per suffix.
 
     Each shifted family is read as one jet (li_shift_jet), all of a = 0..k_n
     or b = 0..k_n at once.  The block-alternating front factor is the
@@ -141,35 +151,57 @@ def r_factor(n: int, k: Index, z: ArgVector, cfg: EvalConfig = DEFAULT_CONFIG,
     else:
         fronts = li_shift_jet(kn, front_k.reversed(), front_z.reversed(), cfg, mode)
     backs = li_shift_jet(kn, k.cut(n + 1, d), z.cut(n + 1, d).reciprocal(), cfg, mode)
-    full_prod = z.tails[0]
+    if row is None:
+        row = bernoulli_row(kn, z.tails[0], cfg)
     acc = 0j
     for a, front in enumerate(fronts):
         if front == 0:
             continue
         for b in range(kn - a + 1):
-            l = kn - a - b
-            back = backs[b]
-            if back == 0:
-                continue
-            factor = bernoulli_factor(l, full_prod, cfg) if row is None else row[l]
-            if factor == 0:
+            back, factor = backs[b], row[kn - a - b]
+            if back == 0 or factor == 0:
                 continue
             acc += (-1) ** b * factor * front * back
     return acc
 
 
+@memo(maxsize=100_000)
+def _r_factors_cached(key: CacheKey) -> tuple[complex, ...]:
+    k, z, cfg, mode, row = key.args
+    return tuple(r_factor(n, k, z, cfg, mode, row) for n in range(1, k.depth + 1))
+
+
+def r_factors(k: Index, z: ArgVector, cfg: EvalConfig = DEFAULT_CONFIG,
+              mode: str = "plain", row: tuple[float, ...] | None = None) -> tuple[complex, ...]:
+    """(r_factor(n, k, z, cfg, mode, row) for n = 1..depth), computed together
+    and cached as one.  The key is what the factors read: mode, k.parts,
+    z.numbers, the numeric knobs, the entries of a given row up to the
+    largest part of k, and branch_at_one only where it is read, when no row
+    is given and z_1...z_d is exactly 1 (log(-1)).  So a suffix met again,
+    in another index, on the other branch (unless its product is 1) or among
+    Hirose's indices, whatever their largest part, is assembled once.  Like
+    the value keys it holds numbers, not provenance: the fronts read
+    products of cuts of z, which a contracted vector may round differently
+    in the last bit from a plain vector with its entries and tails."""
+    if row is not None:
+        row = row[:max(k.parts, default=0) + 1]
+    key = ("r_factors", mode, k.parts) + z.numbers + _knobs(cfg) + (row,)
+    if row is None and z.tails[0] == 1:
+        key += (cfg.branch_at_one,)
+    return _r_factors_cached(CacheKey(key, k, z, cfg, mode, row))
+
+
 def rhs_summands(k: Index, z: ArgVector, cfg: EvalConfig = DEFAULT_CONFIG,
                  mode: str = "plain", row: tuple[float, ...] | None = None):
     """Per-(m, n) contributions of the double sum, in lexicographic order;
-    row is passed on to r_factor."""
+    the inner factors of one m are the suffix's r_factors, with row."""
     d = k.depth
     for m in range(d):
         star_left = li_star(k.cut(1, m), z.cut(1, m), cfg, mode)
-        rest_k, rest_z = k.cut(m + 1, d), z.cut(m + 1, d)
+        inners = r_factors(k.cut(m + 1, d), z.cut(m + 1, d), cfg, mode, row)
         for n in range(m + 1, d + 1):
             sign = (-1) ** (m + sum(k.parts[n:]))
-            inner = r_factor(n - m, rest_k, rest_z, cfg, mode, row)
-            yield (m, n), sign * star_left * inner
+            yield (m, n), sign * star_left * inners[n - m - 1]
 
 
 def _lhs(k: Index, z: ArgVector, cfg: EvalConfig, mode: str) -> complex:

@@ -1108,6 +1108,23 @@ def test_nonfinite_input_is_a_domain_error():
     assert not evaluate._STORE
 
 
+def test_underflowing_tail_is_a_domain_error_on_panels():
+    # nonzero entries whose tail product underflows to 0: the panel route
+    # cannot take the form 1/0, the default route takes the series, whose
+    # value and jet are 0
+    k, z = K((1, 1)), V((1e-200, 1e-200))
+    assert z.tails[0] == 0 and all(z.entries)
+    clear_caches()
+    for case in (lambda: li(k, z, route="panels"),
+                 lambda: evaluate._panel_jet(0, k, z, DEFAULT_CONFIG),
+                 lambda: evaluate._panel_jet(2, k, z, DEFAULT_CONFIG)):
+        with pytest.raises(DomainError, match="underflow"):
+            case()
+    assert not evaluate._STORE
+    assert li(k, z).value == 0 and li(k, z).method == "series"
+    assert li_shift_jet(2, k, z) == (0j, 0j, 0j)
+
+
 def test_dispatch_routes():
     assert li(K((1, 1)), V((0.3, 0.4))).method == "series"
     assert li(K((1, 1)), V((2j, -3))).method == "panels"

@@ -5,6 +5,7 @@ import math
 import pickle
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from mplparity.numcore import (
@@ -15,6 +16,7 @@ from mplparity.numcore import (
     bernoulli_factor,
     bernoulli_number,
     bernoulli_poly,
+    bernoulli_row,
     domain_check,
     log_minus,
     principal_log,
@@ -107,6 +109,24 @@ def test_bernoulli_factor_branch_at_one():
     assert bernoulli_factor(2, 1 + 0j, EvalConfig(branch_at_one=1)) == pytest.approx(
         bernoulli_factor(2, 1 + 0j, EvalConfig(branch_at_one=-1))
     )
+
+
+def test_bernoulli_row_is_the_factors_at_once():
+    # entry l is bernoulli_factor(l, w) bit for bit, at w = 1 on both branches
+    # and at generic w, and the closed form (2 pi i)^l / l! B_l(1/2 +
+    # log(-w)/(2 pi i)) in 40 digits to rounding
+    two_pi_i = 2j * mpmath.pi
+    with mpmath.workdps(40):
+        for w in (1 + 0j, -0.5 + 0.25j, 2j):
+            for cfg in (EvalConfig(branch_at_one=1), EvalConfig(branch_at_one=-1)):
+                row = bernoulli_row(10, w, cfg)
+                assert len(row) == 11
+                assert row == tuple(bernoulli_factor(l, w, cfg) for l in range(11))
+                x = 0.5 + mpmath.mpc(log_minus(w, cfg)) / two_pi_i
+                for l, got in enumerate(row):
+                    want = complex(two_pi_i ** l / mpmath.factorial(l) * mpmath.bernpoly(l, x))
+                    assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (w, cfg, l)
+    assert bernoulli_row(0, -2 + 0j) == (1 + 0j,)
 
 
 def test_config_validation():

@@ -7,11 +7,12 @@ import random
 
 import pytest
 
-from mplparity import evaluate
+from mplparity import evaluate, parity
 from mplparity.numcore import (
     DEFAULT_CONFIG,
     EvalConfig,
     bernoulli_factor,
+    bernoulli_row,
     domain_check,
     log_minus,
     zeta,
@@ -20,6 +21,7 @@ from mplparity.words import ArgVector, Index
 from mplparity.evaluate import _value, li, li_shift_blocks, li_star
 from oracles import shift_reference
 from mplparity.parity import (
+    _rhs,
     all_ones_delta,
     all_ones_delta_mzv,
     check_derivative,
@@ -31,6 +33,7 @@ from mplparity.parity import (
     p_value,
     q_value,
     r_factor,
+    r_factors,
     reg_sides,
     residual,
     rhs_summands,
@@ -168,6 +171,81 @@ def test_r_factor_matches_block_reference_regularized():
                     assert residual(got, want) < 1e-12, (n, kk, zz, cfg, got, want)
                     assert r_factor(n, kk, zz, cfg, "shuffle") \
                         == _ref_r_factor(n, kk, zz, cfg, "shuffle"), (n, kk, zz, cfg)
+
+
+def _rhs_per_split(k, z, cfg, mode, delta_of, row=None):
+    """_rhs with one r_factor call per (m, n), in the same order: the
+    reference for the cached rows of r_factors."""
+    d = k.depth
+    acc = 0j
+    for m in range(d):
+        delta = delta_of(k.cut(m + 1, d), z.cut(m + 1, d))
+        if delta:
+            acc -= (-1) ** m * li_star(k.cut(1, m), z.cut(1, m), cfg, mode) * delta
+    for m in range(d):
+        star_left = li_star(k.cut(1, m), z.cut(1, m), cfg, mode)
+        for n in range(m + 1, d + 1):
+            inner = r_factor(n - m, k.cut(m + 1, d), z.cut(m + 1, d), cfg, mode, row)
+            acc += (-1) ** (m + sum(k.parts[n:])) * star_left * inner
+    return acc
+
+
+def test_rhs_from_rows_matches_per_split_loop():
+    # every right-hand side read through r_factors, from empty caches and
+    # again from the kept rows, equals the per-(m, n) loop bit for bit: reg
+    # at random roots:2,4 points in both modes, main and Hirose's formula,
+    # each on both branches
+    rng = random.Random("rows")
+    points = []
+    while len(points) < 6:
+        d = rng.randint(2, 3)
+        args = tuple(rng.choice((1, 1j, -1, -1j)) for _ in range(d))
+        if not domain_check(args, "consecutive", "nonneg_not_one"):
+            points.append((K(tuple(rng.randint(1, 2) for _ in range(d))), V(args)))
+    main_points = [(K(parts), V(sample_main_point(rng, len(parts))))
+                   for parts in ((2, 1), (1, 1, 2))]
+    ones = [(K(parts), V((1,) * len(parts))) for parts in ((1, 2), (2, 1, 1), (1, 3, 1))]
+    for cfg in (DEFAULT_CONFIG, MINUS):
+        reg_delta = lambda kt, zt: all_ones_delta(kt, zt, cfg)
+        runs = (("stuffle", points, reg_delta, None),
+                ("shuffle", points, reg_delta, None),
+                ("plain", main_points, lambda kt, zt: 0j, None),
+                ("stuffle", ones, lambda kt, _zt: all_ones_delta_mzv(kt), hirose_row(3)))
+        for mode, cases, delta_of, row in runs:
+            evaluate.clear_caches()
+            cold = [_rhs(k, z, cfg, mode, delta_of, row) for k, z in cases]
+            want = [_rhs_per_split(k, z, cfg, mode, delta_of, row) for k, z in cases]
+            warm = [_rhs(k, z, cfg, mode, delta_of, row) for k, z in cases]
+            assert cold == want == warm, (mode, row, cfg.branch_at_one)
+        assert [q_value(k, z, cfg) for k, z in main_points] \
+            == [_rhs_per_split(k, z, cfg, "plain", lambda kt, zt: 0j) for k, z in main_points]
+        assert [mzv_sides(k, cfg).rhs for k, _ in ones] \
+            == [_rhs_per_split(k, z, cfg, "stuffle", lambda kt, _zt: all_ones_delta_mzv(kt),
+                               hirose_row(max(k.parts))) for k, z in ones]
+    evaluate.clear_caches()
+
+
+def test_rows_key_on_the_branch_only_at_product_one():
+    # a suffix whose product is exactly 1 reads log(-1), so it keeps one row
+    # per branch; any other suffix, and every suffix with a given row, keeps
+    # one row for both, which is the row the other branch computes.  A given
+    # row keys on the entries the suffix reads, up to its largest part
+    cached = parity._r_factors_cached
+    k = K((1, 2))
+    for args, per_branch in (((1j, -1j), 2), ((1, 1), 2), ((-1, 1j), 1)):
+        z = V(args)
+        evaluate.clear_caches()
+        assert cached.cache_info().currsize == 0
+        rows = [r_factors(k, z, cfg, "stuffle") for cfg in (DEFAULT_CONFIG, MINUS)]
+        assert cached.cache_info().currsize == per_branch, args
+        for cfg, got in zip((DEFAULT_CONFIG, MINUS), rows):
+            evaluate.clear_caches()
+            assert got == tuple(r_factor(n, k, z, cfg, "stuffle") for n in (1, 2)), args
+        for cfg, top in ((DEFAULT_CONFIG, 2), (MINUS, 5)):
+            r_factors(k, z, cfg, "stuffle", hirose_row(top))
+        assert cached.cache_info().currsize == 1, args
+    evaluate.clear_caches()
+    assert cached.cache_info().currsize == 0
 
 
 def test_wrong_jet_weight_trips_the_main_identity(monkeypatch):
@@ -388,16 +466,16 @@ def test_mzv_depth_two_closed_forms(parts):
 
 
 def test_hirose_row_is_the_b_factor_at_one():
-    # at z = 1, log(-1) = +-i pi, so bernoulli_factor(l, 1) is (2 pi i)^l B_l / l!
-    # at l >= 2, 0 at odd l; the row drops the odd powers of log(-1), l = 1 too
+    # at z = 1, log(-1) = +-i pi, so bernoulli_row(top, 1) holds (2 pi i)^l
+    # B_l / l! at l >= 2, 0 at odd l; hirose_row is its even part, dropping
+    # the odd powers of log(-1), l = 1 too
     row = hirose_row(14)
     assert len(row) == 15
     assert all(row[l] == 0 for l in range(1, 15, 2))
     for cfg in (DEFAULT_CONFIG, MINUS):
-        assert bernoulli_factor(1, 1, cfg) == pytest.approx(cfg.branch_at_one * 1j * math.pi,
-                                                            abs=1e-15)
-        for l in range(15):
-            factor = bernoulli_factor(l, 1, cfg)
+        at_one = bernoulli_row(14, 1, cfg)
+        assert at_one[1] == pytest.approx(cfg.branch_at_one * 1j * math.pi, abs=1e-15)
+        for l, factor in enumerate(at_one):
             if l % 2 == 0:
                 assert abs(factor - row[l]) <= 1e-14 * abs(row[l]), (l, factor, row[l])
             elif l >= 3:

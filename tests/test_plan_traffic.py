@@ -3,7 +3,7 @@
 import importlib.util
 from pathlib import Path
 
-from mplparity import evaluate
+from mplparity import evaluate, parity
 
 _PATH = Path(__file__).resolve().parent.parent / "scripts" / "plan_traffic.py"
 _spec = importlib.util.spec_from_file_location("plan_traffic", _PATH)
@@ -30,7 +30,13 @@ def test_tiny_reg_batch_counts():
     layouts = [value for key, (value, _) in evaluate._STORE.items() if key[1] == "layout"]
     admitted = {plan.key for plan in layouts if plan is not evaluate._SEEN}
     store = evaluate._STORE.nbytes, len(evaluate._STORE)
+    rows_memo = parity._r_factors_cached.cache_info()
     evaluate.clear_caches()
+    # each item reads one suffix row per place of its index, and rows recur
+    # (both branches of a point, suffixes shared by indices)
+    read = sum(len(item["k"]) for item in items)
+    assert rows_memo.hits + rows_memo.misses == read
+    assert 0 < rows_memo.misses == rows_memo.currsize < read
     assert admitted and len(admitted) < len(layouts)   # sets read again, and sets read once
     # everything fits in the store, so a plan and its kernel table are built
     # twice only when a later word admits the plan, and a level only when an
@@ -46,8 +52,9 @@ def test_tiny_reg_batch_counts():
     logs = built["log final levels"]
     assert logs and logs == [key for key in built["interior levels"]
                              if any(map(evaluate._at_one, key[1]))]
-    n, failed, rows, end = plan_traffic.traffic("reg", 0, 0, TINY_REG)
+    n, failed, rows, end, suffix = plan_traffic.traffic("reg", 0, 0, TINY_REG)
     assert (n, failed) == (len(items), 0) and end == store
+    assert suffix == (read, rows_memo.misses)
     assert list(rows) == list(plan_traffic.ROWS)
     for row, keys in built.items():
         assert rows[row] == (len(keys), len(set(keys))) and keys, row
@@ -68,7 +75,7 @@ def test_tiny_main_batch_counts_jet_levels():
     levels = built["interior levels"]
     jets = [key for key in levels if any(type(s) is evaluate._BlockEnd for s in key[1])]
     assert jets and len(jets) < len(levels)   # jet levels, counted with the values'
-    n, failed, rows, _ = plan_traffic.traffic("main", 0, 0, TINY_MAIN)
+    n, failed, rows, _, _ = plan_traffic.traffic("main", 0, 0, TINY_MAIN)
     assert (n, failed) == (len(items), 0)
     assert rows["interior levels"] == (len(levels), len(set(levels)))
 
@@ -81,9 +88,11 @@ def test_main_prints_one_line_per_row(monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "main seed 3 batch 1: 2 items, 0 failed"
     assert lines[1].split() == ["built", "distinct"]
-    assert [line[:16].strip() for line in lines[2:-1]] == list(plan_traffic.ROWS)
+    assert [line[:16].strip() for line in lines[2:-2]] == list(plan_traffic.ROWS)
     built, distinct = map(int, lines[2].split()[1:])
     assert built == distinct == 2   # one plan per main item of depth 1
     # two plans read once: their markers, counted as plans of no panels
     nbytes = 2 * evaluate._layout_bytes(0)
-    assert lines[-1] == f"store at the end: {nbytes} bytes in 2 entries"
+    assert lines[-2] == f"store at the end: {nbytes} bytes in 2 entries"
+    # two indices of depth 1, one suffix row each
+    assert lines[-1] == "suffix rows: 2 read, 2 computed"
