@@ -18,7 +18,8 @@ u = 1 - t, is the regularization at the tangential base point at 1 (Panzer,
 Feynman integrals and hyperlogarithms, 2015, section 2.3).  The stuffle
 polynomial is rho^{-1} of it.  The two decompositions above are not on the
 runtime path: shuffle_poly (integral side) and stuffle_poly_direct (series
-side) evaluate them as independent cross-checks of the march.
+side) evaluate them as independent cross-checks of the march; the stuffle one
+and re_expand run on integer parts over one common denominator.
 """
 from __future__ import annotations
 
@@ -93,15 +94,15 @@ class Decomposition:
     parts: tuple[LinComb, ...]      # parts[i] multiplies the i-th y_1 power
 
     def re_expand(self) -> LinComb:
-        """Reassemble the original word; exact, used as a round-trip check."""
+        """Reassemble the original word exactly, from integer parts over one
+        common denominator divided once at the end; a round-trip check."""
         op = stuffle if self.mode == "stuffle" else shuffle
-        acc: dict[Word, int | Fraction] = {}
+        den = math.lcm(*(c.denominator for part in self.parts for c in part.terms.values()))
+        acc: dict[Word, int] = {}
         for i, part in enumerate(self.parts):
-            if not part:
-                continue
-            pw = product_power(Y_ONE_WORD, i, op)
-            _add_into(acc, op(part, pw).terms.items())
-        return LinComb(acc)
+            ints = LinComb({w: c.numerator * (den // c.denominator) for w, c in part.terms.items()})
+            _add_into(acc, op(ints, product_power(Y_ONE_WORD, i, op)).terms.items())
+        return LinComb({w: Fraction(c, den) for w, c in acc.items() if c})
 
 
 Y_ONE_WORD = Word((Y_ONE,))
@@ -135,44 +136,39 @@ def decompose_shuffle(w: Word) -> Decomposition:
 
 
 @memo(maxsize=100_000)
-def _decompose_stuffle_word(w: Word) -> tuple[tuple[int, LinComb], ...]:
+def _decompose_stuffle_word(w: Word) -> tuple[int, tuple]:
+    """(den, ((i, terms), ...)): part i is the integer combination terms / den."""
     h = w.trailing_ones()
     if h == 0:
-        return ((0, LinComb.of(w)),)
+        return 1, ((0, ((w, 1),)),)
     v = Word.of_codes(w[:-1])
-    sv = stuffle(v, Y_ONE_WORD)
-    # sv contains w itself with multiplicity h; everything else has a shorter
-    # trailing run, so recursion proceeds on (length, trailing count)
-    e_terms = dict(sv.terms)
+    # v * y_1 = h w + sum_c c word, each word with a shorter trailing run, so
+    # recursion proceeds on (length, trailing count); v's parts move up one power
+    e_terms = dict(stuffle(v, Y_ONE_WORD).terms)
     got = e_terms.pop(w, 0)
     if got != h:
         raise AssertionError(f"trailing-run multiplicity {got} != {h} for {w!r}")
-    acc: dict[int, dict[Word, Fraction]] = {}
-
-    def add(i: int, combo: LinComb, scale: Fraction) -> None:
-        if not combo:
-            return
-        _add_into(acc.setdefault(i, {}), combo.terms.items(), scale)
-
-    inv_h = Fraction(1, h)
-    for i, part in _decompose_stuffle_word(v):
-        add(i + 1, part, inv_h)
-    for word, c in e_terms.items():
-        for i, part in _decompose_stuffle_word(word):
-            add(i, part, -inv_h * c)
-    return tuple((i, LinComb(acc[i])) for i in sorted(acc))
+    subs = [(1, 1, _decompose_stuffle_word(v))] + [(-c, 0, _decompose_stuffle_word(word))
+                                                   for word, c in e_terms.items()]
+    common = math.lcm(*(den for _, _, (den, _) in subs))
+    acc: dict[int, dict[Word, int]] = {}
+    for c, shift, (den, pairs) in subs:
+        for i, terms in pairs:
+            if terms:
+                _add_into(acc.setdefault(i + shift, {}), terms, c * (common // den))
+    g = math.gcd(h * common, *(c for terms in acc.values() for c in terms.values()))
+    return h * common // g, tuple((i, tuple((word, c // g) for word, c in acc[i].items() if c))
+                                  for i in sorted(acc))
 
 
 def decompose_stuffle(w: Word) -> Decomposition:
     """Stuffle decomposition by eliminating trailing y_1 letters recursively."""
     if not w.in_h1:
         raise ValueError("stuffle decomposition needs a word without leading x")
-    pairs = _decompose_stuffle_word(w)
-    top = max((i for i, _ in pairs), default=0)
-    parts = [LinComb.zero() for _ in range(top + 1)]
-    for i, part in pairs:
-        parts[i] = part
-    return Decomposition("stuffle", tuple(parts))
+    den, pairs = _decompose_stuffle_word(w)
+    parts = dict(pairs)
+    return Decomposition("stuffle", tuple(LinComb({word: Fraction(c, den) for word, c in parts.get(i, ())})
+                                          for i in range(pairs[-1][0] + 1)))
 
 
 # --- the rho map ------------------------------------------------------------

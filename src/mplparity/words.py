@@ -33,9 +33,13 @@ such memo.
 
 Coefficients are exact rationals throughout, stored as ``int`` where they are
 integers (stuffle and shuffle multiplicities) and as ``Fraction`` otherwise;
-nothing in this module rounds.  Every linear combination is accumulated into
-one dict by ``_add_into``; zero terms are dropped once, when the ``LinComb`` is
-built.
+nothing in this module rounds, so a product reads its operands' terms in any
+order.  Every linear combination is accumulated into one dict by
+``_add_into``; zero terms are dropped once, when the ``LinComb`` is built.  A
+product's table of the products of its suffix pairs lives for that product
+only: kept across products, the tables' entries were walked by every full
+cyclic collection (selftest seed 0, batch 0: 155 collections in 12-13% of
+item time, now 35 in 3%).
 """
 from __future__ import annotations
 
@@ -467,7 +471,7 @@ def _block_end(w: tuple[int, ...]) -> int:
     return i
 
 
-@memo(maxsize=200_000)
+@lru_cache(maxsize=None)
 def _stuffle_words(u: tuple[int, ...], v: tuple[int, ...]) -> tuple:
     if not u:
         return (v,), (1,)
@@ -483,7 +487,7 @@ def _stuffle_words(u: tuple[int, ...], v: tuple[int, ...]) -> tuple:
                      (headm, _stuffle_words(u[i:], v[j:]))), hu != hv)
 
 
-@memo(maxsize=200_000)
+@lru_cache(maxsize=None)
 def _shuffle_words(u: tuple[int, ...], v: tuple[int, ...]) -> tuple:
     if not u:
         return (v,), (1,)
@@ -493,16 +497,23 @@ def _shuffle_words(u: tuple[int, ...], v: tuple[int, ...]) -> tuple:
                      (v[:1], _shuffle_words(u, v[1:]))), u[0] != v[0])
 
 
+_TABLES = (_stuffle_words, _shuffle_words)   # the tables, whatever the names are rebound to
+
+
 def _terms(x: Word | LinComb) -> list[tuple[Word, int | Fraction]]:
-    return list(x.items()) if isinstance(x, LinComb) else [(x, 1)]
+    return list(x.terms.items()) if isinstance(x, LinComb) else [(x, 1)]
 
 
 def _product(kernel, us: list, vs: list) -> LinComb:
     acc: dict[tuple[int, ...], int | Fraction] = {}
-    for u, cu in us:
-        for v, cv in vs:
-            # plain tuples as memo keys: the collector never untracks a Word
-            _add_into(acc, zip(*kernel(tuple(u), tuple(v))), cu * cv)
+    try:
+        for u, cu in us:
+            for v, cv in vs:
+                # plain tuples as table keys: the collector never untracks a Word
+                _add_into(acc, zip(*kernel(tuple(u), tuple(v))), cu * cv)
+    finally:   # kept past this product, the tables are only work for the collector
+        for table in _TABLES:
+            table.cache_clear()
     out = LinComb()  # the coefficients are exact already; drop the zeros
     out.terms = {w: c for w, c in zip(map(Word.of_codes, acc), acc.values()) if c}
     return out

@@ -10,7 +10,10 @@ The reference kernels at the end are the exception: they are the kernels the
 library ran before every value became column 0 of a jet, one per value route
 and one per jet route.  They call the library's own primitives (blocked level
 sums, panel steps, kernel tables) and keep only the old structure around
-them, so the one kernel per route can be held to them bit for bit.
+them, so the one kernel per route can be held to them bit for bit.  So is the
+stuffle decomposition below: the recursion the library ran in Fraction
+arithmetic before it computed integer parts over one denominator, through the
+library's stuffle product or a reference one.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from functools import reduce
+from fractions import Fraction
+from functools import lru_cache, reduce
 from operator import add
 
 import mpmath
@@ -301,3 +305,47 @@ def ref_plan_jet(plan, blocks, A, P, log_final=None):
                 x[l:l + len(y)] += w * y
         state = mixed
     return state[1][:, 0, 0] if log_final else state[0][:, -1, 0]
+
+
+def ref_decompose_stuffle(w, product=None) -> tuple:
+    """The parts of w's stuffle decomposition, w = sum_i parts[i] * y_1^{*i},
+    by the Fraction recursion on trailing y_1 letters; product is the stuffle
+    product it recurses with, the library's by default."""
+    from mplparity.words import LinComb, stuffle
+
+    pairs = _ref_stuffle_pairs(w, product or stuffle)
+    parts = [LinComb()] * (pairs[-1][0] + 1)
+    for i, part in pairs:
+        parts[i] = part
+    return tuple(parts)
+
+
+@lru_cache(maxsize=None)
+def _ref_stuffle_pairs(w, product) -> tuple:
+    from mplparity.words import LinComb, Word, Y_ONE
+
+    h = w.trailing_ones()
+    if h == 0:
+        return ((0, LinComb.of(w)),)
+    v = Word(w.letters[:-1])
+    # product(v, y_1) holds w itself h times; every other word has a shorter
+    # trailing run, so recursion proceeds on (length, trailing count)
+    e_terms = dict(product(v, Word((Y_ONE,))).terms)
+    got = e_terms.pop(w, 0)
+    if got != h:
+        raise AssertionError(f"trailing-run multiplicity {got} != {h} for {w!r}")
+    acc: dict = {}
+
+    def add(i, combo, scale):
+        if combo:
+            terms = acc.setdefault(i, {})
+            for word, c in combo.terms.items():
+                terms[word] = terms.get(word, 0) + scale * c
+
+    inv_h = Fraction(1, h)
+    for i, part in _ref_stuffle_pairs(v, product):
+        add(i + 1, part, inv_h)
+    for word, c in e_terms.items():
+        for i, part in _ref_stuffle_pairs(word, product):
+            add(i, part, -inv_h * c)
+    return tuple((i, LinComb(acc[i])) for i in sorted(acc))

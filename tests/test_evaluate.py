@@ -1844,14 +1844,17 @@ def test_tails_equal_prod():
 
 
 def test_clear_caches_empties_every_value_memo():
+    # the word products' tables are emptied after each product, so they hold
+    # nothing between products for clear_caches to empty
     memos = (evaluate._li_cached, evaluate._li_word_cached,
              regularize._reg_value_cached, regularize._decompose_stuffle_word,
-             words._stuffle_words, words._shuffle_words, words._numbers, words._reciprocal)
+             words._numbers, words._reciprocal)
     k, args = REG_POINT
     reg_sides(k, V(args), "stuffle")
     run_selftest(only=("rho",), seed=0)
     regularize.shuffle_poly(K((1, 1)), V((-1, 1)))   # word values are a cross-check only
     assert all(m.cache_info().currsize > 0 for m in memos)
+    assert [t.cache_info().currsize for t in words._TABLES] == [0, 0]
     assert evaluate._STORE and evaluate._STORE in numcore._MEMOS   # the panel plans' store
     clear_caches()
     assert [m.cache_info().currsize for m in memos] == [0] * len(memos)

@@ -14,13 +14,14 @@ from mplparity.words import (
     ArgVector,
     EMPTY_WORD,
     Index,
+    LinComb,
     Word,
     X,
     Y_ONE,
     word_from_index,
     y_one_power,
 )
-from mplparity.evaluate import li, li_shift_jet, li_star
+from mplparity.evaluate import li, li_shift_jet, li_star, li_word_series_encoding
 from mplparity.regularize import (
     TPoly,
     decompose_shuffle,
@@ -33,6 +34,7 @@ from mplparity.regularize import (
     stuffle_poly_direct,
     trailing_one_pairs,
 )
+from oracles import ref_decompose_stuffle
 
 K = Index
 V = ArgVector.of
@@ -114,6 +116,48 @@ def test_decomposition_re_expansion_exact():
         w = random_trailing_word(rng)
         for dec in (decompose_shuffle(w), decompose_stuffle(w)):
             assert dict(dec.re_expand().terms) == {w: Fraction(1)}, (dec.mode, w)
+
+
+def test_integer_stuffle_parts_match_the_fraction_recursion():
+    rng = random.Random("integer-parts")
+    pool = [random_trailing_word(rng) for _ in range(24)]
+    base = (0.5 + 0.5j, -2 + 0j, 1j)
+    a, b, ab = ArgSymbol(base, (0,)), ArgSymbol(base, (1,)), ArgSymbol(base, (0, 1))
+    pool += [Word((ab, X, Y_ONE, Y_ONE)), Word((a, Y_ONE, b, X, Y_ONE, Y_ONE, Y_ONE)),
+             y_one_power(3), Word((a, a, Y_ONE, Y_ONE))]
+    assert {w.trailing_ones() for w in pool} == {0, 1, 2, 3}
+    for w in pool:
+        den, pairs = regularize._decompose_stuffle_word(w)
+        coeffs = [c for _, terms in pairs for _, c in terms]
+        assert all(type(c) is int for c in coeffs) and math.gcd(den, *coeffs) == 1, w
+        dec = decompose_stuffle(w)
+        want = ref_decompose_stuffle(w)
+        assert len(dec.parts) == len(want), w
+        for got, ref in zip(dec.parts, want):
+            assert got == ref and repr(got) == repr(ref), w
+        assert dec.re_expand() == LinComb.of(w)
+        assert decompose_shuffle(w).re_expand() == LinComb.of(w)
+
+
+@pytest.mark.parametrize("parts,args", [
+    ((1, 1), (1, 1)),
+    ((2, 1, 1), (-1, 1, 1)),
+    ((1, 1, 1, 1), (1j, 1, 1, 1)),
+    ((1, 2, 1, 1, 1), (-1, 1j, 1, 1, 1)),
+])
+def test_stuffle_poly_direct_sums_the_reference_parts(parts, args):
+    # the polynomial sums float(c) times each word's series value in items()
+    # order, so equal exact parts give the same bits
+    k, z = K(parts), V(args)
+    want = []
+    for part in ref_decompose_stuffle(word_from_index(k, z)):
+        acc = 0j
+        for word, c in part.items():
+            acc += float(c) * li_word_series_encoding(word)
+        want.append(acc)
+    got = stuffle_poly_direct(k, z).coeffs
+    assert [(c.real.hex(), c.imag.hex()) for c in got] == \
+        [(c.real.hex(), c.imag.hex()) for c in want]
 
 
 def test_decomposition_parts_are_convergent_words():

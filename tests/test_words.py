@@ -38,7 +38,7 @@ from mplparity.words import (
     word_from_index,
     y_one_power,
 )
-from oracles import suffix_numbers
+from oracles import ref_decompose_stuffle, suffix_numbers
 
 
 # --- symbols ---------------------------------------------------------------
@@ -500,38 +500,6 @@ def _ref_shuffle(u, v) -> LinComb:
     return _ref_map_bilinear(_as_lincomb(u), _as_lincomb(v), _ref_shuffle_words)
 
 
-def _ref_decompose_stuffle_word(w: Word):
-    h = w.trailing_ones()
-    if h == 0:
-        return ((0, LinComb.of(w)),)
-    v = Word(w.letters[:-1])
-    e_terms = dict(_ref_stuffle(v, Y_ONE_WORD).terms)
-    assert e_terms.pop(w, Fraction(0)) == h
-    acc = {}
-
-    def add(i, combo, scale):
-        if not combo:
-            return
-        cur = acc.get(i, LinComb.zero())
-        acc[i] = cur + scale * combo
-
-    inv_h = Fraction(1, h)
-    for i, part in _ref_decompose_stuffle_word(v):
-        add(i + 1, part, inv_h)
-    for word, c in e_terms.items():
-        for i, part in _ref_decompose_stuffle_word(word):
-            add(i, part, -inv_h * c)
-    return tuple(sorted(acc.items()))
-
-
-def _ref_stuffle_parts(w: Word) -> tuple[LinComb, ...]:
-    pairs = _ref_decompose_stuffle_word(w)
-    parts = [LinComb.zero() for _ in range(max(i for i, _ in pairs) + 1)]
-    for i, part in pairs:
-        parts[i] = part
-    return tuple(parts)
-
-
 def _ref_re_expand(dec: Decomposition) -> LinComb:
     op = _ref_stuffle if dec.mode == "stuffle" else _ref_shuffle
     acc = LinComb.zero()
@@ -608,7 +576,7 @@ def test_decompositions_match_reference(monkeypatch):
     got_shuffle = [decompose_shuffle(w) for w in pool]
     for w, dec in zip(pool, got_shuffle):
         st_dec = decompose_stuffle(w)
-        want = _ref_stuffle_parts(w)
+        want = ref_decompose_stuffle(w, _ref_stuffle)
         assert len(st_dec.parts) == len(want)
         for got_part, want_part in zip(st_dec.parts, want):
             _assert_same(got_part, want_part)
@@ -621,6 +589,45 @@ def test_decompositions_match_reference(monkeypatch):
         assert len(dec.parts) == len(want)
         for got_part, want_part in zip(dec.parts, want):
             _assert_same(got_part, want_part)
+
+
+def _table_sizes() -> list[int]:
+    return [table.cache_info().currsize for table in words._TABLES]
+
+
+def test_products_read_the_same_cold_and_after_unrelated_products():
+    """A product's tables hold its own suffix products only and are empty
+    when it returns, so a product reads the same first or after others."""
+    index_pool = _seeded_words(11, 4, index_form=True)
+    base = next(l.base for w in index_pool for l in w.letters if l is not None and l.slots)
+    a, b = ArgSymbol(base, (0,)), ArgSymbol(base, (1,))
+    # repeated letters and y_1 powers start words with equal heads, which the
+    # kernels merge; plain words may start with x
+    index_pool += [y_one_power(2), y_one_power(3), Word((a, a, X)), Word((a, X, a, b))]
+    plain_pool = [w for w in index_pool if len(w) < 4] + [Word((X, a, X)), Word((X, X, b))]
+    combo = LinComb({index_pool[1]: Fraction(-2, 3), index_pool[-1]: 5, y_one_power(2): 1})
+    cases = ([(stuffle, u, v) for u in index_pool for v in index_pool]
+             + [(shuffle, u, v) for u in plain_pool for v in plain_pool]
+             + [(op, combo, v) for op in (stuffle, shuffle) for v in index_pool[-4:]])
+    cold = []
+    for op, u, v in cases:
+        cold.append(op(u, v))
+        assert _table_sizes() == [0, 0]
+    refs = {stuffle: _ref_stuffle, shuffle: _ref_shuffle}
+    for (op, u, v), got in reversed(list(zip(cases, cold))):
+        _assert_same(got, refs[op](u, v))
+        op(combo, combo)
+        _assert_same(op(u, v), got)
+        assert _table_sizes() == [0, 0]
+
+
+def test_product_tables_are_emptied_when_a_product_raises():
+    # letters over two bases cannot merge; the pair (y_1 a, y_1 b) gets to
+    # merging a with b only after shorter suffix pairs are in its table
+    a, b = ArgSymbol((2j,), (0,)), ArgSymbol((3j,), (0,))
+    with pytest.raises(ValueError, match="different bases"):
+        stuffle(Word((Y_ONE, a)), Word((Y_ONE, b)))
+    assert _table_sizes() == [0, 0]
 
 
 # --- hashes, pickling, coefficient types --------------------------------------------
@@ -800,6 +807,7 @@ def test_wordalg_selftest_witnesses_a_corrupted_product(monkeypatch, attr, invar
     terms) passes these laws; test_stuffle_hand_example catches that one."""
     monkeypatch.setattr(words, attr, corrupt)
     results = {r.name: r for r in run_selftest(only=("wordalg",))}
+    assert _table_sizes() == [0, 0]   # the product left unpatched still empties its table
     assert set(results) == {"stuffle-laws", "shuffle-laws"}
     bad = results.pop(invariant)
     assert not bad.passed
